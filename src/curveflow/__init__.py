@@ -44,6 +44,7 @@ from .errors import (
     NotConvexAfterGluing,
     NotSymmetric,
     OriginOutside,
+    SolverFailed,
     StepTooLarge,
     ToleranceNotMet,
     TooFewPoints,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .curves import ClosedCurve, is_convex, length, signed_area
-from .errors import IsoperimetricViolation, NotConvex
+from .errors import IsoperimetricViolation, NotConvex, SolverFailed
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
         method="highs",
     )
     if not res.success:
-        raise NotConvex(f"Chebyshev center LP failed: {res.message}")
+        raise SolverFailed(f"Chebyshev center LP failed: {res.message}")
     x, y, r = res.x
     return float(r), np.array([x, y])
 

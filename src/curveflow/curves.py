@@ -21,6 +21,34 @@ FloatArray = NDArray[np.float64]
 _DEGENERATE_REL = 1e-12
 
 
+def _edges(pts: FloatArray) -> FloatArray:
+    """Cyclic edge vectors: row i runs from sample i to sample i + 1."""
+    e = np.empty_like(pts)
+    e[:-1] = pts[1:] - pts[:-1]
+    e[-1] = pts[0] - pts[-1]
+    return e
+
+
+def _checked_chords(pts: FloatArray, chords: FloatArray | None = None) -> FloatArray:
+    """Cyclic chord lengths (``chords``, when the caller has them) of an (n, 2)
+    sample array that passes the checks of a ClosedCurve: n >= 3, finite
+    coordinates and no coincident neighbours."""
+    if pts.shape[0] < 3:
+        raise TooFewPoints(f"a closed curve needs >= 3 points, got {pts.shape[0]}")
+    if not np.isfinite(pts).all():
+        raise DegenerateSegment("curve contains non-finite coordinates")
+    if chords is None:
+        e = _edges(pts)
+        chords = np.hypot(e[:, 0], e[:, 1])
+    # A closed polygon is at least twice as long as its bounding-box diagonal,
+    # so chords above 1e-12 of the length pass the extent test without it.
+    if chords.min() <= _DEGENERATE_REL * chords.sum():
+        extent = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+        if np.any(chords <= _DEGENERATE_REL * extent):
+            raise DegenerateSegment("consecutive samples coincide")
+    return chords
+
+
 @dataclass(frozen=True)
 class ClosedCurve:
     """Ordered 2D sample loop; the closing point is not duplicated."""
@@ -31,17 +59,7 @@ class ClosedCurve:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise TooFewPoints(f"expected an (n, 2) array, got shape {pts.shape}")
-        if pts.shape[0] < 3:
-            raise TooFewPoints(f"a closed curve needs >= 3 points, got {pts.shape[0]}")
-        if not np.all(np.isfinite(pts)):
-            raise DegenerateSegment("curve contains non-finite coordinates")
-        extent = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-        diff = np.empty_like(pts)
-        diff[:-1] = pts[1:] - pts[:-1]
-        diff[-1] = pts[0] - pts[-1]
-        chords = np.hypot(diff[:, 0], diff[:, 1])
-        if np.any(chords <= _DEGENERATE_REL * extent):
-            raise DegenerateSegment("consecutive samples coincide")
+        _checked_chords(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -56,11 +74,7 @@ class ClosedCurve:
         return float(np.hypot(span[0], span[1]))
 
     def edges(self) -> FloatArray:
-        pts = self.points
-        e = np.empty_like(pts)
-        e[:-1] = pts[1:] - pts[:-1]
-        e[-1] = pts[0] - pts[-1]
-        return e
+        return _edges(self.points)
 
     def chord_lengths(self) -> FloatArray:
         e = self.edges()
@@ -105,18 +119,25 @@ def length(curve: ClosedCurve) -> float:
     return float(curve.chord_lengths().sum())
 
 
-def signed_area(curve: ClosedCurve) -> float:
-    """Shoelace area; positive for counter-clockwise orientation."""
-    pts = curve.points
+def _shoelace(pts: FloatArray) -> float:
+    """Signed area of the closed polygon through an (n, 2) array of vertices."""
     x, y = pts[:, 0], pts[:, 1]
     total = float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
     total += float(x[-1] * y[0] - x[0] * y[-1])
     return 0.5 * total
 
 
+def signed_area(curve: ClosedCurve) -> float:
+    """Shoelace area; positive for counter-clockwise orientation."""
+    return _shoelace(curve.points)
+
+
 def centroid(curve: ClosedCurve) -> FloatArray:
     """Area centroid of the enclosed polygon (vertex mean if area ~ 0)."""
-    pts = curve.points
+    return _centroid(curve.points)
+
+
+def _centroid(pts: FloatArray) -> FloatArray:
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
@@ -133,19 +154,6 @@ def recenter_to_centroid(curve: ClosedCurve) -> ClosedCurve:
     return curve.translated(-centroid(curve))
 
 
-def _interp_on_polygon(pts: FloatArray, cum: FloatArray, s: FloatArray) -> FloatArray:
-    """Points at arclength positions ``s`` along the closed polygon.
-
-    ``cum`` is the cumulative chord length with cum[0] = 0 and cum[n] = total;
-    ``pts`` already carries the wrapped first point at the end.
-    """
-    s = np.mod(s, cum[-1])
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(cum) - 2)
-    seg = cum[idx + 1] - cum[idx]
-    frac = (s - cum[idx]) / seg
-    return pts[idx] + frac[:, None] * (pts[idx + 1] - pts[idx])
-
-
 def resample_arclength(
     curve: ClosedCurve,
     m: int,
@@ -159,29 +167,42 @@ def resample_arclength(
     parameters until the chords agree to ``rel_tol`` of their mean. The first
     sample stays pinned at the first input point.
     """
+    return ClosedCurve(_resample(curve.points, m, rel_tol, max_passes)[0])
+
+
+def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
+    """:func:`resample_arclength` on a raw sample array, which gets the checks
+    of a ClosedCurve first. Returns the new samples and their chord lengths."""
     if m < 3:
         raise TooFewPoints(f"resampling needs m >= 3, got {m}")
-    base = np.vstack([curve.points, curve.points[:1]])
-    seglen = np.hypot(*(base[1:] - base[:-1]).T)
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
+    edges = _edges(points)
+    seglen = _checked_chords(points, np.hypot(edges[:, 0], edges[:, 1]))
+    cum = np.zeros(len(seglen) + 1)
+    np.cumsum(seglen, out=cum[1:])
+    seg = cum[1:] - cum[:-1]
     total = cum[-1]
-
     fractions = np.arange(m) / m
     t = total * fractions
-    pts = _interp_on_polygon(base, cum, t)
-    for _ in range(max_passes):
-        diff = np.empty_like(pts)
-        diff[:-1] = pts[1:] - pts[:-1]
-        diff[-1] = pts[0] - pts[-1]
+    t_knots = np.empty(m + 1)
+    t_knots[m] = total
+    u = np.zeros(m + 1)
+    for npass in range(max_passes + 1):
+        # the point at arclength s lies on edge idx: searchsorted gives idx >= 0
+        # because cum[0] = 0 <= s, and the cap catches np.mod rounding up to total
+        s = np.mod(t, total)
+        idx = np.searchsorted(cum, s, side="right")
+        idx -= 1
+        np.minimum(idx, len(seglen) - 1, out=idx)
+        frac = (s - cum[idx]) / seg[idx]
+        pts = points.take(idx, axis=0) + frac[:, None] * edges.take(idx, axis=0)
+        diff = _edges(pts)
         chords = np.hypot(diff[:, 0], diff[:, 1])
         mean = chords.sum() / m
-        if np.max(np.abs(chords - mean)) <= rel_tol * mean:
-            break
-        u = np.concatenate([[0.0], np.cumsum(chords)])
-        t_knots = np.concatenate([t, [total]])
-        t = np.interp(u[-1] * fractions, u, t_knots)
-        pts = _interp_on_polygon(base, cum, t)
-    return ClosedCurve(pts)
+        if npass == max_passes or np.max(np.abs(chords - mean)) <= rel_tol * mean:
+            return pts, chords
+        np.cumsum(chords, out=u[1:])
+        t_knots[:m] = t
+        t = np.interp(u[m] * fractions, u, t_knots)
 
 
 def _cyclic_prev(a: FloatArray) -> FloatArray:
@@ -192,13 +213,28 @@ def _cyclic_prev(a: FloatArray) -> FloatArray:
     return out
 
 
-def _vertex_turns(curve: ClosedCurve) -> tuple[FloatArray, FloatArray]:
-    """Signed turning angle at each vertex and the cyclic chord lengths."""
-    e = curve.edges()
+def _vertex_turns(e: FloatArray) -> FloatArray:
+    """Signed turning angle at each vertex, from the cyclic edge vectors."""
     ang = np.arctan2(e[:, 1], e[:, 0])
     turn = ang - _cyclic_prev(ang)
-    turn = (turn + np.pi) % (2.0 * np.pi) - np.pi
-    return turn, np.hypot(e[:, 0], e[:, 1])
+    return (turn + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _curvature_frame(e: FloatArray, chords: FloatArray):
+    """Signed curvature, unit tangent and left unit normal at each vertex, from
+    the cyclic edge vectors and their lengths (see :func:`signed_curvature`)."""
+    ds = 0.5 * (chords + _cyclic_prev(chords))
+    kappa = _vertex_turns(e) / ds
+    unit = e / chords[:, None]
+    tangent = unit + _cyclic_prev(unit)
+    norms = np.hypot(tangent[:, 0], tangent[:, 1])
+    degenerate = norms < 1e-14
+    if np.any(degenerate):
+        # 180-degree reversal at a vertex; fall back to the outgoing edge
+        tangent[degenerate] = unit[degenerate]
+        norms[degenerate] = 1.0
+    tangent /= norms[:, None]
+    return kappa, tangent, np.column_stack([-tangent[:, 1], tangent[:, 0]])
 
 
 def signed_curvature(curve: ClosedCurve) -> FrenetData:
@@ -209,27 +245,14 @@ def signed_curvature(curve: ClosedCurve) -> FrenetData:
     arclength grids (use :func:`resample_arclength` first when spacing is
     uneven). The normal is the tangent rotated by +pi/2.
     """
-    turn, chords = _vertex_turns(curve)
-    ds = 0.5 * (chords + _cyclic_prev(chords))
-    kappa = turn / ds
     e = curve.edges()
-    unit = e / chords[:, None]
-    tangent = unit + _cyclic_prev(unit)
-    norms = np.hypot(tangent[:, 0], tangent[:, 1])
-    degenerate = norms < 1e-14
-    if np.any(degenerate):
-        # 180-degree reversal at a vertex; fall back to the outgoing edge
-        tangent[degenerate] = unit[degenerate]
-        norms[degenerate] = 1.0
-    tangent /= norms[:, None]
-    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
+    kappa, tangent, normal = _curvature_frame(e, np.hypot(e[:, 0], e[:, 1]))
     return FrenetData(points=curve.points, tangent=tangent, normal=normal, curvature=kappa)
 
 
 def turning_number(curve: ClosedCurve) -> int:
     """Total tangent turning divided by 2*pi, rounded to the nearest integer."""
-    turn, _ = _vertex_turns(curve)
-    return int(round(turn.sum() / (2.0 * np.pi)))
+    return int(round(_vertex_turns(curve.edges()).sum() / (2.0 * np.pi)))
 
 
 def is_convex(curve: ClosedCurve) -> bool:

@@ -66,6 +66,10 @@ class StepTooLarge(NumericalError):
     pass
 
 
+class SolverFailed(NumericalError):
+    """An external optimizer (the inradius LP) reported failure."""
+
+
 class CurveCollapsed(NumericalError):
     """Enclosed area fell below the extinction floor.
 

@@ -22,12 +22,15 @@ from numpy.typing import NDArray
 
 from .curves import (
     ClosedCurve,
-    centroid,
+    _centroid,
+    _checked_chords,
+    _curvature_frame,
+    _edges,
+    _resample,
+    _shoelace,
     is_convex,
     length,
-    resample_arclength,
     signed_area,
-    signed_curvature,
 )
 from .errors import (
     CurveCollapsed,
@@ -61,13 +64,18 @@ class FlowState:
     def from_curve(cls, curve: ClosedCurve, time: float = 0.0, step_count: int = 0) -> "FlowState":
         area = signed_area(curve)
         perim = length(curve)
-        ratio = perim * perim / (4.0 * math.pi * area) if area > 0.0 else math.inf
         return cls(
             curve=curve,
             time=time,
             step_count=step_count,
-            diagnostics=FlowDiagnostics(length=perim, area=area, isoperimetric_ratio=ratio),
+            diagnostics=FlowDiagnostics(
+                length=perim, area=area, isoperimetric_ratio=_ratio(perim, area)
+            ),
         )
+
+
+def _ratio(perim: float, area: float) -> float:
+    return perim * perim / (4.0 * math.pi * area) if area > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -105,27 +113,55 @@ class FlowTrajectory:
                 )
 
 
-def _bound_from(chords, kappa) -> float:
-    h_min = float(np.min(chords))
+def _frame(points, chords, factor: float):
+    """Curvature, unit normal, stability bound and suggested dt of a sample loop."""
+    kappa, _tangent, normal = _curvature_frame(_edges(points), chords)
     k_max = float(np.max(np.abs(kappa)))
-    return STABILITY_FACTOR * h_min * h_min / max(k_max, 1e-300)
+    h_min = float(np.min(chords))
+    h_mean = float(np.mean(chords))
+    bound = STABILITY_FACTOR * h_min * h_min / max(k_max, 1e-300)
+    return kappa, normal, bound, min(factor * h_mean * h_mean / max(1.0, k_max), 0.98 * bound)
 
 
 def stability_bound(curve: ClosedCurve) -> float:
     """0.4 * (min spacing)^2 / max |kappa|: the explicit-scheme step limit."""
-    frame = signed_curvature(curve)
-    return _bound_from(curve.chord_lengths(), frame.curvature)
+    return _frame(curve.points, curve.chord_lengths(), 0.25)[2]
 
 
 def suggested_dt(curve: ClosedCurve, factor: float = 0.25) -> float:
     """Default step policy: factor * (mean spacing)^2 / max(1, max |kappa|),
     clamped just under the stability bound."""
-    frame = signed_curvature(curve)
-    chords = curve.chord_lengths()
-    h_mean = float(np.mean(chords))
-    k_max = float(np.max(np.abs(frame.curvature)))
-    dt = factor * h_mean * h_mean / max(1.0, k_max)
-    return min(dt, 0.98 * _bound_from(chords, frame.curvature))
+    return _frame(curve.points, curve.chord_lengths(), factor)[3]
+
+
+def _step(points, chords, m: int, dt: float | None = None, *,
+          dt_factor: float = 0.25, dt_max: float = math.inf):
+    """One explicit step on raw arrays: the kernel of csf_step, run_flow and rescaled_flow.
+
+    One frame of ``points`` (whose cyclic chord lengths are ``chords``) gives
+    the step (``dt``, or the suggested dt capped at ``dt_max``), the stability
+    check and the move; the moved loop is resampled to ``m`` samples. The moved
+    and resampled points get the checks of a ClosedCurve. Returns the new
+    points, their chord lengths, the dt taken and the enclosed area.
+    """
+    kappa, normal, bound, suggested = _frame(points, chords, dt_factor)
+    if dt is None:
+        dt = min(suggested, dt_max)
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if dt > bound * (1.0 + 1e-12):
+        raise StepTooLarge(f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
+    moved = points + dt * kappa[:, None] * normal
+    pts, new_chords = _resample(moved, m, rel_tol=1e-8, max_passes=20)
+    return pts, _checked_chords(pts, new_chords), dt, _shoelace(pts)
+
+
+def _collapsed(state: FlowState, area_floor: float) -> CurveCollapsed:
+    return CurveCollapsed(
+        f"area {state.diagnostics.area:.3g} fell below the floor {area_floor:.3g}"
+        f" at t = {state.time:.6g}",
+        state=state,
+    )
 
 
 def csf_step(
@@ -140,22 +176,12 @@ def csf_step(
     Raises StepTooLarge above the stability bound and CurveCollapsed (carrying
     the post-step state) when the area falls to ``area_floor``.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    frame = signed_curvature(state.curve)
-    bound = _bound_from(state.curve.chord_lengths(), frame.curvature)
-    if dt > bound * (1.0 + 1e-12):
-        raise StepTooLarge(f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
-    moved = frame.points + dt * frame.curvature[:, None] * frame.normal
-    m = state.curve.n if resample_to is None else int(resample_to)
-    curve = resample_arclength(ClosedCurve(moved), m, rel_tol=1e-8, max_passes=20)
-    new_state = FlowState.from_curve(curve, state.time + dt, state.step_count + 1)
+    curve = state.curve
+    m = curve.n if resample_to is None else int(resample_to)
+    pts, _chords, dt, _area = _step(curve.points, curve.chord_lengths(), m, dt)
+    new_state = FlowState.from_curve(ClosedCurve(pts), state.time + dt, state.step_count + 1)
     if new_state.diagnostics.area <= area_floor:
-        raise CurveCollapsed(
-            f"area {new_state.diagnostics.area:.3g} fell below the floor {area_floor:.3g}"
-            f" at t = {new_state.time:.6g}",
-            state=new_state,
-        )
+        raise _collapsed(new_state, area_floor)
     return new_state
 
 
@@ -175,70 +201,63 @@ def run_flow(
     with it the stable step size) stays near its initial value; collapse is a
     normal stop reason, not an error.
     """
-    state = FlowState.from_curve(curve)
-    if state.diagnostics.area <= 0.0:
+    area = signed_area(curve)
+    if area <= 0.0:
         raise ValueError("flow requires counter-clockwise orientation (positive area)")
-    target_spacing = state.diagnostics.length / curve.n
-    area_floor = area_floor_rel * state.diagnostics.area
-    m_max = curve.n
+    pts = curve.points
+    chords = curve.chord_lengths()
+    perim = float(chords.sum())
+    target_spacing = perim / curve.n
+    area_floor = area_floor_rel * area
+    time = 0.0
+    step_count = 0
 
-    times = [state.time]
-    lengths = [state.diagnostics.length]
-    areas = [state.diagnostics.area]
-    ratios = [state.diagnostics.isoperimetric_ratio]
-    sample_counts = [state.curve.n]
-    snapshots = []
-    if snapshot_stride:
-        snapshots.append((state.time, state.curve))
+    times = [time]
+    lengths = [perim]
+    areas = [area]
+    ratios = [_ratio(perim, area)]
+    sample_counts = [curve.n]
+    snapshots = [(time, curve)] if snapshot_stride else []
     stop_reason = "step_budget"
     for _ in range(max_steps):
-        if state.time >= t_max:
+        if time >= t_max:
             stop_reason = "t_max"
             break
         # halve the sample count by exact subsampling once the spacing has
         # shrunk to half its target; sliding points onto a coarser polygon
         # would cut corners and bleed area instead
-        m = state.curve.n
-        if (
-            m % 2 == 0
-            and m // 2 >= min_samples
-            and state.diagnostics.length / target_spacing <= m / 2
-        ):
-            state = FlowState.from_curve(
-                ClosedCurve(state.curve.points[::2]), state.time, state.step_count
-            )
-        dt = suggested_dt(state.curve, factor=dt_factor)
+        m = pts.shape[0]
+        if m % 2 == 0 and m // 2 >= min_samples and perim / target_spacing <= m / 2:
+            pts = np.ascontiguousarray(pts[::2])
+            chords = _checked_chords(pts)
+        dt_max = math.inf
         if math.isfinite(t_max):
-            remaining = t_max - state.time
-            if remaining <= 1e-12 * max(1.0, abs(t_max)):
+            dt_max = t_max - time
+            if dt_max <= 1e-12 * max(1.0, abs(t_max)):
                 stop_reason = "t_max"
                 break
-            dt = min(dt, remaining)
-        try:
-            state = csf_step(state, dt, area_floor=area_floor)
-        except CurveCollapsed as collapse:
-            state = collapse.state
-            times.append(state.time)
-            lengths.append(state.diagnostics.length)
-            areas.append(state.diagnostics.area)
-            ratios.append(state.diagnostics.isoperimetric_ratio)
-            sample_counts.append(state.curve.n)
+        pts, chords, dt, area = _step(pts, chords, pts.shape[0],
+                                      dt_factor=dt_factor, dt_max=dt_max)
+        time += dt
+        step_count += 1
+        perim = float(chords.sum())
+        times.append(time)
+        lengths.append(perim)
+        areas.append(area)
+        ratios.append(_ratio(perim, area))
+        sample_counts.append(pts.shape[0])
+        if area <= area_floor:
             stop_reason = "collapsed"
             break
-        times.append(state.time)
-        lengths.append(state.diagnostics.length)
-        areas.append(state.diagnostics.area)
-        ratios.append(state.diagnostics.isoperimetric_ratio)
-        sample_counts.append(state.curve.n)
-        if snapshot_stride and state.step_count % snapshot_stride == 0:
-            snapshots.append((state.time, state.curve))
+        if snapshot_stride and step_count % snapshot_stride == 0:
+            snapshots.append((time, ClosedCurve(pts)))
     return FlowTrajectory(
         times=np.asarray(times),
         lengths=np.asarray(lengths),
         areas=np.asarray(areas),
         ratios=np.asarray(ratios),
         sample_counts=np.asarray(sample_counts, dtype=np.int64),
-        final_state=state,
+        final_state=FlowState.from_curve(ClosedCurve(pts), time, step_count),
         stop_reason=stop_reason,
         snapshots=tuple(snapshots),
     )
@@ -281,24 +300,26 @@ def rescaled_flow(
     if area0 <= 0.0:
         raise ValueError("flow requires counter-clockwise orientation (positive area)")
     lam = math.sqrt(area0 / math.pi)
-    profile = recentered_unit_area(curve)
+    pts = (curve.points - _centroid(curve.points)) * math.sqrt(math.pi / area0)
+    chords = _checked_chords(pts)
     tau = 0.0
     times = [tau]
     scales = [lam]
     for _ in range(max_steps):
-        dt = suggested_dt(profile, factor=dt_factor)
-        state = csf_step(FlowState.from_curve(profile), dt)
-        stepped = state.curve
-        area = state.diagnostics.area
+        stepped, _chords, dt, area = _step(pts, chords, pts.shape[0], dt_factor=dt_factor)
+        if area <= 0.0:
+            raise _collapsed(FlowState.from_curve(ClosedCurve(stepped), dt, 1), 0.0)
         factor = math.sqrt(math.pi / area)
-        rescaled = ClosedCurve((stepped.points - centroid(stepped)) * factor)
+        rescaled = (stepped - _centroid(stepped)) * factor
+        chords = _checked_chords(rescaled)
         tau += lam * lam * dt
         lam /= factor
         times.append(tau)
         scales.append(lam)
-        displacement = float(np.max(np.hypot(*(rescaled.points - profile.points).T)))
-        profile = rescaled
+        displacement = float(np.max(np.hypot(*(rescaled - pts).T)))
+        pts = rescaled
         if displacement / dt < stationary_tol or tau >= t_max:
+            profile = ClosedCurve(pts)
             report = verify_shrinker(profile, verify_tol)
             return (
                 SimilarityProfile(
@@ -310,15 +331,6 @@ def rescaled_flow(
         f"renormalized flow did not reach displacement rate < {stationary_tol:.3g} "
         f"within {max_steps} steps"
     )
-
-
-def recentered_unit_area(curve: ClosedCurve) -> ClosedCurve:
-    """Translate to the area centroid and rescale so the enclosed area is pi."""
-    area = signed_area(curve)
-    if area <= 0.0:
-        raise ValueError("expected a counter-clockwise curve with positive area")
-    factor = math.sqrt(math.pi / area)
-    return ClosedCurve((curve.points - centroid(curve)) * factor)
 
 
 def write_curve_svg(curve: ClosedCurve, path, viewbox=None) -> None:

@@ -84,7 +84,7 @@ def limacon(n: int = 512, inner: float = 1.0, outer: float = 0.5) -> ClosedCurve
 def doubled_circle(n: int = 512, radius: float = 1.0) -> ClosedCurve:
     """Two full loops of a circle: turning number +2, not embedded."""
     t = 4.0 * np.pi * np.arange(n) / n
-    # stagger the second loop slightly so consecutive samples never coincide
+    # for even n the second loop lands on the first loop's samples (to rounding)
     pts = radius * np.column_stack([np.cos(t), np.sin(t)])
     return ClosedCurve(pts)
 

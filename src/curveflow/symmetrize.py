@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bonnesen import bonnesen_roots, circumradius, inradius
-from .curves import ClosedCurve, is_convex, length, signed_area
+from .curves import ClosedCurve, _shoelace, is_convex, length, signed_area
 from .errors import (
     NotAnOval,
     NotAShrinker,
@@ -93,12 +93,6 @@ def _arc_polygon(p: SupportFunction, vertices: FloatArray, theta: float) -> Floa
     if inner.shape[0] and np.hypot(*(inner[-1] - end)) < tiny:
         inner = inner[:-1]
     return np.vstack([start, inner, end])
-
-
-def _shoelace(pts: FloatArray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return float(0.5 * np.sum(x * yn - xn * y))
 
 
 def chord_cut(p: SupportFunction, theta: float, snap: bool = True) -> ChordCut:

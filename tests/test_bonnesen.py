@@ -2,15 +2,18 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curveflow.bonnesen
 from curveflow import (
     IsoperimetricViolation,
     NotConvex,
+    SolverFailed,
     bonnesen_chain,
     bonnesen_roots,
     circumradius,
@@ -44,6 +47,12 @@ class TestInradius:
     def test_not_convex(self):
         with pytest.raises(NotConvex):
             inradius(shapes.l_hexagon())
+
+    def test_lp_failure_is_numerical(self, monkeypatch):
+        failed = SimpleNamespace(success=False, message="iteration limit reached")
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", lambda *a, **k: failed)
+        with pytest.raises(SolverFailed, match="iteration limit"):
+            inradius(shapes.circle(64))
 
 
 class TestCircumradius:

@@ -1,10 +1,12 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import curveflow.bonnesen
 from curveflow import read_curve_csv, read_support_csv, write_curve_csv
 from curveflow import shapes
 from curveflow.cli import main
@@ -98,6 +100,11 @@ class TestBonnesen:
 
     def test_nonconvex_exit_four(self, lshape_csv):
         assert main(["bonnesen", "--input", lshape_csv]) == 4
+
+    def test_lp_failure_exit_two(self, ellipse_csv, monkeypatch):
+        failed = SimpleNamespace(success=False, message="iteration limit reached")
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", lambda *a, **k: failed)
+        assert main(["bonnesen", "--input", ellipse_csv]) == 2
 
     def test_seed_determinism(self, ellipse_csv, capsys):
         assert main(["bonnesen", "--input", ellipse_csv, "--seed", "7"]) == 0

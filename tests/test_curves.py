@@ -1,5 +1,7 @@
 """Tests for discrete closed curves and their measurements."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,21 @@ class TestConstruction:
     def test_closing_duplicate_rejected(self):
         with pytest.raises(DegenerateSegment):
             build_closed_curve([(0, 0), (1, 0), (1, 1), (0, 0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DegenerateSegment):
+            build_closed_curve([(0, 0), (1, 0), (1, bad), (0, 1)])
+
+    @pytest.mark.parametrize("gap, ok", [(0.5e-12, False), (1.5e-12, True)])
+    def test_coincidence_threshold_is_relative_to_extent(self, gap, ok):
+        # unit square, extent sqrt(2): one chord of gap * sqrt(2) next to (1, 0)
+        pts = [(0, 0), (1, 0), (1, gap * math.sqrt(2)), (1, 1), (0, 1)]
+        if ok:
+            assert build_closed_curve(pts).n == 5
+        else:
+            with pytest.raises(DegenerateSegment):
+                build_closed_curve(pts)
 
     def test_points_are_immutable(self):
         c = shapes.circle(64)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from curveflow import (
+    ClosedCurve,
     CurveCollapsed,
     FlowState,
     resample_arclength,
@@ -20,6 +21,7 @@ from curveflow import (
     rescaled_flow,
     run_flow,
     signed_area,
+    signed_curvature,
     stability_bound,
     suggested_dt,
     write_curve_svg,
@@ -176,6 +178,73 @@ class TestRescaledFlow:
             rep = symmetric_shrinker_check(ph, tol=5e-2)
             assert rep.is_circle
             assert length(half) / 2 == pytest.approx(math.pi, abs=1e-2)
+
+
+def reference_step(curve, dt_factor=0.25, dt_max=math.inf):
+    """One explicit step composed from the public primitives: suggested dt
+    under the stability bound, move by kappa * n * dt, resample."""
+    frame = signed_curvature(curve)
+    chords = curve.chord_lengths()
+    h_mean, h_min = float(np.mean(chords)), float(np.min(chords))
+    k_max = float(np.max(np.abs(frame.curvature)))
+    bound = 0.4 * h_min * h_min / max(k_max, 1e-300)
+    dt = min(dt_factor * h_mean * h_mean / max(1.0, k_max), 0.98 * bound, dt_max)
+    moved = frame.points + dt * frame.curvature[:, None] * frame.normal
+    return resample_arclength(ClosedCurve(moved), curve.n, rel_tol=1e-8, max_passes=20), dt
+
+
+class TestBitIdentity:
+    """The fused flow kernel reproduces the step composed from public
+    primitives exactly, not merely to a tolerance."""
+
+    def test_run_flow_matches_reference_loop(self):
+        curve = shapes.ellipse(128)
+        t_max = 0.8
+        traj = run_flow(curve, t_max=t_max)
+
+        target_spacing = length(curve) / curve.n
+        t, times, areas, lengths, counts = 0.0, [0.0], [signed_area(curve)], [length(curve)], [curve.n]
+        while t < t_max and t_max - t > 1e-12 * t_max:
+            m = curve.n
+            if m % 2 == 0 and m // 2 >= 32 and lengths[-1] / target_spacing <= m / 2:
+                curve = ClosedCurve(curve.points[::2])
+            curve, dt = reference_step(curve, dt_max=t_max - t)
+            t += dt
+            times.append(t)
+            areas.append(signed_area(curve))
+            lengths.append(length(curve))
+            counts.append(curve.n)
+
+        assert traj.stop_reason == "t_max"
+        assert 64 in counts  # decimated at least once
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.areas, areas)
+        assert np.array_equal(traj.lengths, lengths)
+        assert np.array_equal(traj.sample_counts, counts)
+        assert np.array_equal(traj.final_state.curve.points, curve.points)
+
+    def test_rescaled_flow_matches_reference_loop(self):
+        curve = shapes.ellipse(96)
+        t_max = 0.04
+        profile, _ = rescaled_flow(curve, t_max=t_max)
+
+        area = signed_area(curve)
+        lam = math.sqrt(area / math.pi)
+        ref = ClosedCurve((curve.points - centroid(curve)) * math.sqrt(math.pi / area))
+        tau, times, scales = 0.0, [0.0], [lam]
+        while tau < t_max:
+            stepped, dt = reference_step(ref)
+            factor = math.sqrt(math.pi / signed_area(stepped))
+            ref = ClosedCurve((stepped.points - centroid(stepped)) * factor)
+            tau += lam * lam * dt
+            lam /= factor
+            times.append(tau)
+            scales.append(lam)
+
+        assert 40 <= len(times) <= 60
+        assert np.array_equal(profile.times, times)
+        assert np.array_equal(profile.scales, scales)
+        assert np.array_equal(profile.reference_curve.points, ref.points)
 
 
 class TestOutputs:
