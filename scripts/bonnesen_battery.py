@@ -8,6 +8,7 @@ circle (any equality in the chain forces a circle).
 
 import argparse
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from curveflow import bonnesen_chain, curve_from_support, resample_arclength
@@ -22,7 +23,7 @@ def battery(count: int, samples: int, outdir: Path) -> None:
         p = shapes.random_oval_support(512, seed, offset=0.1)
         curve = resample_arclength(curve_from_support(p, mode="spectral"), samples)
         rep = bonnesen_chain(curve, seed=seed)
-        rows.append(json.loads(rep.to_json()) | {"seed": seed})
+        rows.append(asdict(rep) | {"seed": seed})
         failures += not rep.chain_ok
     (outdir / "battery.json").write_text(json.dumps(rows, indent=1))
     worst = max(r["equality_gap"] for r in rows)

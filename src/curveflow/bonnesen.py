@@ -8,7 +8,6 @@ all four quantities on the sample polygon and reports the chain.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -16,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .curves import ClosedCurve, is_convex, length, signed_area
+from .curves import ClosedCurve, _JsonReport, is_convex, length, signed_area
 from .errors import IsoperimetricViolation, NotConvex, SolverFailed
 
 
 @dataclass(frozen=True)
-class BonnesenReport:
+class BonnesenReport(_JsonReport):
     area: float
     length: float
     inradius: float
@@ -30,20 +29,6 @@ class BonnesenReport:
     t2: float
     chain_ok: bool
     equality_gap: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "area": self.area,
-                "length": self.length,
-                "inradius": self.inradius,
-                "circumradius": self.circumradius,
-                "t1": self.t1,
-                "t2": self.t2,
-                "chain_ok": self.chain_ok,
-                "equality_gap": self.equality_gap,
-            }
-        )
 
 
 def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:

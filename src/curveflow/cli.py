@@ -4,9 +4,11 @@ Exit codes partition outcomes so scripts can branch on them:
 0 success / verdict true, 1 bad input, 2 numerical failure,
 3 verdict false, 4 geometric precondition (convexity) failure.
 
-Flags override values from an optional JSON config file (``--config``), which
-in turn overrides built-in defaults; the effective configuration is echoed
-into every JSON report. ``CURVEFLOW_LOG`` (error|info|debug) sets verbosity.
+Each subcommand takes only the flags it reads (``_DEFAULTS``). Flags override
+values from an optional JSON config file (``--config``), an object whose keys
+are those flags; it in turn overrides the defaults. The effective
+configuration is echoed into every JSON report. ``CURVEFLOW_LOG``
+(error|info|debug) sets verbosity.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,8 @@ EXIT_NUMERICAL = 2
 EXIT_VERDICT_FALSE = 3
 EXIT_PRECONDITION = 4
 
+# The flags each subcommand reads, besides --input (--amplitudes for ode-shoot)
+# and --config, with their defaults. The keys of a --config file are these too.
 _DEFAULTS = {
     "flow": {
         "output": ".",
@@ -50,12 +55,28 @@ _DEFAULTS = {
         "svg_every": 0,
         "format": "csv",
     },
-    "shrink-verify": {"grid": 0, "tol": 1e-3, "output": None},
+    "shrink-verify": {"tol": 1e-3, "output": None},
     "ode-shoot": {"tol": 1e-3, "output": None, "jobs": 1, "format": "csv"},
     "bonnesen": {"seed": 0, "tol": None, "output": None},
     "symmetrize": {"grid": 1024, "tol": 1e-8, "output": "."},
     "support": {"grid": 1024, "output": None},
 }
+
+# Type and help of each flag in _DEFAULTS; key "t_max" is the flag --t-max.
+_FLAGS = {
+    "output": (str, "output directory or file"),
+    "grid": (int, "support grid size (even, >= 16)"),
+    "tol": (float, "tolerance knob"),
+    "seed": (int, "seed for randomized algorithms"),
+    "jobs": (int, "parallel workers for the survey (>= 1)"),
+    "format": (str, "output format"),
+    "t_max": (float, "flow time horizon"),
+    "dt_factor": (float, "step factor: dt = X * spacing^2 / max(1, max |kappa|)"),
+    "area_floor_rel": (float, "stop when the area falls below this fraction of the initial area"),
+    "stride": (int, "trajectory CSV decimation"),
+    "svg_every": (int, "write an SVG snapshot every N accepted steps"),
+}
+_FORMATS = {"flow": ["csv", "svg"], "ode-shoot": ["csv", "json"]}
 
 
 def _setup_logging() -> None:
@@ -72,59 +93,50 @@ def _build_parser() -> argparse.ArgumentParser:
         "support functions, Bonnesen chains, and symmetrization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_input=True):
-        if with_input:
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        if command == "ode-shoot":
+            p.add_argument("--amplitudes", help="comma-separated list of p0 values")
+        else:
             p.add_argument("--input", help="curve CSV file (x,y per line)")
-        p.add_argument("--output", help="output directory or file")
-        p.add_argument("--grid", type=int, help="support grid size (even, >= 16)")
-        p.add_argument("--tol", type=float, help="tolerance knob")
-        p.add_argument("--seed", type=int, help="seed for randomized algorithms")
-        p.add_argument("--format", choices=["csv", "json", "svg"], help="output format")
-        p.add_argument("--jobs", type=int, help="parallel workers for sweeps")
+        for key in _DEFAULTS[command]:
+            kind, text = _FLAGS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text,
+                           choices=_FORMATS[command] if key == "format" else None)
         p.add_argument("--config", help="JSON config file (flags override it)")
-
-    p_flow = sub.add_parser("flow", help="time-step the curve shortening flow")
-    add_common(p_flow)
-    p_flow.add_argument("--until-extinct", action="store_true",
-                        help="run until the area floor (default behavior)")
-    p_flow.add_argument("--t-max", dest="t_max", type=float, help="flow time horizon")
-    p_flow.add_argument("--dt-factor", dest="dt_factor", type=float)
-    p_flow.add_argument("--area-floor-rel", dest="area_floor_rel", type=float)
-    p_flow.add_argument("--stride", type=int, help="trajectory CSV decimation")
-    p_flow.add_argument("--svg-every", dest="svg_every", type=int,
-                        help="write an SVG snapshot every N accepted steps")
-
-    p_ver = sub.add_parser("shrink-verify", help="verify the self-shrinker relation")
-    add_common(p_ver)
-
-    p_ode = sub.add_parser("ode-shoot", help="period survey of the support ODE")
-    add_common(p_ode, with_input=False)
-    p_ode.add_argument("--amplitudes", help="comma-separated list of p0 values")
-
-    p_bon = sub.add_parser("bonnesen", help="inradius/circumradius inequality chain")
-    add_common(p_bon)
-
-    p_sym = sub.add_parser("symmetrize", help="equal-area chord symmetrization")
-    add_common(p_sym)
-
-    p_sup = sub.add_parser("support", help="extract the support function")
-    add_common(p_sup)
     return parser
 
 
-def _effective_config(args: argparse.Namespace, keys) -> dict:
+def _config_value(command: str, key: str, value):
+    """A --config value, checked as its flag would check it on the command line."""
+    kind = _FLAGS[key][0]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InputError(f"config key {key!r}: expected a string or a number, got {value!r}")
+    try:
+        value = kind(str(value))
+    except ValueError as exc:
+        raise InputError(f"config key {key!r}: invalid {kind.__name__} value {value!r}") from exc
+    if key == "format" and value not in _FORMATS[command]:
+        raise InputError(f"config key 'format': {value!r} is not one of {_FORMATS[command]}")
+    return value
+
+
+def _effective_config(args: argparse.Namespace) -> dict:
     config = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise InputError(f"config file {args.config} must hold a JSON object")
         for k, v in loaded.items():
-            if k in config:
-                config[k] = v
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None and v is not False:
-            config[k] = v
+            if k not in config:
+                raise InputError(f"config key {k!r} is not a flag of {args.command}: "
+                                 f"expected one of {sorted(config)}")
+            config[k] = _config_value(args.command, k, v)
+    for k in config:
+        flag = getattr(args, k)
+        if flag is not None:
+            config[k] = flag
     return config
 
 
@@ -141,9 +153,8 @@ def _json_report(config: dict, payload: dict) -> str:
 
 
 def _cmd_flow(args) -> int:
-    config = _effective_config(
-        args, ["output", "t_max", "dt_factor", "area_floor_rel", "stride", "svg_every", "format"]
-    )
+    """time-step the curve shortening flow"""
+    config = _effective_config(args)
     curve = _read_curve(args.input)
     out = Path(config["output"])
     out.mkdir(parents=True, exist_ok=True)
@@ -160,11 +171,7 @@ def _cmd_flow(args) -> int:
     traj.write_csv(out / "trajectory.csv", stride=config["stride"])
     cv.write_curve_csv(traj.final_state.curve, out / "final_curve.csv")
     if config["svg_every"] or config["format"] == "svg":
-        pts = curve.points
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        margin = 0.05 * float(np.max(hi - lo))
-        viewbox = (lo[0] - margin, lo[1] - margin,
-                   hi[0] - lo[0] + 2 * margin, hi[1] - lo[1] + 2 * margin)
+        viewbox = fl._viewbox(curve.points)
         for i, (_t, snap) in enumerate(traj.snapshots):
             fl.write_curve_svg(snap, out / f"snapshot_{i:06d}.svg", viewbox=viewbox)
     log.info("flow stopped (%s) at t = %.6g after %d steps",
@@ -185,10 +192,11 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_shrink_verify(args) -> int:
-    config = _effective_config(args, ["grid", "tol", "output"])
+    """verify the self-shrinker relation"""
+    config = _effective_config(args)
     curve = _read_curve(args.input)
     report = sk.verify_shrinker(curve, tol=config["tol"])
-    text = _json_report(config, json.loads(report.to_json()))
+    text = _json_report(config, asdict(report))
     print(text)
     if config["output"]:
         Path(config["output"]).mkdir(parents=True, exist_ok=True)
@@ -197,18 +205,20 @@ def _cmd_shrink_verify(args) -> int:
 
 
 def _cmd_ode_shoot(args) -> int:
-    config = _effective_config(args, ["tol", "output", "jobs", "format"])
-    raw = getattr(args, "amplitudes", None) or ""
+    """period survey of the support ODE"""
+    config = _effective_config(args)
+    raw = args.amplitudes or ""
     try:
         amplitudes = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"cannot parse --amplitudes {raw!r}: {exc}") from exc
     if not amplitudes:
         raise InputError("--amplitudes must list at least one p0 value")
-    jobs = max(1, int(config["jobs"]))
-    report = sk.classify_closed_solutions(amplitudes, tol=config["tol"], jobs=jobs)
+    if config["jobs"] < 1:
+        raise InputError(f"--jobs must be >= 1, got {config['jobs']}")
+    report = sk.classify_closed_solutions(amplitudes, tol=config["tol"], jobs=config["jobs"])
     if config["format"] == "json":
-        print(_json_report(config, json.loads(report.to_json())))
+        print(_json_report(config, asdict(report)))
     else:
         sys.stdout.write(report.to_csv())
     if config["output"]:
@@ -218,10 +228,11 @@ def _cmd_ode_shoot(args) -> int:
 
 
 def _cmd_bonnesen(args) -> int:
-    config = _effective_config(args, ["seed", "tol", "output"])
+    """inradius/circumradius inequality chain"""
+    config = _effective_config(args)
     curve = _read_curve(args.input)
     report = bn.bonnesen_chain(curve, tol=config["tol"], seed=config["seed"])
-    text = _json_report(config, json.loads(report.to_json()))
+    text = _json_report(config, asdict(report))
     print(text)
     if config["output"]:
         Path(config["output"]).mkdir(parents=True, exist_ok=True)
@@ -230,7 +241,8 @@ def _cmd_bonnesen(args) -> int:
 
 
 def _cmd_symmetrize(args) -> int:
-    config = _effective_config(args, ["grid", "tol", "output"])
+    """equal-area chord symmetrization"""
+    config = _effective_config(args)
     curve = _read_curve(args.input)
     shift = cv.centroid(curve)
     p = sp.support_from_curve(curve.translated(-shift), config["grid"])
@@ -249,7 +261,8 @@ def _cmd_symmetrize(args) -> int:
 
 
 def _cmd_support(args) -> int:
-    config = _effective_config(args, ["grid", "output"])
+    """extract the support function"""
+    config = _effective_config(args)
     curve = _read_curve(args.input)
     p = sp.support_from_curve(curve.translated(-cv.centroid(curve)), config["grid"])
     if config["output"]:

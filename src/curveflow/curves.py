@@ -8,12 +8,13 @@ area and positive curvature on convex curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateSegment, TooFewPoints
+from .errors import DegenerateSegment, InputError, TooFewPoints
 
 FloatArray = NDArray[np.float64]
 
@@ -47,6 +48,13 @@ def _checked_chords(pts: FloatArray, chords: FloatArray | None = None) -> FloatA
         if np.any(chords <= _DEGENERATE_REL * extent):
             raise DegenerateSegment("consecutive samples coincide")
     return chords
+
+
+class _JsonReport:
+    """Base of the report dataclasses: the JSON object of their fields in order."""
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -358,8 +366,8 @@ def read_curve_csv(path) -> ClosedCurve:
     """Read an ``x,y``-per-line curve file (no header, order = orientation)."""
     try:
         data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except Exception as exc:
-        raise TooFewPoints(f"cannot parse curve file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"cannot parse curve file {path}: {exc}") from exc
     return ClosedCurve(data)
 
 

@@ -333,16 +333,19 @@ def rescaled_flow(
     )
 
 
+def _viewbox(pts: FloatArray) -> tuple[float, float, float, float]:
+    """SVG viewBox (x0, y0, width, height): the bounding box of ``pts`` plus a
+    margin of 5% of its larger side."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    margin = 0.05 * float(np.max(hi - lo))
+    return (lo[0] - margin, lo[1] - margin,
+            hi[0] - lo[0] + 2 * margin, hi[1] - lo[1] + 2 * margin)
+
+
 def write_curve_svg(curve: ClosedCurve, path, viewbox=None) -> None:
     """Minimal SVG snapshot: one closed path in a viewBox around the curve."""
     pts = curve.points
-    if viewbox is None:
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        margin = 0.05 * float(np.max(hi - lo))
-        viewbox = (lo[0] - margin, lo[1] - margin,
-                   hi[0] - lo[0] + 2 * margin, hi[1] - lo[1] + 2 * margin)
-    x0, y0, w, h = viewbox
+    x0, y0, w, h = _viewbox(pts) if viewbox is None else viewbox
     d = "M " + " L ".join(f"{x:.17g} {y:.17g}" for x, y in pts) + " Z"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(

@@ -10,7 +10,6 @@ period evidence that no closed embedded solution exists besides the circle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from numpy.typing import NDArray
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .curves import ClosedCurve, is_simple, length, signed_area, signed_curvature
+from .curves import ClosedCurve, _JsonReport, is_simple, length, signed_area, signed_curvature
 from .errors import BlowUp, NotConvex, ToleranceNotMet
 
 FloatArray = NDArray[np.float64]
@@ -30,12 +29,11 @@ P_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
-class ShrinkerReport:
+class ShrinkerReport(_JsonReport):
     """Residual statistics of kappa + gamma . n plus the circle verdict.
 
     ``gauge_constant``/``gauge_max_rel_dev`` stay None when only the residual
-    aggregation ran. The contracting sign convention (epsilon = -1) is fixed;
-    ``contracting`` is metadata only.
+    aggregation ran. The contracting sign convention (epsilon = -1) is fixed.
     """
 
     max_residual: float
@@ -44,18 +42,6 @@ class ShrinkerReport:
     area: float
     length: float
     verdict: bool | None
-    contracting: bool = True
-
-    def to_json(self) -> str:
-        fields = {
-            "max_residual": self.max_residual,
-            "gauge_constant": self.gauge_constant,
-            "gauge_max_rel_dev": self.gauge_max_rel_dev,
-            "area": self.area,
-            "length": self.length,
-            "verdict": self.verdict,
-        }
-        return json.dumps(fields)
 
 
 @dataclass(frozen=True)
@@ -281,7 +267,7 @@ class PeriodEntry:
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_JsonReport):
     """Period survey over an amplitude grid.
 
     ``no_circle_period`` asserts that no measured period equals 2*pi within
@@ -291,9 +277,9 @@ class ClassificationReport:
     known closed-but-nonembedded curves.
     """
 
-    entries: tuple[PeriodEntry, ...]
     tol: float
     no_circle_period: bool
+    entries: tuple[PeriodEntry, ...]
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -308,25 +294,6 @@ class ClassificationReport:
             % (self.tol, "true" if self.no_circle_period else "false")
         )
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tol": self.tol,
-                "no_circle_period": self.no_circle_period,
-                "entries": [
-                    {
-                        "p0": e.p0,
-                        "period": e.period,
-                        "ratio_to_2pi": e.ratio_to_2pi,
-                        "is_constant": e.is_constant,
-                        "two_pi_match": e.two_pi_match,
-                        "al_candidate": list(e.al_candidate) if e.al_candidate else None,
-                    }
-                    for e in self.entries
-                ],
-            }
-        )
 
 
 def _rational_candidate(ratio: float, tol: float, max_maxima: int = 12):
@@ -396,4 +363,4 @@ def classify_closed_solutions(
             )
         )
     no_circle = not any(e.two_pi_match for e in entries)
-    return ClassificationReport(entries=tuple(entries), tol=tol, no_circle_period=no_circle)
+    return ClassificationReport(tol=tol, no_circle_period=no_circle, entries=tuple(entries))

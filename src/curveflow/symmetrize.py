@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bonnesen import bonnesen_roots, circumradius, inradius
-from .curves import ClosedCurve, _shoelace, is_convex, length, signed_area
+from .curves import ClosedCurve, _JsonReport, _shoelace, is_convex, length, signed_area
 from .errors import (
     NotAnOval,
     NotAShrinker,
@@ -221,7 +221,7 @@ def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:
 
 
 @dataclass(frozen=True)
-class SymmetricShrinkerReport:
+class SymmetricShrinkerReport(_JsonReport):
     """Numerical form of the symmetric-case contradiction scaffold.
 
     For a centrally symmetric solution of kappa = p the support is pinched
@@ -240,22 +240,6 @@ class SymmetricShrinkerReport:
     symmetry_dev: float
     shrinker_residual: float
     bounds_ok: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "is_circle": self.is_circle,
-                "p_min": self.p_min,
-                "p_max": self.p_max,
-                "inradius": self.inradius,
-                "circumradius": self.circumradius,
-                "t1": self.t1,
-                "t2": self.t2,
-                "symmetry_dev": self.symmetry_dev,
-                "shrinker_residual": self.shrinker_residual,
-                "bounds_ok": self.bounds_ok,
-            }
-        )
 
 
 def symmetric_shrinker_check(p: SupportFunction, tol: float = 1e-2) -> SymmetricShrinkerReport:

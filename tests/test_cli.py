@@ -1,6 +1,9 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 import curveflow.bonnesen
 from curveflow import read_curve_csv, read_support_csv, write_curve_csv
 from curveflow import shapes
-from curveflow.cli import main
+from curveflow.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -54,6 +57,12 @@ class TestShrinkVerify:
     def test_missing_file_exit_one(self):
         assert main(["shrink-verify", "--input", "/no/such/file.csv"]) == 1
 
+    def test_unparsable_file_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "letters.csv"
+        bad.write_text("a,b\na,b\na,b\n")
+        assert main(["shrink-verify", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot parse curve file")
+
 
 class TestOdeShoot:
     def test_amplitude_sweep(self, capsys):
@@ -76,6 +85,10 @@ class TestOdeShoot:
 
     def test_blowup_exit_two(self):
         assert main(["ode-shoot", "--amplitudes", "1e-9"]) == 2
+
+    def test_zero_jobs_exit_one(self, capsys):
+        assert main(["ode-shoot", "--amplitudes", "1.1", "--jobs", "0"]) == 1
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
 
     def test_jobs_deterministic(self, capsys):
         assert main(["ode-shoot", "--amplitudes", "1.1,1.5,2,3", "--jobs", "4"]) == 0
@@ -182,7 +195,7 @@ class TestFlowCommand:
         small = tmp_path / "c.csv"
         write_curve_csv(shapes.circle(96), small)
         out = tmp_path / "ext"
-        assert main(["flow", "--input", str(small), "--until-extinct",
+        assert main(["flow", "--input", str(small),
                      "--output", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["stop_reason"] == "collapsed"
@@ -204,3 +217,60 @@ class TestConfigPrecedence:
 
     def test_unknown_command_exit_one(self):
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("config", [
+        {"gird": 5},           # not a flag of the subcommand
+        {"grid": 64},          # a flag of another subcommand
+        [1, 2],                # not an object
+        {"tol": "abc"},        # does not parse as the flag's type
+        {"tol": [0.5]},
+        {"output": True},
+    ])
+    def test_bad_config_exit_one(self, ellipse_csv, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["shrink-verify", "--input", ellipse_csv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_config_format_checked_per_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "svg"}))
+        assert main(["ode-shoot", "--amplitudes", "1.1", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_values_take_flag_types(self, ellipse_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "7", "tol": "0.5"}))
+        assert main(["bonnesen", "--input", ellipse_csv, "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {
+            "seed": 7, "tol": 0.5, "output": None}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["shrink-verify", "--grid", "64"], "--grid"),
+        (["bonnesen", "--jobs", "2"], "--jobs"),
+        (["support", "--tol", "1e-3"], "--tol"),
+        (["flow", "--format", "json", "--t-max", "1e-4"], "--format"),
+        (["ode-shoot", "--amplitudes", "1.1", "--format", "svg"], "--format"),
+        (["flow", "--until-extinct", "--t-max", "1e-4"], "--until-extinct"),
+    ])
+    def test_unread_flag_exit_one(self, ellipse_csv, tmp_path, capsys, argv, flag):
+        argv = argv + ["--output", str(tmp_path)]
+        if argv[0] != "ode-shoot":
+            argv += ["--input", ellipse_csv]
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+        lines = [line.split("#", 1)[0] for block in re.findall(r"```bash\n(.*?)```", section, re.S)
+                 for line in block.splitlines() if line.startswith("curveflow ")]
+        assert len(lines) >= 6
+        parser = _build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])

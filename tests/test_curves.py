@@ -24,6 +24,7 @@ from curveflow import (
     write_curve_csv,
 )
 from curveflow import shapes
+from curveflow.errors import InputError
 
 import oracles
 
@@ -270,5 +271,6 @@ class TestCsvIO:
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("not,a,number\n")
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(InputError) as info:
             read_curve_csv(path)
+        assert not isinstance(info.value, TooFewPoints)

@@ -208,6 +208,16 @@ class TestClassification:
         assert payload["no_circle_period"] is True
         assert len(payload["entries"]) == 2
 
+    def test_json_field_names(self):
+        rep = classify_closed_solutions([1.0, 1.1], tol=0.1)
+        payload = json.loads(rep.to_json())
+        assert list(payload) == ["tol", "no_circle_period", "entries"]
+        assert [list(e) for e in payload["entries"]] == [[
+            "p0", "period", "ratio_to_2pi", "is_constant", "two_pi_match", "al_candidate",
+        ]] * 2
+        assert payload["entries"][0]["al_candidate"] is None
+        assert payload["entries"][1]["al_candidate"] == list(rep.entries[1].al_candidate)
+
 
 class TestVerifyShrinker:
     def test_unit_circle_verdict_true(self):
