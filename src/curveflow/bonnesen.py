@@ -89,66 +89,43 @@ def _circle_from_three(a, b, c):
 _EPS_FACTOR = 1.0 + 1e-14
 
 
-def _in_circle(circle, p) -> bool:
-    return math.hypot(p[0] - circle[0], p[1] - circle[1]) <= circle[2] * _EPS_FACTOR
-
-
 def minimal_enclosing_circle(points, seed: int = 0) -> tuple[float, float, float]:
     """Smallest circle containing the points; randomized incremental, O(n) expected.
 
     The shuffle is seeded for reproducible runs; the result itself does not
     depend on the seed.
     """
-    pts = [(float(x), float(y)) for x, y in np.asarray(points, dtype=float)]
-    rng = random.Random(seed)
-    rng.shuffle(pts)
-    circle = None
-    for i, p in enumerate(pts):
-        if circle is None or not _in_circle(circle, p):
-            circle = _grow_with_one(pts[: i + 1], p)
-    if circle is None:
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
         raise ValueError("no points given")
-    return circle
+    order = list(range(len(pts)))
+    random.Random(seed).shuffle(order)
+    return _enclose(pts[order], [])
 
 
-def _grow_with_one(pts, p):
-    circle = (p[0], p[1], 0.0)
-    for i, q in enumerate(pts):
-        if not _in_circle(circle, q):
-            if circle[2] == 0.0:
-                circle = _circle_from_two(p, q)
-            else:
-                circle = _grow_with_two(pts[: i + 1], p, q)
-    return circle
-
-
-def _grow_with_two(pts, p, q):
-    base = _circle_from_two(p, q)
-    left = None
-    right = None
-    px, py = p
-    qx, qy = q
-    for r in pts:
-        if _in_circle(base, r):
-            continue
-        cross = (qx - px) * (r[1] - py) - (qy - py) * (r[0] - px)
-        cand = _circle_from_three(p, q, r)
-        if cand is None:
-            continue
-        cand_cross = (qx - px) * (cand[1] - py) - (qy - py) * (cand[0] - px)
-        if cross > 0.0 and (left is None
-                            or cand_cross > (qx - px) * (left[1] - py) - (qy - py) * (left[0] - px)):
-            left = cand
-        elif cross < 0.0 and (right is None
-                              or cand_cross < (qx - px) * (right[1] - py) - (qy - py) * (right[0] - px)):
-            right = cand
-    if left is None and right is None:
-        return base
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
+def _enclose(pts: np.ndarray, boundary: list) -> tuple[float, float, float]:
+    """Smallest circle containing ``pts`` with the 0, 1 or 2 ``boundary`` points
+    on its rim (Welzl's recursion, one level per boundary point)."""
+    if len(boundary) == 2:
+        circle = _circle_from_two(*boundary)
+    else:
+        x, y = boundary[0] if boundary else pts[0].tolist()
+        circle = (x, y, 0.0)
+    i = 0
+    while True:
+        x, y, r = circle
+        rest = pts[i:]
+        outside = np.flatnonzero(np.hypot(rest[:, 0] - x, rest[:, 1] - y) > r * _EPS_FACTOR)
+        if outside.size == 0:
+            return circle
+        i += int(outside[0])
+        p = tuple(pts[i].tolist())
+        if len(boundary) == 2:
+            # None only when rounding puts p on the line through the boundary
+            circle = _circle_from_three(*boundary, p) or circle
+        else:
+            circle = _enclose(pts[:i], boundary + [p])
+        i += 1
 
 
 def circumradius(curve: ClosedCurve, seed: int = 0) -> tuple[float, np.ndarray]:

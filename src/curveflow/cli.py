@@ -2,7 +2,9 @@
 
 Exit codes partition outcomes so scripts can branch on them:
 0 success / verdict true, 1 bad input, 2 numerical failure,
-3 verdict false, 4 geometric precondition (convexity) failure.
+3 verdict false, 4 geometric precondition (convexity) failure,
+141 stdout closed before the output was written (``curveflow ... | head``),
+the 128 + SIGPIPE a shell reports for a tool killed by a broken pipe.
 
 Each subcommand takes only the flags it reads (``_DEFAULTS``). Flags override
 values from an optional JSON config file (``--config``), an object whose keys
@@ -42,6 +44,7 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_VERDICT_FALSE = 3
 EXIT_PRECONDITION = 4
+_EXIT_BROKEN_PIPE = 141
 
 # The flags each subcommand reads, besides --input (--amplitudes for ode-shoot)
 # and --config, with their defaults. The keys of a --config file are these too.
@@ -70,11 +73,11 @@ _FLAGS = {
     "seed": (int, "seed for randomized algorithms"),
     "jobs": (int, "parallel workers for the survey (>= 1)"),
     "format": (str, "output format"),
-    "t_max": (float, "flow time horizon"),
+    "t_max": (float, "flow time horizon (>= 0)"),
     "dt_factor": (float, "step factor: dt = X * spacing^2 / max(1, max |kappa|)"),
     "area_floor_rel": (float, "stop when the area falls below this fraction of the initial area"),
-    "stride": (int, "trajectory CSV decimation"),
-    "svg_every": (int, "write an SVG snapshot every N accepted steps"),
+    "stride": (int, "trajectory CSV decimation (>= 1)"),
+    "svg_every": (int, "write an SVG snapshot every N accepted steps (>= 0)"),
 }
 _FORMATS = {"flow": ["csv", "svg"], "ode-shoot": ["csv", "json"]}
 
@@ -293,7 +296,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # so a closed pipe is seen here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: stdout goes to devnull, so the flush at exit
+        # prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except (InputError, OSError, ValueError) as exc:
         log.error("input error: %s", exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -103,7 +103,8 @@ class FlowTrajectory:
         return self.final_state.time if self.stop_reason == "collapsed" else None
 
     def write_csv(self, path, stride: int = 1) -> None:
-        stride = max(1, int(stride))
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
         with open(path, "w", encoding="ascii") as fh:
             fh.write("t,L,A,ratio\n")
             for i in range(0, len(self.times), stride):
@@ -199,8 +200,13 @@ def run_flow(
 
     The sample count is decimated as the length shrinks so the spacing (and
     with it the stable step size) stays near its initial value; collapse is a
-    normal stop reason, not an error.
+    normal stop reason, not an error. A ``snapshot_stride`` of 0 or None
+    takes no snapshots.
     """
+    if not t_max >= 0.0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if snapshot_stride is not None and snapshot_stride < 0:
+        raise ValueError(f"snapshot_stride must be >= 0, got {snapshot_stride}")
     area = signed_area(curve)
     if area <= 0.0:
         raise ValueError("flow requires counter-clockwise orientation (positive area)")

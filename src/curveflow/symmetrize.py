@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.optimize import brentq
 
 from .bonnesen import bonnesen_roots, circumradius, inradius
-from .curves import ClosedCurve, _JsonReport, _shoelace, is_convex, length, signed_area
+from .curves import (ClosedCurve, _JsonReport, _shoelace, _vertex_turns, is_convex, length,
+                     signed_area)
 from .errors import (
-    NotAnOval,
     NotAShrinker,
     NotConvexAfterGluing,
     NotSymmetric,
@@ -72,11 +73,6 @@ def _oval_point(p: SupportFunction, theta: float) -> np.ndarray:
     return np.array([pv * c - dv * s, pv * s + dv * c])
 
 
-def _check_oval(p: SupportFunction) -> None:
-    if np.min(p.curvature_radius(mode="spectral")) <= 0.0:
-        raise NotAnOval("p + p'' must stay positive for the chord construction")
-
-
 def _arc_polygon(p: SupportFunction, vertices: FloatArray, theta: float) -> FloatArray:
     """Vertices from theta to theta + pi: exact endpoints plus interior grid nodes."""
     n = p.count
@@ -100,9 +96,8 @@ def chord_cut(p: SupportFunction, theta: float, snap: bool = True) -> ChordCut:
 
     ``snap`` rounds theta to the nearest grid node (theta + pi is then a node
     too); with ``snap=False`` the endpoints are evaluated spectrally between
-    nodes, which keeps sigma continuous for the bisection search.
+    nodes, which keeps sigma continuous for the chord search.
     """
-    _check_oval(p)
     if snap:
         theta = p.step * round(float(theta) / p.step)
     theta = float(np.mod(theta, 2.0 * np.pi))
@@ -124,7 +119,6 @@ def node_cut_areas(p: SupportFunction) -> np.ndarray:
     Entry j is the area bounded by the arc from node j to node j + count/2
     and the closing chord; opposite entries sum exactly to the polygon area.
     """
-    _check_oval(p)
     pts = curve_from_support(p, mode="spectral").points
     n = p.count
     half = n // 2
@@ -138,47 +132,37 @@ def node_cut_areas(p: SupportFunction) -> np.ndarray:
 
 
 def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
-    """Bisection for the chord with sigma(theta) = sigma(theta + pi).
+    """The chord with sigma(theta) = sigma(theta + pi), bracketed on the grid.
 
-    The gap g(theta) = sigma(theta) - sigma(theta + pi) flips sign between 0
-    and pi because g(theta + pi) = -g(theta) exactly; plain bisection needs no
-    monotonicity. ``tol`` bounds |sigma - A/2| relative to the area A.
+    The gap g(theta) = sigma(theta) - sigma(theta + pi) is odd under theta ->
+    theta + pi, so the node gaps change sign in [0, pi]. Unless a node already
+    meets ``tol``, brentq solves g = 0 in the first cell where they do; g is
+    smooth there, as the interior nodes of both arcs are fixed. ``tol`` bounds
+    |sigma - A/2| relative to the area A.
     """
-    _check_oval(p)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    sigma = node_cut_areas(p)
+    half = p.count // 2
+    area = sigma[0] + sigma[half]
+    bound = 2.0 * tol * area
+    g = sigma - np.roll(sigma, -half)
+    hits = np.flatnonzero(np.abs(g[:half]) <= bound)
+    if hits.size:
+        return chord_cut(p, hits[0] * p.step, snap=False)
+    j = int(np.flatnonzero(g[:half] * g[1 : half + 1] < 0.0)[0])
     vertices = curve_from_support(p, mode="spectral").points
 
-    def halves(theta: float) -> tuple[float, float]:
-        s1 = _shoelace(_arc_polygon(p, vertices, theta))
-        s2 = _shoelace(_arc_polygon(p, vertices, theta + math.pi))
-        return s1, s2
-
     def gap(theta: float) -> float:
-        s1, s2 = halves(theta)
-        return s1 - s2
+        return (_shoelace(_arc_polygon(p, vertices, theta))
+                - _shoelace(_arc_polygon(p, vertices, theta + math.pi)))
 
-    lo, hi = 0.0, math.pi
-    g_lo = gap(lo)
-    area = sum(halves(lo))
-    if abs(g_lo) <= 2.0 * tol * area:
-        return chord_cut(p, lo, snap=False)
-    g_hi = -g_lo
-    if g_lo > 0.0:
-        lo, hi, g_lo, g_hi = hi, lo, g_hi, g_lo
-    # invariant: g(lo) < 0 < g(hi); interval may be reversed, bisection is fine
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if abs(g_mid) <= 2.0 * tol * area:
-            return chord_cut(p, mid, snap=False)
-        if abs(hi - lo) < 1e-15:
-            raise ToleranceNotMet(
-                f"bisection stalled with |sigma(t) - sigma(t+pi)| = {abs(g_mid):.3g}"
-            )
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ToleranceNotMet("equal-area chord bisection did not converge")
+    theta, result = brentq(gap, j * p.step, (j + 1) * p.step, full_output=True, disp=False)
+    miss = abs(gap(theta))
+    if not result.converged or miss > bound:
+        raise ToleranceNotMet(f"equal-area chord search ended at |sigma(t) - sigma(t+pi)| = "
+                              f"{miss:.3g} > {bound:.3g}")
+    return chord_cut(p, theta, snap=False)
 
 
 def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:
@@ -189,7 +173,6 @@ def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:
     output centrally symmetric by construction. Convexity of both halves is
     verified and fails only when the grid is too coarse.
     """
-    _check_oval(p)
     vertices = curve_from_support(p, mode="spectral").points
     omega = cut.midpoint
     curves = []
@@ -203,13 +186,9 @@ def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:
                 "symmetrized arc is not convex; refine the support grid"
             )
         curves.append(curve)
-        k = arc.shape[0]
-        edges = np.roll(glued, -1, axis=0) - glued
-        ang = np.arctan2(edges[:, 1], edges[:, 0])
-        # vertex turns at the two gluing points (indices k-1 and 0)
-        for j in (k - 2, glued.shape[0] - 1):
-            turn = (ang[(j + 1) % glued.shape[0]] - ang[j] + np.pi) % (2.0 * np.pi) - np.pi
-            gaps.append(abs(turn))
+        turns = _vertex_turns(curve.edges())
+        # turns at the two gluing points: the arc's last vertex and vertex 0
+        gaps += [abs(turns[arc.shape[0] - 1]), abs(turns[0])]
     return SymmetrizedPair(
         curve1=curves[0],
         curve2=curves[1],
@@ -257,15 +236,13 @@ def symmetric_shrinker_check(p: SupportFunction, tol: float = 1e-2) -> Symmetric
         raise NotSymmetric(
             f"support is not centrally symmetric: max |p(t) - p(t+pi)| = {sym_dev:.3g}"
         )
+    curve = curve_from_support(p, mode="spectral")
     rad = p.curvature_radius(mode="spectral")
-    if np.min(rad) <= 0.0:
-        raise NotAnOval("p + p'' must stay positive")
     residual = float(np.max(np.abs(1.0 / rad - p.values)))
     if residual > tol:
         raise NotAShrinker(
             f"curvature 1/(p+p'') deviates from p by {residual:.3g} > tol = {tol:.3g}"
         )
-    curve = curve_from_support(p, mode="spectral")
     r, _ = inradius(curve)
     big_r, _ = circumradius(curve)
     t1, t2 = bonnesen_roots(abs(signed_area(curve)), length(curve))

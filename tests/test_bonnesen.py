@@ -83,6 +83,24 @@ class TestCircumradius:
         b = minimal_enclosing_circle(pts, seed=99)
         assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.parametrize("pts", [
+        np.column_stack([np.linspace(0.3, 2.3, 9), np.linspace(-1.0, -0.5, 9)]),
+        np.repeat(np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 2)), 3, axis=0),
+        np.array([[0.2, -0.7], [1.5, 2.0]]),
+        1.7 * np.column_stack([np.cos(2 * np.pi * np.arange(13) / 13),
+                               np.sin(2 * np.pi * np.arange(13) / 13)]) + [0.4, -0.1],
+    ], ids=["collinear", "repeated", "two-points", "regular-13-gon"])
+    def test_degenerate_inputs_against_oracle(self, pts):
+        for seed in range(3):
+            x, y, r = minimal_enclosing_circle(pts, seed=seed)
+            assert r == pytest.approx(oracles.brute_enclosing_radius(pts), rel=1e-12)
+            assert np.all(np.hypot(pts[:, 0] - x, pts[:, 1] - y) <= r * (1 + 1e-12))
+
+    def test_one_point_and_none(self):
+        assert minimal_enclosing_circle([[0.2, -0.7]]) == (0.2, -0.7, 0.0)
+        with pytest.raises(ValueError, match="no points"):
+            minimal_enclosing_circle(np.empty((0, 2)))
+
 
 class TestRoots:
     def test_circle_double_root(self):

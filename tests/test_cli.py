@@ -1,14 +1,18 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import curveflow
 import curveflow.bonnesen
 from curveflow import read_curve_csv, read_support_csv, write_curve_csv
 from curveflow import shapes
@@ -158,7 +162,7 @@ class TestSymmetrize:
         rep = payload["report"]
         c1 = read_curve_csv(out / "symmetrized_1.csv")
         c2 = read_curve_csv(out / "symmetrized_2.csv")
-        # bisection drives |sigma1 - sigma2| <= 2*tol*A with tol = 1e-8
+        # the chord search drives |sigma1 - sigma2| <= 2*tol*A with tol = 1e-8
         assert rep["areas"][0] == pytest.approx(rep["areas"][1], rel=1e-7)
         from curveflow import signed_area
 
@@ -200,6 +204,42 @@ class TestFlowCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["stop_reason"] == "collapsed"
         assert payload["report"]["final_time"] == pytest.approx(0.5, abs=2e-2)
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--stride", "0", "--t-max", "1e-3"],
+        ["flow", "--svg-every", "-1"],
+        ["flow", "--t-max", "-1"],
+        ["symmetrize", "--tol", "-1"],
+    ])
+    def test_out_of_range_exit_one(self, tmp_path, capsys, argv):
+        small = tmp_path / "c.csv"
+        write_curve_csv(shapes.circle(64), small)
+        assert main(argv + ["--input", str(small), "--output", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_curve_csv(shapes.circle(256), path)
+        src = str(Path(curveflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # 16384 CSV lines (about 600 kB) overflow the pipe buffer, so the writer
+        # is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "curveflow.cli", "support", "--input", str(path),
+             "--grid", "16384"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"0,")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        with proc.stderr:
+            assert proc.stderr.read() == b""
 
 
 class TestConfigPrecedence:

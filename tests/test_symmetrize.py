@@ -1,14 +1,18 @@
 """Tests for the equal-area chord and point-reflection symmetrization."""
 
+import importlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from curveflow import (
     NotAnOval,
     NotAShrinker,
     NotSymmetric,
+    ToleranceNotMet,
     chord_cut,
     curve_from_support,
     find_bisecting_chord,
@@ -105,6 +109,22 @@ class TestBisectingChord:
         cut = find_bisecting_chord(p, tol=1e-8)
         area = oval_area(p)
         assert abs(cut.sigma - area / 2) <= 1e-6 * area
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            find_bisecting_chord(oval(256, {1: (0.3, 0.0), 3: (0.02, 0.015)}), tol=tol)
+
+    @pytest.mark.parametrize("root_finder", [
+        lambda f, a, b, **k: (a, SimpleNamespace(converged=True)),  # misses the tolerance
+        lambda f, a, b, **k: (brentq(f, a, b), SimpleNamespace(converged=False)),
+    ], ids=["bad-root", "not-converged"])
+    def test_root_failure_is_tolerance_not_met(self, monkeypatch, root_finder):
+        # the package exports the function symmetrize under the module's name
+        monkeypatch.setattr(importlib.import_module("curveflow.symmetrize"), "brentq",
+                            root_finder)
+        with pytest.raises(ToleranceNotMet):
+            find_bisecting_chord(oval(1024, {1: (0.3, 0.0), 2: (0.05, 0.0), 3: (0.02, 0.015)}))
 
 
 class TestSymmetrize:
