@@ -158,6 +158,8 @@ def _json_report(config: dict, payload: dict) -> str:
 def _cmd_flow(args) -> int:
     """time-step the curve shortening flow"""
     config = _effective_config(args)
+    if config["stride"] < 1:  # before the flow runs, not after it in write_csv
+        raise InputError(f"--stride must be >= 1, got {config['stride']}")
     curve = _read_curve(args.input)
     out = Path(config["output"])
     out.mkdir(parents=True, exist_ok=True)

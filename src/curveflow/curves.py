@@ -311,13 +311,26 @@ def _segments_intersect(p1, p2, p3, p4) -> bool:
 def is_simple(curve: ClosedCurve) -> bool:
     """True iff no two non-adjacent edges intersect.
 
-    Sweeps edges by x-extent with an all-pairs fallback below 64 samples
-    (the fallback doubles as the correctness oracle in the tests).
+    A polygon whose vertex turns share one sign, stay short of a reversal and
+    add up to one full turn is convex, hence simple: that O(n) test comes
+    first. Otherwise edges are swept by x-extent, with an all-pairs fallback
+    below 64 samples.
     """
-    pts = curve.points
-    n = curve.n
-    if n < 64:
+    turns = _vertex_turns(curve.edges())
+    winding = round(float(turns.sum()) / (2.0 * np.pi))
+    if abs(winding) == 1:
+        turns = winding * turns
+        # a turn within rounding of pi may be an exact reversal, as on a
+        # polygon that doubles back along itself: leave it to the edge pairs
+        if np.all(turns >= 0.0) and np.all(turns < np.pi - 1e-12):
+            return True
+    if curve.n < 64:
         return _is_simple_bruteforce(curve)
+    return _is_simple_sweep(curve.points)
+
+
+def _is_simple_sweep(pts: FloatArray) -> bool:
+    n = pts.shape[0]
     nxt = np.roll(pts, -1, axis=0)
     xmin = np.minimum(pts[:, 0], nxt[:, 0])
     xmax = np.maximum(pts[:, 0], nxt[:, 0])

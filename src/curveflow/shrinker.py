@@ -190,13 +190,19 @@ def _maximum_event(_theta, y):
 
 
 _maximum_event.direction = -1
+# Stop at the third maximum (an integer terminal counts events, SciPy >= 1.12).
+# For p0 > 1 the rest start is detected as a maximum, since p' goes from 0 to
+# negative; it is dropped below and the next two give the period. For p0 < 1
+# the start is a minimum and is not detected, so the third is one spare.
+_maximum_event.terminal = 3
 
 
 def shoot_period(p0: float, tol: float = 1e-12) -> float:
     """Angular distance between successive maxima of p from a rest start.
 
     Events are p' zero-crossings with p'' < 0, refined by root finding on the
-    dense output; the trajectory starts at (p0, 0).
+    dense output; the trajectory starts at (p0, 0). Integration stops at the
+    third detected maximum; the 16*pi span only bounds the search.
     """
     if p0 <= 0.0:
         raise ValueError(f"p0 must be positive, got {p0}")
@@ -228,10 +234,15 @@ def period_by_quadrature(p0: float) -> float:
     Independent of the shooting route: the turning points of
     E = p^2/2 - ln p are bracketed by root finding and the period integral is
     regularized with the cosine substitution. Handles amplitudes whose orbits
-    dip far below the integration floor.
+    dip far below the integration floor. Within 0.02 of p0 = 1, where the
+    energy gap cancels and the period moves with the square root of any error
+    in a turning point, the integral is taken in a signed energy coordinate
+    instead, which has no turning point to find.
     """
     if p0 <= 0.0 or p0 == 1.0:
         raise ValueError("p0 must be positive and different from 1")
+    if abs(p0 - 1.0) < _NEAR_ONE:
+        return _period_near_one(p0 - 1.0)
 
     def potential(p):
         return 0.5 * p * p - math.log(p)
@@ -254,6 +265,52 @@ def period_by_quadrature(p0: float) -> float:
 
     value, _ = quad(integrand, 0.0, math.pi, limit=2000)
     return 2.0 * value
+
+
+# Radius around p = 1 inside which period_by_quadrature uses the signed energy
+# coordinate. The turning-point route is off by 1e-9 at this distance and
+# worse closer in; it stays in use beyond, where it keeps its values.
+_NEAR_ONE = 0.02
+
+
+def _excess_energy(x: float) -> float:
+    """V(x) = E(1 + x) - 1/2 = x + x^2/2 - log1p(x) for |x| <= 0.1, to rounding.
+
+    x - log1p(x) is summed as 2 s^2 (1/(1-s) - s/3 - s^3/5 - ...) with
+    s = x/(2 + x), from log1p(x) = 2 atanh(s); every term is of order x^2, so
+    nothing cancels.
+    """
+    s = x / (2.0 + x)
+    s2 = s * s
+    tail = 0.0
+    for k in range(9, 0, -1):
+        tail = tail * s2 + 1.0 / (2 * k + 1)
+    return 0.5 * x * x + 2.0 * s2 * (1.0 / (1.0 - s) - s * tail)
+
+
+def _period_near_one(x0: float) -> float:
+    """Period of p = 1 + x from rest at x0, for |x0| < _NEAR_ONE.
+
+    With y = sign(x) sqrt(V(x)) the energy gap is Y^2 - y^2, Y = sqrt(V(x0)),
+    so both turning points are y = +-Y with no root finding, and y = Y sin(phi)
+    gives T = sqrt(2) * integral of dx/dy over (-pi/2, pi/2): a smooth
+    integrand, dx/dy = 2y(1 + x)/(x(2 + x)), that tends to 1 as y -> 0.
+    x(y) is found by Newton's method on sign(x) sqrt(V(x)) = y from x = y.
+    """
+    amplitude = math.sqrt(_excess_energy(x0))
+
+    def dx_dy(phi):
+        y = amplitude * math.sin(phi)
+        if y == 0.0:
+            return 1.0
+        x = y
+        for _ in range(6):  # from a relative error of |x|/6 < 0.01, 4 steps reach rounding
+            root_v = math.copysign(math.sqrt(_excess_energy(x)), x)
+            x -= (root_v - y) * 2.0 * root_v * (1.0 + x) / (x * (2.0 + x))
+        return 2.0 * y * (1.0 + x) / (x * (2.0 + x))
+
+    value, _ = quad(dx_dy, -0.5 * math.pi, 0.5 * math.pi)
+    return math.sqrt(2.0) * value
 
 
 @dataclass(frozen=True)

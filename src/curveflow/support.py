@@ -12,6 +12,7 @@ Derivatives are taken by centered differences on the periodic grid by default;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -81,6 +82,11 @@ class SupportFunction:
         """p + p'' on the grid (the radius of curvature of the oval)."""
         return self.values + self.derivative(2, mode=mode)
 
+    @cached_property
+    def _eval_coefficients(self):
+        # once per instance: the chord search calls eval 8 times per gap
+        return np.fft.rfft(self.values) / self.count
+
     def eval(self, theta, order: int = 0, mode: str = "spectral"):
         """Evaluate p (or a derivative) at arbitrary angles.
 
@@ -97,7 +103,7 @@ class SupportFunction:
             return np.interp(np.mod(theta, 2.0 * np.pi), grid, vals)
         if mode != "spectral":
             raise ValueError(f"unknown evaluation mode {mode!r}")
-        coef = np.fft.rfft(self.values) / self.count
+        coef = self._eval_coefficients
         k = np.arange(coef.size)
         coef = coef * (1j * k) ** order
         if order % 2:

@@ -14,6 +14,7 @@ import pytest
 
 import curveflow
 import curveflow.bonnesen
+import curveflow.flow
 from curveflow import read_curve_csv, read_support_csv, write_curve_csv
 from curveflow import shapes
 from curveflow.cli import _build_parser, main
@@ -220,6 +221,20 @@ class TestRangeChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_zero_stride_rejected_before_the_flow_runs(self, tmp_path, capsys, monkeypatch):
+        def no_flow(*_args, **_kwargs):
+            raise AssertionError("run_flow called for a rejected stride")
+
+        monkeypatch.setattr(curveflow.flow, "run_flow", no_flow)
+        small = tmp_path / "c.csv"
+        write_curve_csv(shapes.circle(64), small)
+        out = tmp_path / "out"
+        assert main(["flow", "--stride", "0", "--input", str(small), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestBrokenPipe:

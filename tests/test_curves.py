@@ -185,6 +185,44 @@ class TestTopology:
             return
         assert is_simple(c) == oracles.polygon_is_simple(pts)
 
+    @staticmethod
+    def _integer_square(side=16):
+        """CCW boundary of [0, side]^2 through every integer point: zero turns."""
+        bottom = [(i, 0) for i in range(side)]
+        right = [(side, i) for i in range(side)]
+        top = [(side - i, side) for i in range(side)]
+        left = [(0, side - i) for i in range(side)]
+        return np.array(bottom + right + top + left, dtype=float)
+
+    def test_convex_input_skips_the_sweep(self, monkeypatch):
+        import curveflow.curves as cv
+
+        def no_sweep(*_args):
+            raise AssertionError("convex input reached the edge-pair tests")
+
+        monkeypatch.setattr(cv, "_is_simple_sweep", no_sweep)
+        monkeypatch.setattr(cv, "_is_simple_bruteforce", no_sweep)
+        assert is_simple(shapes.circle(4096))
+        assert is_simple(shapes.circle(96, clockwise=True))
+        assert is_simple(ClosedCurve(self._integer_square()))
+        assert is_simple(ClosedCurve(self._integer_square()[::-1]))
+
+    @pytest.mark.parametrize("name", ["doubled_even", "doubled_odd", "collinear",
+                                      "clockwise", "hairpin", "hairpin_open"])
+    def test_convex_path_matches_bruteforce(self, name):
+        square = self._integer_square()
+        spike_at = 8  # the bottom side's vertex (8, 0)
+        pts = {
+            "doubled_even": lambda: shapes.doubled_circle(96).points,
+            "doubled_odd": lambda: shapes.doubled_circle(97).points,
+            "collinear": lambda: square,
+            "clockwise": lambda: shapes.ellipse(80).points[::-1],
+            # out to (8, -5) and back over the same segment to (8, -2)
+            "hairpin": lambda: np.insert(square, spike_at + 1, [(8, -5), (8, -2)], axis=0),
+            "hairpin_open": lambda: np.insert(square, spike_at + 1, [(8, -5), (8.5, -1)], axis=0),
+        }[name]()
+        assert is_simple(ClosedCurve(pts)) == oracles.polygon_is_simple(pts)
+
     def test_winding_number(self):
         c = shapes.circle(256)
         assert winding_number(c, (0.0, 0.0)) == 1

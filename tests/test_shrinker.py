@@ -2,14 +2,17 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from curveflow import (
     BlowUp,
     NotConvex,
+    ToleranceNotMet,
     classify_closed_solutions,
     fundamental_residual,
     gauge_constant,
@@ -20,6 +23,7 @@ from curveflow import (
     verify_shrinker,
 )
 from curveflow import shapes
+from curveflow.shrinker import _floor_event, _ode_rhs
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
 
@@ -160,6 +164,48 @@ class TestShootPeriod:
         step_f = np.max(np.abs(np.diff(fine)))
         assert step_c < 2e-2
         assert step_f < 0.6 * step_c
+
+
+class TestShootPeriodEarlyStop:
+    @pytest.mark.parametrize("p0", [0.3, 0.5, 0.98, 1.001, 1.02, 1.5, 2.0, 3.5, 5.0, 5.8])
+    def test_bit_identical_to_full_span(self, p0):
+        """Stopping at the third maximum leaves the period unchanged to the bit.
+
+        The reference integrates the whole (0, 16*pi) span with a
+        non-terminal maximum event: DOP853's steps before a stop do not depend
+        on where the run ends, and each event is located on its own step.
+        """
+
+        def maximum(_theta, y):
+            return y[1]
+
+        maximum.direction = -1
+        sol = solve_ivp(_ode_rhs, (0.0, 16.0 * np.pi), (p0, 0.0), method="DOP853",
+                        rtol=1e-12, atol=1e-12, events=(maximum, _floor_event))
+        assert sol.status == 0 and sol.t_events[1].size == 0
+        maxima = sol.t_events[0][sol.t_events[0] > 1e-9]
+        assert maxima.size >= 3
+        assert shoot_period(p0) == float(maxima[1] - maxima[0])
+
+
+NEAR_ONE = [1.0 + sign * d for d in (1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3) for sign in (-1, 1)]
+
+
+class TestQuadratureNearOne:
+    @pytest.mark.parametrize("p0", NEAR_ONE, ids=[f"{p0!r}" for p0 in NEAR_ONE])
+    def test_accurate_or_refused(self, p0):
+        """Near p0 = 1 the oracle gives the Lindstedt period or raises; it
+        never returns a degraded value, warns or leaks an untyped error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                period = period_by_quadrature(p0)
+            except ToleranceNotMet:
+                return
+        a = p0 - 1.0
+        assert abs(period - SQRT2_PI * (1.0 - a * a / 12.0)) <= 1e-8
+        if abs(a) >= 1e-4:
+            assert abs(period - shoot_period(p0)) <= 1e-8
 
 
 class TestClassification:

@@ -242,6 +242,28 @@ class TestSpectralEval:
         assert np.max(np.abs(p.eval(thetas) - exact)) < 1e-13
         assert np.max(np.abs(p.eval(thetas, order=1) - d1)) < 1e-12
 
+    @staticmethod
+    def _eval_uncached(p, theta, order):
+        coef = np.fft.rfft(p.values) / p.count
+        k = np.arange(coef.size)
+        coef = coef * (1j * k) ** order
+        if order % 2:
+            coef[-1] = 0.0
+        phases = np.exp(1j * np.multiply.outer(theta, k))
+        weights = np.full(coef.size, 2.0)
+        weights[0] = 1.0
+        weights[-1] = 1.0
+        return np.real(phases @ (weights * coef))
+
+    def test_cached_spectrum_matches_recomputation(self):
+        p = shapes.random_oval_support(512, 3, offset=0.15)
+        thetas = np.random.default_rng(1).uniform(0, 2 * np.pi, 16)
+        for _ in range(2):  # first call fills the cache, second reads it
+            for order in (0, 1, 2):
+                assert np.array_equal(p.eval(thetas, order=order),
+                                      self._eval_uncached(p, thetas, order))
+                assert p.eval(0.7, order=order) == self._eval_uncached(p, 0.7, order)
+
 
 class TestValidationAndIO:
     def test_positive_samples_required(self):
