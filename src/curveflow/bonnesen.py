@@ -13,10 +13,11 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .curves import ClosedCurve, _JsonReport, is_convex, length, signed_area
+from .curves import ClosedCurve, _deferred, _JsonReport, is_convex, length, signed_area
 from .errors import IsoperimetricViolation, NotConvex, SolverFailed
+
+linprog = _deferred("scipy.optimize", "linprog")
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,12 @@ def bonnesen_roots(area: float, length_value: float) -> tuple[float, float]:
 def bonnesen_chain(curve: ClosedCurve, tol: float | None = None, seed: int = 0) -> BonnesenReport:
     """Measure A, L, r, R, t1, t2 and verify t1 <= r <= R <= t2.
 
-    ``tol`` defaults to 1e-6 times the curve diameter. The quadratic is also
-    checked to be negative at the midpoint of (t1, t2) when the roots are
-    distinct; one interior point suffices for an upward parabola.
+    ``tol`` (finite, > 0) defaults to 1e-6 times the curve diameter. The
+    quadratic is also checked to be negative at the midpoint of (t1, t2) when
+    the roots are distinct; one interior point suffices for an upward parabola.
     """
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not is_convex(curve):
         raise NotConvex("the inner-parallel-area quadratic needs a convex domain")
     area = abs(signed_area(curve))

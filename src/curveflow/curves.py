@@ -8,6 +8,7 @@ area and positive curvature on convex curves.
 
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import asdict, dataclass
 
@@ -48,6 +49,20 @@ def _checked_chords(pts: FloatArray, chords: FloatArray | None = None) -> FloatA
         if np.any(chords <= _DEGENERATE_REL * extent):
             raise DegenerateSegment("consecutive samples coincide")
     return chords
+
+
+def _deferred(module: str, name: str):
+    """``module.name`` as a function that imports ``module`` on each call.
+
+    Binding SciPy's solvers this way keeps ``import curveflow`` from loading
+    SciPy, so a run that never solves skips its import cost. The first call
+    imports it; later calls find it in ``sys.modules``.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+
+    return call
 
 
 class _JsonReport:

@@ -205,6 +205,10 @@ def run_flow(
     """
     if not t_max >= 0.0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if not 0.0 < dt_factor < math.inf:
+        raise ValueError(f"dt_factor must be finite and > 0, got {dt_factor}")
+    if not 0.0 < area_floor_rel < 1.0:
+        raise ValueError(f"area_floor_rel must be in (0, 1), got {area_floor_rel}")
     if snapshot_stride is not None and snapshot_stride < 0:
         raise ValueError(f"snapshot_stride must be >= 0, got {snapshot_stride}")
     area = signed_area(curve)
@@ -300,6 +304,8 @@ def rescaled_flow(
     reaching the physical horizon ``t_max`` also stops the run normally.
     Returns the scale history and the shrinker verification of the limit.
     """
+    if not 0.0 < dt_factor < math.inf:
+        raise ValueError(f"dt_factor must be finite and > 0, got {dt_factor}")
     if not is_convex(curve):
         raise NotConvex("the renormalized flow driver expects a convex curve")
     area0 = signed_area(curve)

@@ -15,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
-from .curves import ClosedCurve, _JsonReport, is_simple, length, signed_area, signed_curvature
+from .curves import (ClosedCurve, _deferred, _JsonReport, is_simple, length, signed_area,
+                     signed_curvature)
 from .errors import BlowUp, NotConvex, ToleranceNotMet
 
 FloatArray = NDArray[np.float64]
+
+brentq = _deferred("scipy.optimize", "brentq")
+quad = _deferred("scipy.integrate", "quad")
+solve_ivp = _deferred("scipy.integrate", "solve_ivp")
 
 # Support values below this are treated as collapse: the 1/p term then makes
 # local error control meaningless at double precision.
@@ -97,31 +100,21 @@ def gauge_constant(curve: ClosedCurve) -> tuple[float, float]:
     return math.exp(log_c), dev
 
 
-def verify_shrinker(
-    curve: ClosedCurve,
-    tol: float = 1e-3,
-    *,
-    area_tol: float | None = None,
-    length_tol: float | None = None,
-    residual_tol: float | None = None,
-    gauge_tol: float | None = None,
-) -> ShrinkerReport:
+def verify_shrinker(curve: ClosedCurve, tol: float = 1e-3) -> ShrinkerReport:
     """Full shrinker check: residual, gauge, area = pi, length = 2*pi.
 
-    Per-quantity tolerances default to ``tol``. The verdict is true iff all
-    four hold, in which case the curve is (numerically) the unit circle.
+    The verdict is true iff all four hold within ``tol`` (finite, > 0), in
+    which case the curve is (numerically) the unit circle.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     residual, base = fundamental_residual(curve)
     c, dev = gauge_constant(curve)
-    area_tol = tol if area_tol is None else area_tol
-    length_tol = tol if length_tol is None else length_tol
-    residual_tol = tol if residual_tol is None else residual_tol
-    gauge_tol = tol if gauge_tol is None else gauge_tol
     verdict = (
-        abs(base.area - math.pi) <= area_tol
-        and abs(base.length - 2.0 * math.pi) <= length_tol
-        and base.max_residual <= residual_tol
-        and dev <= gauge_tol
+        abs(base.area - math.pi) <= tol
+        and abs(base.length - 2.0 * math.pi) <= tol
+        and base.max_residual <= tol
+        and dev <= tol
     )
     return ShrinkerReport(
         max_residual=base.max_residual,
@@ -160,8 +153,8 @@ def integrate_support_ode(
     angles when given. Raises BlowUp when p reaches the collapse floor within
     the span and ToleranceNotMet when the step controller gives up.
     """
-    if p0 <= 0.0:
-        raise ValueError(f"p0 must be positive, got {p0}")
+    if not 0.0 < p0 < math.inf:
+        raise ValueError(f"p0 must be finite and positive, got {p0}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if p0 <= P_FLOOR:
@@ -204,8 +197,8 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
     dense output; the trajectory starts at (p0, 0). Integration stops at the
     third detected maximum; the 16*pi span only bounds the search.
     """
-    if p0 <= 0.0:
-        raise ValueError(f"p0 must be positive, got {p0}")
+    if not 0.0 < p0 < math.inf:
+        raise ValueError(f"p0 must be finite and positive, got {p0}")
     if p0 == 1.0:
         raise ValueError("p0 = 1 is the constant (circle) solution; no oscillation")
     if p0 <= P_FLOOR:
@@ -239,8 +232,8 @@ def period_by_quadrature(p0: float) -> float:
     in a turning point, the integral is taken in a signed energy coordinate
     instead, which has no turning point to find.
     """
-    if p0 <= 0.0 or p0 == 1.0:
-        raise ValueError("p0 must be positive and different from 1")
+    if not 0.0 < p0 < math.inf or p0 == 1.0:
+        raise ValueError(f"p0 must be finite, positive and different from 1, got {p0}")
     if abs(p0 - 1.0) < _NEAR_ONE:
         return _period_near_one(p0 - 1.0)
 
@@ -378,10 +371,12 @@ def classify_closed_solutions(
     statement for embedded shrinkers. Grid points are independent;
     ``jobs > 1`` evaluates them concurrently and merges in grid order.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     amplitudes = [float(p0) for p0 in amplitudes]
     for p0 in amplitudes:
-        if p0 <= 0.0:
-            raise ValueError(f"amplitudes must be positive, got {p0}")
+        if not 0.0 < p0 < math.inf:
+            raise ValueError(f"amplitudes must be finite and positive, got {p0}")
 
     def measure(p0: float) -> float:
         return math.nan if p0 == 1.0 else shoot_period(p0, tol=shoot_tol)

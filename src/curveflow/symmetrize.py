@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import brentq
 
 from .bonnesen import bonnesen_roots, circumradius, inradius
-from .curves import (ClosedCurve, _JsonReport, _shoelace, _vertex_turns, is_convex, length,
-                     signed_area)
+from .curves import (ClosedCurve, _deferred, _JsonReport, _shoelace, _vertex_turns, is_convex,
+                     length, signed_area)
 from .errors import (
     NotAShrinker,
     NotConvexAfterGluing,
@@ -30,6 +29,8 @@ from .errors import (
 from .support import SupportFunction, curve_from_support
 
 FloatArray = NDArray[np.float64]
+
+brentq = _deferred("scipy.optimize", "brentq")
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,36 @@ class TestRangeChecks:
         assert not (out / "trajectory.csv").exists()
 
 
+class TestRejectedValues:
+    """Each bad tolerance, flow flag or amplitude exits 1 and names itself."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["shrink-verify", "--tol", "-1"], "tol"),
+        (["shrink-verify", "--tol", "nan"], "tol"),
+        (["bonnesen", "--tol", "-1"], "tol"),
+        (["bonnesen", "--tol", "nan"], "tol"),
+        (["ode-shoot", "--amplitudes", "1.5", "--tol", "-1"], "tol"),
+        (["ode-shoot", "--amplitudes", "1.5", "--tol", "nan"], "tol"),
+        (["ode-shoot", "--amplitudes", "nan"], "amplitudes"),
+        (["ode-shoot", "--amplitudes", "1.5,inf"], "amplitudes"),
+        (["flow", "--area-floor-rel", "2", "--t-max", "1e-3"], "area_floor_rel"),
+        (["flow", "--area-floor-rel", "1", "--t-max", "1e-3"], "area_floor_rel"),
+        (["flow", "--area-floor-rel", "nan", "--t-max", "1e-3"], "area_floor_rel"),
+        (["flow", "--dt-factor", "nan", "--t-max", "1e-3"], "dt_factor"),
+    ])
+    def test_exit_one(self, tmp_path, capsys, argv, name):
+        curve = tmp_path / "c.csv"
+        write_curve_csv(shapes.ellipse(256) if argv[0] == "bonnesen" else shapes.circle(64),
+                        curve)
+        if argv[0] != "ode-shoot":
+            argv = argv + ["--input", str(curve), "--output", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert name in captured.err
+
+
 class TestBrokenPipe:
     def test_reader_closing_early_exits_quietly(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -329,3 +359,69 @@ class TestFlags:
         parser = _build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+
+# Defines solvers(), the SciPy solver modules loaded so far, for _fresh_python.
+_PRELUDE = """
+import json, sys
+
+def solvers():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate")))
+"""
+
+
+def _fresh_python(code: str, *args: str):
+    """Run ``code`` after _PRELUDE in a new interpreter; the JSON on its last stdout line."""
+    src = str(Path(curveflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PRELUDE + code, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestDeferredScipy:
+    """SciPy's solvers are imported on the first call that needs one."""
+
+    def test_only_solving_runs_load_scipy(self, tmp_path):
+        files = {"circle": shapes.circle(64), "circle1024": shapes.circle(1024),
+                 "ellipse": shapes.ellipse(256), "lshape": shapes.l_hexagon()}
+        for name, curve in files.items():
+            write_curve_csv(curve, tmp_path / f"{name}.csv")
+        path = {name: str(tmp_path / f"{name}.csv") for name in files}
+        runs = [
+            (["support", "--input", path["ellipse"], "--grid", "64",
+              "--output", str(tmp_path / "sup")], 0),
+            (["flow", "--input", path["circle"], "--t-max", "1e-3",
+              "--output", str(tmp_path / "flow")], 0),
+            (["shrink-verify", "--input", path["circle1024"]], 0),
+            (["bonnesen", "--input", path["lshape"]], 4),
+            (["ode-shoot", "--amplitudes", "nan"], 1),
+            (["bonnesen", "--input", path["ellipse"]], 0),
+        ]
+        steps = _fresh_python("""
+import curveflow, curveflow.cli, curveflow.shapes
+
+steps = [["import", 0, solvers()]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], curveflow.cli.main(argv), solvers()])
+print(json.dumps(steps))
+""", json.dumps([argv for argv, _code in runs]))
+        assert [code for _name, code, _loaded in steps] == [0] + [code for _argv, code in runs]
+        for name, _code, loaded in steps[:-1]:
+            assert loaded == [], f"{name} loaded {loaded}"
+        assert "scipy.optimize" in steps[-1][2]
+
+    def test_first_solver_call_from_two_threads(self):
+        before, threaded, serial = _fresh_python("""
+import curveflow
+
+before = solvers()
+grid = [1.3, 1.7, 2.2, 3.1]
+threaded = [e.period for e in curveflow.classify_closed_solutions(grid, jobs=2).entries]
+serial = [e.period for e in curveflow.classify_closed_solutions(grid).entries]
+print(json.dumps([before, threaded, serial]))
+""")
+        assert before == [], f"import curveflow loaded {before}"
+        assert threaded == serial

@@ -180,6 +180,26 @@ class TestRescaledFlow:
             assert length(half) / 2 == pytest.approx(math.pi, abs=1e-2)
 
 
+class TestRejectedFlags:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"dt_factor": 0.0}, "dt_factor"),
+        ({"dt_factor": math.nan}, "dt_factor"),
+        ({"dt_factor": math.inf}, "dt_factor"),
+        ({"area_floor_rel": 0.0}, "area_floor_rel"),
+        ({"area_floor_rel": 1.0}, "area_floor_rel"),
+        ({"area_floor_rel": 2.0}, "area_floor_rel"),
+        ({"area_floor_rel": math.nan}, "area_floor_rel"),
+    ])
+    def test_run_flow(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            run_flow(shapes.circle(64), t_max=1e-3, **kwargs)
+
+    @pytest.mark.parametrize("dt_factor", [0.0, math.nan, math.inf])
+    def test_rescaled_flow(self, dt_factor):
+        with pytest.raises(ValueError, match="dt_factor"):
+            rescaled_flow(shapes.ellipse(64), t_max=1e-3, dt_factor=dt_factor)
+
+
 def reference_step(curve, dt_factor=0.25, dt_max=math.inf):
     """One explicit step composed from the public primitives: suggested dt
     under the stability bound, move by kappa * n * dt, resample."""

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+import curveflow.shrinker
 from curveflow import (
     BlowUp,
     NotConvex,
@@ -302,3 +303,36 @@ class TestVerifyShrinker:
         _, dev_circle = gauge_constant(c)
         _, dev_ellipse = gauge_constant(shapes.ellipse(2048))
         assert dev_circle < 1e-6 < dev_ellipse
+
+
+class TestRejectedInput:
+    """Non-finite amplitudes and bad tolerances are refused before SciPy runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_solver(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a SciPy solver ran on rejected input")
+
+        for name in ("solve_ivp", "quad", "brentq"):
+            monkeypatch.setattr(curveflow.shrinker, name, refuse)
+
+    @pytest.mark.parametrize("p0", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        shoot_period,
+        period_by_quadrature,
+        lambda p0: integrate_support_ode(p0, 0.0, 1.0),
+        lambda p0: classify_closed_solutions([1.5, p0]),
+    ], ids=["shoot", "quadrature", "integrate", "survey"])
+    def test_non_finite_amplitude(self, call, p0):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(p0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_survey_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            classify_closed_solutions([1.5], tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_verify_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            verify_shrinker(shapes.circle(64), tol=tol)
