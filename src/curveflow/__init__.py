@@ -18,13 +18,11 @@ from .bonnesen import (
 from .curves import (
     ClosedCurve,
     FrenetData,
-    build_closed_curve,
     centroid,
     is_convex,
     is_simple,
     length,
     read_curve_csv,
-    recenter_to_centroid,
     resample_arclength,
     signed_area,
     signed_curvature,

@@ -257,7 +257,7 @@ def _cmd_symmetrize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cv.write_curve_csv(pair.curve1.translated(shift), out / "symmetrized_1.csv")
     cv.write_curve_csv(pair.curve2.translated(shift), out / "symmetrized_2.csv")
-    sidecar = json.loads(pair.sidecar_json())
+    sidecar = pair.sidecar()
     sidecar["omega0"] = [sidecar["omega0"][0] + shift[0], sidecar["omega0"][1] + shift[1]]
     text = _json_report(config, sidecar)
     (out / "symmetrize_report.json").write_text(text + "\n")

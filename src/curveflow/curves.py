@@ -132,11 +132,6 @@ class FrenetData:
     curvature: FloatArray
 
 
-def build_closed_curve(points) -> ClosedCurve:
-    """Validate an ordered point loop into a ClosedCurve."""
-    return ClosedCurve(np.asarray(points, dtype=float))
-
-
 def length(curve: ClosedCurve) -> float:
     """Polygon perimeter: the sum of cyclic chord lengths."""
     return float(curve.chord_lengths().sum())
@@ -170,11 +165,6 @@ def _centroid(pts: FloatArray) -> FloatArray:
     cx = np.sum((x + xn) * cross) / (6.0 * a)
     cy = np.sum((y + yn) * cross) / (6.0 * a)
     return np.array([cx, cy])
-
-
-def recenter_to_centroid(curve: ClosedCurve) -> ClosedCurve:
-    """Translate so the area centroid sits at the origin."""
-    return curve.translated(-centroid(curve))
 
 
 def resample_arclength(
@@ -279,16 +269,20 @@ def turning_number(curve: ClosedCurve) -> int:
 
 
 def is_convex(curve: ClosedCurve) -> bool:
-    """True iff all consecutive-edge cross products share one sign.
+    """True iff all consecutive-edge cross products share one sign and the
+    turning number is +-1.
 
     Cross products within 1e-12 of zero (relative to the squared diameter)
-    count as collinear and do not break convexity.
+    count as collinear and do not break convexity. A pentagram or a doubly
+    covered circle turns one way at every vertex but winds twice.
     """
     e = curve.edges()
     en = np.roll(e, -1, axis=0)
     cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
     tol = 1e-12 * curve.diameter ** 2
-    return not (np.any(cross > tol) and np.any(cross < -tol))
+    if np.any(cross > tol) and np.any(cross < -tol):
+        return False
+    return abs(round(_vertex_turns(e).sum() / (2.0 * np.pi))) == 1
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:
@@ -328,8 +322,7 @@ def is_simple(curve: ClosedCurve) -> bool:
 
     A polygon whose vertex turns share one sign, stay short of a reversal and
     add up to one full turn is convex, hence simple: that O(n) test comes
-    first. Otherwise edges are swept by x-extent, with an all-pairs fallback
-    below 64 samples.
+    first. Otherwise edges are swept by x-extent.
     """
     turns = _vertex_turns(curve.edges())
     winding = round(float(turns.sum()) / (2.0 * np.pi))
@@ -339,8 +332,6 @@ def is_simple(curve: ClosedCurve) -> bool:
         # polygon that doubles back along itself: leave it to the edge pairs
         if np.all(turns >= 0.0) and np.all(turns < np.pi - 1e-12):
             return True
-    if curve.n < 64:
-        return _is_simple_bruteforce(curve)
     return _is_simple_sweep(curve.points)
 
 
@@ -359,19 +350,6 @@ def _is_simple_sweep(pts: FloatArray) -> bool:
             if j == i or (i + 1) % n == j or (j + 1) % n == i:
                 continue
             if ymax[i] < ymin[j] or ymax[j] < ymin[i]:
-                continue
-            if _segments_intersect(pts[i], nxt[i], pts[j], nxt[j]):
-                return False
-    return True
-
-
-def _is_simple_bruteforce(curve: ClosedCurve) -> bool:
-    pts = curve.points
-    n = curve.n
-    nxt = np.roll(pts, -1, axis=0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i + 1) % n == j or (j + 1) % n == i:
                 continue
             if _segments_intersect(pts[i], nxt[i], pts[j], nxt[j]):
                 return False

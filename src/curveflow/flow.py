@@ -45,6 +45,9 @@ FloatArray = NDArray[np.float64]
 
 STABILITY_FACTOR = 0.4
 
+# run_flow decimates no further than this many samples.
+_MIN_SAMPLES = 32
+
 
 @dataclass(frozen=True)
 class FlowDiagnostics:
@@ -169,7 +172,6 @@ def csf_step(
     state: FlowState,
     dt: float,
     *,
-    resample_to: int | None = None,
     area_floor: float = 0.0,
 ) -> FlowState:
     """One explicit step: move by kappa * n * dt, then redistribute arclength.
@@ -178,8 +180,7 @@ def csf_step(
     the post-step state) when the area falls to ``area_floor``.
     """
     curve = state.curve
-    m = curve.n if resample_to is None else int(resample_to)
-    pts, _chords, dt, _area = _step(curve.points, curve.chord_lengths(), m, dt)
+    pts, _chords, dt, _area = _step(curve.points, curve.chord_lengths(), curve.n, dt)
     new_state = FlowState.from_curve(ClosedCurve(pts), state.time + dt, state.step_count + 1)
     if new_state.diagnostics.area <= area_floor:
         raise _collapsed(new_state, area_floor)
@@ -193,7 +194,6 @@ def run_flow(
     area_floor_rel: float = 1e-3,
     t_max: float = math.inf,
     max_steps: int = 2_000_000,
-    min_samples: int = 32,
     snapshot_stride: int | None = None,
 ) -> FlowTrajectory:
     """Flow until the area floor, the time horizon, or the step budget.
@@ -237,7 +237,7 @@ def run_flow(
         # shrunk to half its target; sliding points onto a coarser polygon
         # would cut corners and bleed area instead
         m = pts.shape[0]
-        if m % 2 == 0 and m // 2 >= min_samples and perim / target_spacing <= m / 2:
+        if m % 2 == 0 and m // 2 >= _MIN_SAMPLES and perim / target_spacing <= m / 2:
             pts = np.ascontiguousarray(pts[::2])
             chords = _checked_chords(pts)
         dt_max = math.inf

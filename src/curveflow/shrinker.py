@@ -155,8 +155,8 @@ def integrate_support_ode(
     """
     if not 0.0 < p0 < math.inf:
         raise ValueError(f"p0 must be finite and positive, got {p0}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if p0 <= P_FLOOR:
         raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
     sol = solve_ivp(
@@ -201,6 +201,8 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
         raise ValueError(f"p0 must be finite and positive, got {p0}")
     if p0 == 1.0:
         raise ValueError("p0 = 1 is the constant (circle) solution; no oscillation")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if p0 <= P_FLOOR:
         raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
     sol = solve_ivp(
@@ -346,9 +348,9 @@ class ClassificationReport(_JsonReport):
         return "\n".join(lines) + "\n"
 
 
-def _rational_candidate(ratio: float, tol: float, max_maxima: int = 12):
+def _rational_candidate(ratio: float, tol: float):
     best = None
-    for m in range(2, max_maxima + 1):
+    for m in range(2, 13):  # closing needs m maxima; up to 12 are tried
         q = round(ratio * m)
         if q < 1:
             continue
@@ -361,7 +363,7 @@ def _rational_candidate(ratio: float, tol: float, max_maxima: int = 12):
 
 
 def classify_closed_solutions(
-    amplitudes, tol: float = 1e-3, *, shoot_tol: float = 1e-12, jobs: int = 1
+    amplitudes, tol: float = 1e-3, *, jobs: int = 1
 ) -> ClassificationReport:
     """Measure the period at each amplitude and test the closing condition.
 
@@ -379,7 +381,7 @@ def classify_closed_solutions(
             raise ValueError(f"amplitudes must be finite and positive, got {p0}")
 
     def measure(p0: float) -> float:
-        return math.nan if p0 == 1.0 else shoot_period(p0, tol=shoot_tol)
+        return math.nan if p0 == 1.0 else shoot_period(p0)
 
     if jobs > 1 and len(amplitudes) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -87,22 +87,13 @@ class SupportFunction:
         # once per instance: the chord search calls eval 8 times per gap
         return np.fft.rfft(self.values) / self.count
 
-    def eval(self, theta, order: int = 0, mode: str = "spectral"):
+    def eval(self, theta, order: int = 0):
         """Evaluate p (or a derivative) at arbitrary angles.
 
-        Spectral mode evaluates the interpolating trigonometric polynomial and
-        is exact for band-limited support functions; linear mode interpolates
-        the grid samples (order 0 only).
+        Evaluates the interpolating trigonometric polynomial, which is exact
+        for band-limited support functions.
         """
         theta = np.asarray(theta, dtype=float)
-        if mode == "linear":
-            if order != 0:
-                raise ValueError("linear evaluation supports order 0 only")
-            grid = np.concatenate([self.theta, [2.0 * np.pi]])
-            vals = np.concatenate([self.values, self.values[:1]])
-            return np.interp(np.mod(theta, 2.0 * np.pi), grid, vals)
-        if mode != "spectral":
-            raise ValueError(f"unknown evaluation mode {mode!r}")
         coef = self._eval_coefficients
         k = np.arange(coef.size)
         coef = coef * (1j * k) ** order
@@ -112,8 +103,7 @@ class SupportFunction:
         phases = np.exp(1j * np.multiply.outer(theta, k))
         weights = np.full(coef.size, 2.0)
         weights[0] = 1.0
-        if self.count % 2 == 0:
-            weights[-1] = 1.0
+        weights[-1] = 1.0  # the count is even, so the last coefficient is Nyquist
         return np.real(phases @ (weights * coef))
 
 

@@ -10,7 +10,6 @@ general shrinker classification to the symmetric case.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,17 +53,16 @@ class SymmetrizedPair:
     sigma: float
     omega0: FloatArray
 
-    def sidecar_json(self) -> str:
-        return json.dumps(
-            {
-                "theta0": self.theta0,
-                "sigma": self.sigma,
-                "omega0": [float(self.omega0[0]), float(self.omega0[1])],
-                "junction_tangent_gap": self.junction_tangent_gap,
-                "areas": [signed_area(self.curve1), signed_area(self.curve2)],
-                "lengths": [length(self.curve1), length(self.curve2)],
-            }
-        )
+    def sidecar(self) -> dict:
+        """The fields of the CLI's ``symmetrize_report.json``, in order."""
+        return {
+            "theta0": self.theta0,
+            "sigma": self.sigma,
+            "omega0": [float(self.omega0[0]), float(self.omega0[1])],
+            "junction_tangent_gap": self.junction_tangent_gap,
+            "areas": [signed_area(self.curve1), signed_area(self.curve2)],
+            "lengths": [length(self.curve1), length(self.curve2)],
+        }
 
 
 def _oval_point(p: SupportFunction, theta: float) -> np.ndarray:
@@ -141,8 +139,8 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     smooth there, as the interior nodes of both arcs are fixed. ``tol`` bounds
     |sigma - A/2| relative to the area A.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol}")
     sigma = node_cut_areas(p)
     half = p.count // 2
     area = sigma[0] + sigma[half]

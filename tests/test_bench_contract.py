@@ -1,0 +1,45 @@
+"""The names and calls of the package that the benchmark in perfbench/ uses.
+
+perfbench/ wraps package functions by name and calls them with fixed
+arguments. A change that renames or drops one of them, or an argument the
+benchmark passes, breaks the benchmark without failing any other test. These
+checks only import and run perfbench/ code; they write nothing there.
+"""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import curveflow as cf
+import curveflow.cli as cli
+import curveflow.shapes  # noqa: F401  the probe reaches the generators as cf.shapes
+
+_PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+_WRITE_BYTECODE = sys.dont_write_bytecode
+sys.path.insert(0, _PERFBENCH)
+sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
+try:
+    import spans
+finally:
+    sys.path.remove(_PERFBENCH)
+    sys.dont_write_bytecode = _WRITE_BYTECODE
+
+
+@pytest.mark.parametrize("module, attr", spans.TRACED + spans.COUNTED,
+                         ids=[spans.span_name(m, a) for m, a in spans.TRACED + spans.COUNTED])
+def test_traced_name_resolves(module, attr):
+    obj = importlib.import_module(module)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)
+
+
+def test_layer_probe_runs(tmp_path):
+    spans.layer_probe(cf, cli, tmp_path)
+
+
+def test_jobs_speedup_call_binds():
+    inspect.signature(cf.classify_closed_solutions).bind(list(spans.JOBS_GRID), jobs=2)

@@ -15,7 +15,7 @@ import pytest
 import curveflow
 import curveflow.bonnesen
 import curveflow.flow
-from curveflow import read_curve_csv, read_support_csv, write_curve_csv
+from curveflow import ClosedCurve, read_curve_csv, read_support_csv, write_curve_csv
 from curveflow import shapes
 from curveflow.cli import _build_parser, main
 
@@ -38,6 +38,17 @@ def ellipse_csv(tmp_path):
 def lshape_csv(tmp_path):
     path = tmp_path / "lshape.csv"
     write_curve_csv(shapes.l_hexagon(), path)
+    return str(path)
+
+
+@pytest.fixture(params=["pentagram", "doubled_circle"])
+def winding_twice_csv(tmp_path, request):
+    """A locally convex curve with turning number 2."""
+    star = np.pi / 2 + 0.8 * np.pi * np.arange(5)
+    curve = (ClosedCurve(np.column_stack([np.cos(star), np.sin(star)]))
+             if request.param == "pentagram" else shapes.doubled_circle(512))
+    path = tmp_path / f"{request.param}.csv"
+    write_curve_csv(curve, path)
     return str(path)
 
 
@@ -119,6 +130,9 @@ class TestBonnesen:
     def test_nonconvex_exit_four(self, lshape_csv):
         assert main(["bonnesen", "--input", lshape_csv]) == 4
 
+    def test_winding_twice_exit_four(self, winding_twice_csv):
+        assert main(["bonnesen", "--input", winding_twice_csv]) == 4
+
     def test_lp_failure_exit_two(self, ellipse_csv, monkeypatch):
         failed = SimpleNamespace(success=False, message="iteration limit reached")
         monkeypatch.setattr(curveflow.bonnesen, "linprog", lambda *a, **k: failed)
@@ -144,6 +158,9 @@ class TestSupport:
 
     def test_nonconvex_exit_four(self, lshape_csv):
         assert main(["support", "--input", lshape_csv]) == 4
+
+    def test_winding_twice_exit_four(self, winding_twice_csv):
+        assert main(["support", "--input", winding_twice_csv]) == 4
 
     def test_odd_grid_exit_one(self, ellipse_csv):
         assert main(["support", "--input", ellipse_csv, "--grid", "33"]) == 1

@@ -11,7 +11,6 @@ from curveflow import (
     ClosedCurve,
     DegenerateSegment,
     TooFewPoints,
-    build_closed_curve,
     is_convex,
     is_simple,
     length,
@@ -31,12 +30,12 @@ import oracles
 
 class TestConstruction:
     def test_unit_square(self):
-        c = build_closed_curve([(0, 0), (1, 0), (1, 1), (0, 1)])
+        c = ClosedCurve([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert c.n == 4
 
     def test_two_points_rejected(self):
         with pytest.raises(TooFewPoints):
-            build_closed_curve([(0, 0), (1, 0)])
+            ClosedCurve([(0, 0), (1, 0)])
 
     def test_circle_samples(self):
         c = shapes.circle(1024)
@@ -44,26 +43,26 @@ class TestConstruction:
 
     def test_consecutive_duplicates_rejected(self):
         with pytest.raises(DegenerateSegment):
-            build_closed_curve([(0, 0), (1, 0), (1, 0), (0, 1)])
+            ClosedCurve([(0, 0), (1, 0), (1, 0), (0, 1)])
 
     def test_closing_duplicate_rejected(self):
         with pytest.raises(DegenerateSegment):
-            build_closed_curve([(0, 0), (1, 0), (1, 1), (0, 0)])
+            ClosedCurve([(0, 0), (1, 0), (1, 1), (0, 0)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DegenerateSegment):
-            build_closed_curve([(0, 0), (1, 0), (1, bad), (0, 1)])
+            ClosedCurve([(0, 0), (1, 0), (1, bad), (0, 1)])
 
     @pytest.mark.parametrize("gap, ok", [(0.5e-12, False), (1.5e-12, True)])
     def test_coincidence_threshold_is_relative_to_extent(self, gap, ok):
         # unit square, extent sqrt(2): one chord of gap * sqrt(2) next to (1, 0)
         pts = [(0, 0), (1, 0), (1, gap * math.sqrt(2)), (1, 1), (0, 1)]
         if ok:
-            assert build_closed_curve(pts).n == 5
+            assert ClosedCurve(pts).n == 5
         else:
             with pytest.raises(DegenerateSegment):
-                build_closed_curve(pts)
+                ClosedCurve(pts)
 
     def test_points_are_immutable(self):
         c = shapes.circle(64)
@@ -161,6 +160,15 @@ class TestTopology:
         assert is_convex(shapes.ellipse(512))
         assert not is_convex(shapes.l_hexagon())
 
+    @pytest.mark.parametrize("curve", [
+        ClosedCurve([(np.cos(t), np.sin(t)) for t in 0.5 * np.pi + 0.8 * np.pi * np.arange(5)]),
+        shapes.doubled_circle(512),
+    ], ids=["pentagram", "doubled_circle"])
+    def test_locally_convex_but_winding_twice_not_convex(self, curve):
+        # every vertex turns left, but the tangent turns twice: not embedded
+        assert turning_number(curve) == 2
+        assert not is_convex(curve)
+
     def test_dented_circle_not_convex(self):
         pts = shapes.circle(256).points.copy()
         pts[10] *= 0.99
@@ -185,6 +193,22 @@ class TestTopology:
             return
         assert is_simple(c) == oracles.polygon_is_simple(pts)
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sweep_matches_bruteforce_on_small_snapped_polygons(self, seed):
+        # star-shaped loops of up to 63 samples, some with two vertices
+        # swapped, snapped to a grid of 1/8 so that edges touch and run
+        # collinear; samples that snap onto their predecessor are dropped
+        rng = np.random.default_rng(seed)
+        for n in range(4, 64):
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            pts = rng.uniform(0.3, 1.0, n)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+            if n % 3 == 0:
+                pts[[0, n // 2]] = pts[[n // 2, 0]]
+            pts = np.round(pts * 8.0) / 8.0
+            pts = pts[np.any(pts != np.roll(pts, 1, axis=0), axis=1)]
+            c = ClosedCurve(pts)
+            assert is_simple(c) == oracles.polygon_is_simple(pts), n
+
     @staticmethod
     def _integer_square(side=16):
         """CCW boundary of [0, side]^2 through every integer point: zero turns."""
@@ -201,7 +225,6 @@ class TestTopology:
             raise AssertionError("convex input reached the edge-pair tests")
 
         monkeypatch.setattr(cv, "_is_simple_sweep", no_sweep)
-        monkeypatch.setattr(cv, "_is_simple_bruteforce", no_sweep)
         assert is_simple(shapes.circle(4096))
         assert is_simple(shapes.circle(96, clockwise=True))
         assert is_simple(ClosedCurve(self._integer_square()))

@@ -160,6 +160,12 @@ class TestRescaledFlow:
         with pytest.raises(NotConvex):
             rescaled_flow(shapes.l_hexagon())
 
+    def test_doubled_circle_rejected_before_flowing(self):
+        # locally convex, but it winds twice: refused at entry, not by the
+        # shrinker check after a whole flow
+        with pytest.raises(NotConvex):
+            rescaled_flow(shapes.doubled_circle(512))
+
     def test_end_to_end_symmetric_verdict(self):
         # flow route feeding the symmetric-case check: the limit is a circle
         from curveflow import (

@@ -333,6 +333,15 @@ class TestRejectedInput:
             classify_closed_solutions([1.5], tol=tol)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda tol: shoot_period(1.5, tol=tol),
+        lambda tol: integrate_support_ode(1.5, 0.0, 1.0, tol=tol),
+    ], ids=["shoot", "integrate"])
+    def test_ode_tol(self, call, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            call(tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_verify_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             verify_shrinker(shapes.circle(64), tol=tol)

@@ -110,7 +110,7 @@ class TestBisectingChord:
         area = oval_area(p)
         assert abs(cut.sigma - area / 2) <= 1e-6 * area
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be > 0"):
             find_bisecting_chord(oval(256, {1: (0.3, 0.0), 3: (0.02, 0.015)}), tol=tol)
@@ -188,7 +188,7 @@ class TestSymmetrize:
     def test_sidecar_fields(self):
         p = oval(512, {1: (0.2, 0.0)})
         pair = symmetrize(p, find_bisecting_chord(p))
-        payload = json.loads(pair.sidecar_json())
+        payload = pair.sidecar()
         assert list(payload) == [
             "theta0",
             "sigma",
