@@ -157,12 +157,10 @@ def bonnesen_chain(curve: ClosedCurve, tol: float | None = None, seed: int = 0) 
     """
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not is_convex(curve):
-        raise NotConvex("the inner-parallel-area quadratic needs a convex domain")
+    r, _ = inradius(curve)  # raises NotConvex first: the quadratic needs a convex domain
+    big_r, _ = circumradius(curve, seed=seed)
     area = abs(signed_area(curve))
     perim = length(curve)
-    r, _ = inradius(curve)
-    big_r, _ = circumradius(curve, seed=seed)
     t1, t2 = bonnesen_roots(area, perim)
     if tol is None:
         tol = 1e-6 * curve.diameter

@@ -22,7 +22,6 @@ from .errors import BlowUp, NotConvex, ToleranceNotMet
 
 FloatArray = NDArray[np.float64]
 
-brentq = _deferred("scipy.optimize", "brentq")
 quad = _deferred("scipy.integrate", "quad")
 solve_ivp = _deferred("scipy.integrate", "solve_ivp")
 
@@ -144,6 +143,26 @@ _floor_event.terminal = True
 _floor_event.direction = -1
 
 
+def _solve(p0: float, dp0: float, span: float, tol: float, events=(), t_eval=None):
+    """DOP853 run of p'' = 1/p - p from (p0, dp0) over [0, span].
+
+    Refuses a bad start or tolerance before any solver runs, and raises
+    BlowUp when p reaches the collapse floor, which is event 0; ``events``
+    follow it.
+    """
+    if not 0.0 < p0 < math.inf:
+        raise ValueError(f"p0 must be finite and positive, got {p0}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if p0 <= P_FLOOR:
+        raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
+    sol = solve_ivp(_ode_rhs, (0.0, span), (float(p0), float(dp0)), method="DOP853",
+                    rtol=tol, atol=tol, t_eval=t_eval, events=(_floor_event, *events))
+    if sol.t_events[0].size > 0:
+        raise BlowUp(f"support reached the collapse floor at theta = {sol.t_events[0][0]:.6g}")
+    return sol
+
+
 def integrate_support_ode(
     p0: float, dp0: float, theta_span: float, tol: float = 1e-10, samples: int | None = None
 ) -> OdeTrajectory:
@@ -153,25 +172,9 @@ def integrate_support_ode(
     angles when given. Raises BlowUp when p reaches the collapse floor within
     the span and ToleranceNotMet when the step controller gives up.
     """
-    if not 0.0 < p0 < math.inf:
-        raise ValueError(f"p0 must be finite and positive, got {p0}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if p0 <= P_FLOOR:
-        raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
-    sol = solve_ivp(
-        _ode_rhs,
-        (0.0, float(theta_span)),
-        (float(p0), float(dp0)),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        t_eval=None if samples is None else np.linspace(0.0, float(theta_span), samples),
-        dense_output=False,
-        events=_floor_event,
-    )
-    if sol.t_events[0].size > 0:
-        raise BlowUp(f"support reached the collapse floor at theta = {sol.t_events[0][0]:.6g}")
+    span = float(theta_span)
+    sol = _solve(p0, dp0, span, tol,
+                 t_eval=None if samples is None else np.linspace(0.0, span, samples))
     if not sol.success:
         raise ToleranceNotMet(f"integrator failed: {sol.message}")
     p, dp = sol.y
@@ -197,26 +200,9 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
     dense output; the trajectory starts at (p0, 0). Integration stops at the
     third detected maximum; the 16*pi span only bounds the search.
     """
-    if not 0.0 < p0 < math.inf:
-        raise ValueError(f"p0 must be finite and positive, got {p0}")
     if p0 == 1.0:
         raise ValueError("p0 = 1 is the constant (circle) solution; no oscillation")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if p0 <= P_FLOOR:
-        raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
-    sol = solve_ivp(
-        _ode_rhs,
-        (0.0, 16.0 * np.pi),
-        (float(p0), 0.0),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        events=(_maximum_event, _floor_event),
-    )
-    if sol.t_events[1].size > 0:
-        raise BlowUp(f"support reached the collapse floor at theta = {sol.t_events[1][0]:.6g}")
-    maxima = sol.t_events[0]
+    maxima = _solve(p0, 0.0, 16.0 * np.pi, tol, events=(_maximum_event,)).t_events[1]
     maxima = maxima[maxima > 1e-9]
     if maxima.size < 2:
         raise ToleranceNotMet("fewer than two maxima detected within the shooting span")
@@ -226,86 +212,57 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
 def period_by_quadrature(p0: float) -> float:
     """Oscillation period from the energy level, by singularity-free quadrature.
 
-    Independent of the shooting route: the turning points of
-    E = p^2/2 - ln p are bracketed by root finding and the period integral is
-    regularized with the cosine substitution. Handles amplitudes whose orbits
-    dip far below the integration floor. Within 0.02 of p0 = 1, where the
-    energy gap cancels and the period moves with the square root of any error
-    in a turning point, the integral is taken in a signed energy coordinate
-    instead, which has no turning point to find.
+    Independent of the shooting route, and one coordinate for every
+    amplitude. In u = log p the energy above the circle is
+    W(u) = e^(2u)/2 - u - 1/2, and y = sign(u) sqrt(W(u)) makes the energy
+    gap Y^2 - y^2 with Y = sqrt(W(log p0)). Both turning points are y = +-Y,
+    so none is root-found, and y = Y sin(phi) gives
+    T = sqrt(2) * integral over (-pi/2, pi/2) of 2 y e^u / expm1(2u) dphi,
+    whose integrand tends to 1 as y -> 0. u(y) comes from Newton's method on
+    the convex W, started at its asymptotic roots; a run that does not settle
+    in 40 steps raises ToleranceNotMet rather than return a degraded value.
     """
     if not 0.0 < p0 < math.inf or p0 == 1.0:
         raise ValueError(f"p0 must be finite, positive and different from 1, got {p0}")
-    if abs(p0 - 1.0) < _NEAR_ONE:
-        return _period_near_one(p0 - 1.0)
+    amplitude = math.sqrt(_log_energy(math.log(p0)))
 
-    def potential(p):
-        return 0.5 * p * p - math.log(p)
-
-    energy = potential(p0)
-    if p0 > 1.0:
-        lo = brentq(lambda p: potential(p) - energy, 1e-300, 1.0, rtol=8.9e-16)
-        p_min, p_max = lo, p0
-    else:
-        hi = brentq(lambda p: potential(p) - energy, 1.0, 1e9, rtol=8.9e-16)
-        p_min, p_max = p0, hi
-    mid, half = 0.5 * (p_min + p_max), 0.5 * (p_max - p_min)
-
-    def integrand(u):
-        p = mid - half * math.cos(u)
-        gap = energy - potential(p)
-        if gap <= 0.0:
-            return 0.0
-        return half * math.sin(u) / math.sqrt(2.0 * gap)
-
-    value, _ = quad(integrand, 0.0, math.pi, limit=2000)
-    return 2.0 * value
-
-
-# Radius around p = 1 inside which period_by_quadrature uses the signed energy
-# coordinate. The turning-point route is off by 1e-9 at this distance and
-# worse closer in; it stays in use beyond, where it keeps its values.
-_NEAR_ONE = 0.02
-
-
-def _excess_energy(x: float) -> float:
-    """V(x) = E(1 + x) - 1/2 = x + x^2/2 - log1p(x) for |x| <= 0.1, to rounding.
-
-    x - log1p(x) is summed as 2 s^2 (1/(1-s) - s/3 - s^3/5 - ...) with
-    s = x/(2 + x), from log1p(x) = 2 atanh(s); every term is of order x^2, so
-    nothing cancels.
-    """
-    s = x / (2.0 + x)
-    s2 = s * s
-    tail = 0.0
-    for k in range(9, 0, -1):
-        tail = tail * s2 + 1.0 / (2 * k + 1)
-    return 0.5 * x * x + 2.0 * s2 * (1.0 / (1.0 - s) - s * tail)
-
-
-def _period_near_one(x0: float) -> float:
-    """Period of p = 1 + x from rest at x0, for |x0| < _NEAR_ONE.
-
-    With y = sign(x) sqrt(V(x)) the energy gap is Y^2 - y^2, Y = sqrt(V(x0)),
-    so both turning points are y = +-Y with no root finding, and y = Y sin(phi)
-    gives T = sqrt(2) * integral of dx/dy over (-pi/2, pi/2): a smooth
-    integrand, dx/dy = 2y(1 + x)/(x(2 + x)), that tends to 1 as y -> 0.
-    x(y) is found by Newton's method on sign(x) sqrt(V(x)) = y from x = y.
-    """
-    amplitude = math.sqrt(_excess_energy(x0))
-
-    def dx_dy(phi):
+    def dtheta_dphi(phi):
         y = amplitude * math.sin(phi)
         if y == 0.0:
             return 1.0
-        x = y
-        for _ in range(6):  # from a relative error of |x|/6 < 0.01, 4 steps reach rounding
-            root_v = math.copysign(math.sqrt(_excess_energy(x)), x)
-            x -= (root_v - y) * 2.0 * root_v * (1.0 + x) / (x * (2.0 + x))
-        return 2.0 * y * (1.0 + x) / (x * (2.0 + x))
+        if y < -1.0:
+            u = -(y * y + 0.5)
+        elif y > 1.0:
+            u = 0.5 * math.log(2.0 * y * y + 1.0)
+        else:
+            u = y
+        for _ in range(40):
+            step = (_log_energy(u) - y * y) / math.expm1(2.0 * u)
+            u -= step
+            if abs(step) <= 1e-13 * abs(u):
+                return 2.0 * y * math.exp(u) / math.expm1(2.0 * u)
+        raise ToleranceNotMet(f"Newton's method for log p did not settle at y = {y!r}")
 
-    value, _ = quad(dx_dy, -0.5 * math.pi, 0.5 * math.pi)
+    # The integrand moves on the scale of y itself, from 0 at y = -6 to within
+    # 1e-18 of sqrt(2) at y = 6e9. For a large amplitude that is a sliver of
+    # phi that quad's first nodes step over, so each decade below Y is a break.
+    breaks = [math.asin(y / amplitude) for y in (-6.0, *(6.0 * 10.0**k for k in range(10)))
+              if abs(y) < amplitude]
+    value, _ = quad(dtheta_dphi, -0.5 * math.pi, 0.5 * math.pi, epsabs=1e-15, epsrel=1e-13,
+                    limit=200, points=breaks or None)
     return math.sqrt(2.0) * value
+
+
+# 1/k! for k = 2..14: near u = 0, W(u) is the sum of (2u)^k / (2 k!).
+_INV_FACTORIALS = tuple(1.0 / math.factorial(k) for k in range(2, 15))
+
+
+def _log_energy(u: float) -> float:
+    """W(u) = e^(2u)/2 - u - 1/2; below |u| = 0.1 the closed form cancels."""
+    if abs(u) < 0.1:
+        t = 2.0 * u
+        return 0.5 * t * t * sum(c * t**k for k, c in enumerate(_INV_FACTORIALS))
+    return 0.5 * math.expm1(2.0 * u) - u
 
 
 @dataclass(frozen=True)

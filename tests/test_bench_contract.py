@@ -23,6 +23,7 @@ sys.path.insert(0, _PERFBENCH)
 sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
 try:
     import spans
+    import workloads
 finally:
     sys.path.remove(_PERFBENCH)
     sys.dont_write_bytecode = _WRITE_BYTECODE
@@ -43,3 +44,12 @@ def test_layer_probe_runs(tmp_path):
 
 def test_jobs_speedup_call_binds():
     inspect.signature(cf.classify_closed_solutions).bind(list(spans.JOBS_GRID), jobs=2)
+
+
+def test_ode_route_oracle_margin():
+    """The ODE workload's shot periods sit 100x inside gates.shot_period's
+    1e-8 of the quadrature oracle, so the gate measures the shot, not the
+    oracle's own error."""
+    for p0 in workloads.OdeRoute(2).amplitudes:
+        period = cf.classify_closed_solutions([p0]).entries[0].period
+        assert abs(period - cf.period_by_quadrature(p0)) <= 1e-10, p0

@@ -168,6 +168,14 @@ class TestChain:
         with pytest.raises(NotConvex):
             bonnesen_chain(shapes.l_hexagon())
 
+    def test_convexity_checked_once(self, monkeypatch):
+        calls = []
+        is_convex = curveflow.bonnesen.is_convex
+        monkeypatch.setattr(curveflow.bonnesen, "is_convex",
+                            lambda curve: calls.append(curve) or is_convex(curve))
+        bonnesen_chain(shapes.circle(64))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("seed", range(12))
     def test_random_oval_battery_sample(self, seed):
         p = shapes.random_oval_support(512, seed, offset=0.1)

@@ -209,6 +209,44 @@ class TestQuadratureNearOne:
             assert abs(period - shoot_period(p0)) <= 1e-8
 
 
+BESIDE_ONE = [*np.linspace(0.90, 0.98, 17), *np.linspace(1.02, 1.10, 17)]
+
+
+class TestQuadratureOracle:
+    @pytest.mark.parametrize("p0", BESIDE_ONE, ids=[f"{p0:.3f}" for p0 in BESIDE_ONE])
+    def test_matches_a_tight_shot(self, p0):
+        """Beside p0 = 1 the oracle agrees with a shot at tol = 3e-14.
+
+        There the period is most sensitive to a turning point; the oracle
+        finds none, so it keeps the accuracy of the quadrature.
+        """
+        assert abs(period_by_quadrature(p0) - shoot_period(p0, tol=3e-14)) <= 1e-11
+
+    @pytest.mark.parametrize("a", [sign * d for d in (1e-6, 1e-5, 1e-4) for sign in (-1, 1)])
+    def test_lindstedt_next_to_one(self, a):
+        """Next to p0 = 1 the oracle returns, rather than refuses, the period
+        sqrt(2)*pi*(1 - a^2/12 + a^3/36) to rounding."""
+        expected = SQRT2_PI * (1.0 - a * a / 12.0 + a**3 / 36.0)
+        assert abs(period_by_quadrature(1.0 + a) - expected) <= 1e-14
+
+    def test_large_amplitudes_stay_in_the_window(self):
+        """Orbits that dip far below the integration floor have periods in
+        (pi, sqrt(2)*pi) that decrease towards pi."""
+        periods = [period_by_quadrature(p0) for p0 in (50.0, 1e3, 1e6)]
+        for t in periods:
+            assert math.pi < t < SQRT2_PI
+        assert periods[0] > periods[1] > periods[2]
+        assert periods[2] - math.pi < 1e-10
+
+    def test_unsettled_newton_refused(self, monkeypatch):
+        """With an energy that y^2 never meets near y = 0, Newton's method
+        cannot settle, and the oracle raises instead of returning a value."""
+        energy = curveflow.shrinker._log_energy
+        monkeypatch.setattr(curveflow.shrinker, "_log_energy", lambda u: energy(u) + 1.0)
+        with pytest.raises(ToleranceNotMet):
+            period_by_quadrature(1.5)
+
+
 class TestClassification:
     def test_no_two_pi_period(self):
         rep = classify_closed_solutions([1.1, 1.5, 2.0, 3.0], tol=1e-3)
@@ -313,7 +351,7 @@ class TestRejectedInput:
         def refuse(*_args, **_kwargs):
             raise AssertionError("a SciPy solver ran on rejected input")
 
-        for name in ("solve_ivp", "quad", "brentq"):
+        for name in ("solve_ivp", "quad"):
             monkeypatch.setattr(curveflow.shrinker, name, refuse)
 
     @pytest.mark.parametrize("p0", [math.nan, math.inf])
