@@ -1,7 +1,7 @@
 """Plane-curve toolkit for the curve shortening flow.
 
 Discrete closed curves, Minkowski support functions, self-shrinker
-verification, explicit flow stepping, Bonnesen inequality machinery, and
+verification, spectral flow stepping, Bonnesen inequality machinery, and
 Gage's equal-area-chord symmetrization; together they reproduce the numerical
 evidence that the circle is the only closed embedded contracting homothetic
 solution of the flow.
@@ -43,7 +43,6 @@ from .errors import (
     NotSymmetric,
     OriginOutside,
     SolverFailed,
-    StepTooLarge,
     ToleranceNotMet,
     TooFewPoints,
     TooFewSamples,
@@ -56,7 +55,6 @@ from .flow import (
     csf_step,
     rescaled_flow,
     run_flow,
-    stability_bound,
     suggested_dt,
     write_curve_svg,
 )

@@ -52,7 +52,7 @@ _DEFAULTS = {
     "flow": {
         "output": ".",
         "t_max": None,
-        "dt_factor": 0.25,
+        "dt_factor": 2.0,
         "area_floor_rel": 1e-3,
         "stride": 1,
         "svg_every": 0,
@@ -74,7 +74,7 @@ _FLAGS = {
     "jobs": (int, "parallel workers for the survey (>= 1)"),
     "format": (str, "output format"),
     "t_max": (float, "flow time horizon (>= 0)"),
-    "dt_factor": (float, "step factor: dt = X * spacing^2 / max(1, max |kappa|)"),
+    "dt_factor": (float, "step factor (> 0): dt = X * spacing^2"),
     "area_floor_rel": (float, "stop when the area falls below this fraction of the initial area"),
     "stride": (int, "trajectory CSV decimation (>= 1)"),
     "svg_every": (int, "write an SVG snapshot every N accepted steps (>= 0)"),
@@ -164,7 +164,7 @@ def _cmd_flow(args) -> int:
     out = Path(config["output"])
     out.mkdir(parents=True, exist_ok=True)
     if config["format"] == "svg" and not config["svg_every"]:
-        config["svg_every"] = 500
+        config["svg_every"] = 10
     t_max = config["t_max"] if config["t_max"] is not None else np.inf
     traj = fl.run_flow(
         curve,

@@ -62,10 +62,6 @@ class ToleranceNotMet(NumericalError):
     pass
 
 
-class StepTooLarge(NumericalError):
-    pass
-
-
 class SolverFailed(NumericalError):
     """An external optimizer (the inradius LP) reported failure."""
 

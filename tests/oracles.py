@@ -1,7 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately brute-force or quadrature-based so it shares
-no code path with the library implementations it checks.
+no code path with the library implementations it checks. The one exception is
+``reference_step``, a second flow scheme (explicit Euler) composed from the
+public curve primitives, against which the spectral flow kernel is compared.
 """
 
 import numpy as np
@@ -135,3 +137,22 @@ def polygon_is_simple(points: np.ndarray) -> bool:
             if segments_cross(points[i], nxt[i], points[j], nxt[j]):
                 return False
     return True
+
+
+def reference_step(curve, dt_factor=0.25, dt_max=np.inf):
+    """One explicit Euler step of the flow, the library's kernel before the
+    spectral step replaced it, composed from the public primitives: dt is
+    dt_factor * (mean chord)^2 / max(1, max |kappa|) held under the stability
+    bound 0.4 * (min chord)^2 / max |kappa|, then the samples move by
+    kappa * n * dt and are resampled. Returns the new curve and the dt taken.
+    """
+    from curveflow import ClosedCurve, resample_arclength, signed_curvature
+
+    frame = signed_curvature(curve)
+    chords = curve.chord_lengths()
+    h_mean, h_min = float(np.mean(chords)), float(np.min(chords))
+    k_max = float(np.max(np.abs(frame.curvature)))
+    bound = 0.4 * h_min * h_min / max(k_max, 1e-300)
+    dt = min(dt_factor * h_mean * h_mean / max(1.0, k_max), 0.98 * bound, dt_max)
+    moved = frame.points + dt * frame.curvature[:, None] * frame.normal
+    return resample_arclength(ClosedCurve(moved), curve.n, rel_tol=1e-8, max_passes=20), dt
