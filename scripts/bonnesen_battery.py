@@ -21,7 +21,7 @@ def battery(count: int, samples: int, outdir: Path) -> None:
     failures = 0
     for seed in range(count):
         p = shapes.random_oval_support(512, seed, offset=0.1)
-        curve = resample_arclength(curve_from_support(p, mode="spectral"), samples)
+        curve = resample_arclength(curve_from_support(p), samples)
         rep = bonnesen_chain(curve, seed=seed)
         rows.append(asdict(rep) | {"seed": seed})
         failures += not rep.chain_ok
@@ -37,7 +37,7 @@ def degeneration(outdir: Path) -> None:
     print("  delta     t1          r           R           t2          gap")
     for delta in (0.2, 0.1, 0.05, 0.01, 0.002):
         p = shapes.cosine_oval_support(1024, {2: (delta, 0.0)})
-        rep = bonnesen_chain(curve_from_support(p, mode="spectral"))
+        rep = bonnesen_chain(curve_from_support(p))
         print(
             f"  {delta:<8g} {rep.t1:.8f}  {rep.inradius:.8f}  {rep.circumradius:.8f}  "
             f"{rep.t2:.8f}  {rep.equality_gap:.2e}"

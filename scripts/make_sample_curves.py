@@ -18,9 +18,7 @@ def main() -> None:
         "circle.csv": shapes.circle(1024),
         "ellipse21.csv": shapes.ellipse(1024),
         "rounded_square.csv": shapes.rounded_square(512),
-        "egg.csv": curve_from_support(
-            shapes.random_oval_support(1024, 5, offset=0.25), mode="spectral"
-        ),
+        "egg.csv": curve_from_support(shapes.random_oval_support(1024, 5, offset=0.25)),
         "lshape.csv": shapes.l_hexagon(),
         "limacon.csv": shapes.limacon(512),
     }

@@ -31,9 +31,7 @@ def flow_route(outdir: Path) -> None:
     seeds = {
         "ellipse 2x1": shapes.ellipse(256),
         "rounded square": shapes.rounded_square(256),
-        "random oval": curve_from_support(
-            shapes.random_oval_support(256, seed=3, offset=0.1), mode="spectral"
-        ),
+        "random oval": curve_from_support(shapes.random_oval_support(256, seed=3, offset=0.1)),
     }
     for name, curve in seeds.items():
         profile, report = rescaled_flow(curve)

@@ -42,8 +42,8 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
     if not is_convex(curve):
         raise NotConvex("inradius requires a convex curve")
     pts = curve.points
-    e = np.roll(pts, -1, axis=0) - pts
-    elen = np.hypot(e[:, 0], e[:, 1])
+    e = curve.edges()
+    elen = curve.chord_lengths()
     orient = 1.0 if signed_area(curve) > 0.0 else -1.0
     inward = orient * np.column_stack([-e[:, 1], e[:, 0]]) / elen[:, None]
     # inward . (x - v_i) >= r  <=>  -inward . x + r <= -inward . v_i

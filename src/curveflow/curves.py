@@ -233,6 +233,11 @@ def _vertex_turns(e: FloatArray) -> FloatArray:
     return (turn + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _winding(turns: FloatArray) -> int:
+    """The vertex turns added up to whole turns: the turning number."""
+    return int(round(float(turns.sum()) / (2.0 * np.pi)))
+
+
 def _curvature_frame(e: FloatArray, chords: FloatArray):
     """Signed curvature, unit tangent and left unit normal at each vertex, from
     the cyclic edge vectors and their lengths (see :func:`signed_curvature`)."""
@@ -265,7 +270,7 @@ def signed_curvature(curve: ClosedCurve) -> FrenetData:
 
 def turning_number(curve: ClosedCurve) -> int:
     """Total tangent turning divided by 2*pi, rounded to the nearest integer."""
-    return int(round(_vertex_turns(curve.edges()).sum() / (2.0 * np.pi)))
+    return _winding(_vertex_turns(curve.edges()))
 
 
 def is_convex(curve: ClosedCurve) -> bool:
@@ -282,7 +287,7 @@ def is_convex(curve: ClosedCurve) -> bool:
     tol = 1e-12 * curve.diameter ** 2
     if np.any(cross > tol) and np.any(cross < -tol):
         return False
-    return abs(round(_vertex_turns(e).sum() / (2.0 * np.pi))) == 1
+    return abs(_winding(_vertex_turns(e))) == 1
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:
@@ -325,7 +330,7 @@ def is_simple(curve: ClosedCurve) -> bool:
     first. Otherwise edges are swept by x-extent.
     """
     turns = _vertex_turns(curve.edges())
-    winding = round(float(turns.sum()) / (2.0 * np.pi))
+    winding = _winding(turns)
     if abs(winding) == 1:
         turns = winding * turns
         # a turn within rounding of pi may be an exact reversal, as on a

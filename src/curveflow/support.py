@@ -5,8 +5,8 @@ line with outward normal (cos theta, sin theta). It is sampled on a uniform
 grid over [0, 2*pi); the grid count is required even so that theta + pi always
 lands on a grid node (width and symmetrization then need no interpolation).
 
-Derivatives are taken by centered differences on the periodic grid by default;
-``mode="spectral"`` switches to FFT differentiation for high-accuracy work.
+Derivatives are spectral: the samples are read as a trigonometric polynomial
+and differentiated through their FFT, on the grid and between its nodes.
 """
 
 from __future__ import annotations
@@ -25,9 +25,12 @@ FloatArray = NDArray[np.float64]
 MIN_GRID = 16
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("centered", "spectral"):
-        raise ValueError(f"unknown derivative mode {mode!r}")
+def _differentiate(coef: np.ndarray, order: int) -> np.ndarray:
+    """rfft coefficients of the ``order``-th derivative, from those of p."""
+    coef = coef * (1j * np.arange(coef.size)) ** order
+    if order % 2:
+        coef[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
+    return coef
 
 
 @dataclass(frozen=True)
@@ -59,28 +62,13 @@ class SupportFunction:
     def theta(self) -> FloatArray:
         return 2.0 * np.pi * np.arange(self.count) / self.count
 
-    def derivative(self, order: int = 1, mode: str = "centered") -> FloatArray:
+    def derivative(self, order: int = 1) -> FloatArray:
         """Periodic derivative of the given order on the grid."""
-        _check_mode(mode)
-        v = self.values
-        if mode == "centered":
-            h = self.step
-            out = v
-            for _ in range(order // 2):
-                out = (np.roll(out, -1) - 2.0 * out + np.roll(out, 1)) / (h * h)
-            if order % 2:
-                out = (np.roll(out, -1) - np.roll(out, 1)) / (2.0 * h)
-            return out
-        coef = np.fft.rfft(v)
-        k = np.arange(coef.size)
-        coef = coef * (1j * k) ** order
-        if order % 2:
-            coef[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-        return np.fft.irfft(coef, n=self.count)
+        return np.fft.irfft(_differentiate(np.fft.rfft(self.values), order), n=self.count)
 
-    def curvature_radius(self, mode: str = "centered") -> FloatArray:
+    def curvature_radius(self) -> FloatArray:
         """p + p'' on the grid (the radius of curvature of the oval)."""
-        return self.values + self.derivative(2, mode=mode)
+        return self.values + self.derivative(2)
 
     @cached_property
     def _eval_coefficients(self):
@@ -94,17 +82,18 @@ class SupportFunction:
         for band-limited support functions.
         """
         theta = np.asarray(theta, dtype=float)
-        coef = self._eval_coefficients
+        coef = _differentiate(self._eval_coefficients, order)
         k = np.arange(coef.size)
-        coef = coef * (1j * k) ** order
-        if order % 2:
-            coef[-1] = 0.0
         # real series: c_0 + 2*Re sum_{k>=1} c_k e^{ik theta}, Nyquist unhalved
         phases = np.exp(1j * np.multiply.outer(theta, k))
         weights = np.full(coef.size, 2.0)
         weights[0] = 1.0
         weights[-1] = 1.0  # the count is even, so the last coefficient is Nyquist
         return np.real(phases @ (weights * coef))
+
+    @cached_property
+    def _curve(self) -> ClosedCurve:
+        return _oval_curve(self)  # once per instance: a chord search and symmetrize read it 4 times
 
 
 @dataclass(frozen=True)
@@ -141,15 +130,28 @@ def support_from_curve(curve: ClosedCurve, count: int) -> SupportFunction:
     return SupportFunction(p)
 
 
-def curve_from_support(p: SupportFunction, mode: str = "centered") -> ClosedCurve:
-    """Reconstruct the oval: x = p cos - p' sin, y = p sin + p' cos."""
-    rad = p.curvature_radius(mode=mode)
+def _oval_map(p, dp, c, s):
+    """The oval point with normal (c, s): x = p c - p' s, y = p s + p' c."""
+    return p * c - dp * s, p * s + dp * c
+
+
+def _oval_curve(p: SupportFunction) -> ClosedCurve:
+    rad = p.curvature_radius()
     if np.min(rad) <= 0.0:
         raise NotAnOval(f"p + p'' reaches {np.min(rad):.6g}; not a strictly convex oval")
-    theta = p.theta
-    dp = p.derivative(1, mode=mode)
-    c, s = np.cos(theta), np.sin(theta)
-    return ClosedCurve(np.column_stack([p.values * c - dp * s, p.values * s + dp * c]))
+    c, s = np.cos(p.theta), np.sin(p.theta)
+    return ClosedCurve(np.column_stack(_oval_map(p.values, p.derivative(1), c, s)))
+
+
+def curve_from_support(p: SupportFunction, mode: str = "spectral") -> ClosedCurve:
+    """Reconstruct the oval: x = p cos - p' sin, y = p sin + p' cos.
+
+    Built once per ``p`` and shared, as it is immutable. ``mode`` accepts only
+    ``"spectral"``; it stays because the benchmark in ``perfbench/`` passes it.
+    """
+    if mode != "spectral":
+        raise ValueError(f"unknown derivative mode {mode!r}")
+    return p._curve
 
 
 def cauchy_length(p: SupportFunction) -> float:
@@ -157,22 +159,15 @@ def cauchy_length(p: SupportFunction) -> float:
     return float(p.step * p.values.sum())
 
 
-def area_from_support(p: SupportFunction, mode: str = "centered") -> float:
+def area_from_support(p: SupportFunction) -> float:
     """Enclosed area 0.5 * integral of p * (p + p'')."""
-    return float(0.5 * p.step * np.sum(p.values * p.curvature_radius(mode=mode)))
+    return float(0.5 * p.step * np.sum(p.values * p.curvature_radius()))
 
 
-def curvature_from_support(p: SupportFunction, theta: float, mode: str = "centered") -> float:
-    """Curvature 1 / (p + p'') interpolated to ``theta``."""
-    rad = p.curvature_radius(mode=mode)
-    if np.min(rad) <= 0.0:
-        raise NotAnOval(f"p + p'' reaches {np.min(rad):.6g}; not a strictly convex oval")
-    if mode == "spectral":
-        value = float(p.eval(theta, order=0) + p.eval(theta, order=2))
-    else:
-        grid = np.concatenate([p.theta, [2.0 * np.pi]])
-        vals = np.concatenate([rad, rad[:1]])
-        value = float(np.interp(np.mod(theta, 2.0 * np.pi), grid, vals))
+def curvature_from_support(p: SupportFunction, theta: float) -> float:
+    """Curvature 1 / (p + p'') at ``theta``, from the trigonometric interpolant."""
+    curve_from_support(p)  # NotAnOval unless p + p'' > 0 at every node
+    value = float(p.eval(theta, order=0) + p.eval(theta, order=2))
     if value <= 0.0:
         raise NotAnOval(f"p + p'' interpolates to {value:.6g} at theta={theta:.6g}")
     return 1.0 / value
@@ -188,12 +183,10 @@ def width(p: SupportFunction) -> WidthFunction:
 def read_support_csv(path) -> SupportFunction:
     """Read ``theta,p`` lines; theta must be the uniform ascending grid."""
     data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    theta, values = data[:, 0], data[:, 1]
-    count = values.size
-    expected = 2.0 * np.pi * np.arange(count) / count
-    if count < MIN_GRID or not np.allclose(theta, expected, atol=1e-9):
+    p = SupportFunction(data[:, 1])
+    if not np.allclose(data[:, 0], p.theta, atol=1e-9):
         raise ValueError(f"support file {path} is not on the uniform [0, 2pi) grid")
-    return SupportFunction(values)
+    return p
 
 
 def write_support_csv(p: SupportFunction, path) -> None:

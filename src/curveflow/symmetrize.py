@@ -25,7 +25,7 @@ from .errors import (
     NotSymmetric,
     ToleranceNotMet,
 )
-from .support import SupportFunction, curve_from_support
+from .support import SupportFunction, _oval_map, curve_from_support
 
 FloatArray = NDArray[np.float64]
 
@@ -68,8 +68,7 @@ class SymmetrizedPair:
 def _oval_point(p: SupportFunction, theta: float) -> np.ndarray:
     pv = float(p.eval(theta, order=0))
     dv = float(p.eval(theta, order=1))
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([pv * c - dv * s, pv * s + dv * c])
+    return np.array(_oval_map(pv, dv, math.cos(theta), math.sin(theta)))
 
 
 def _arc_polygon(p: SupportFunction, vertices: FloatArray, theta: float) -> FloatArray:
@@ -100,7 +99,7 @@ def chord_cut(p: SupportFunction, theta: float, snap: bool = True) -> ChordCut:
     if snap:
         theta = p.step * round(float(theta) / p.step)
     theta = float(np.mod(theta, 2.0 * np.pi))
-    vertices = curve_from_support(p, mode="spectral").points
+    vertices = curve_from_support(p).points
     arc = _arc_polygon(p, vertices, theta)
     sigma = _shoelace(arc)
     endpoints = np.vstack([arc[0], arc[-1]])
@@ -118,7 +117,7 @@ def node_cut_areas(p: SupportFunction) -> np.ndarray:
     Entry j is the area bounded by the arc from node j to node j + count/2
     and the closing chord; opposite entries sum exactly to the polygon area.
     """
-    pts = curve_from_support(p, mode="spectral").points
+    pts = curve_from_support(p).points
     n = p.count
     half = n // 2
     nxt = np.roll(pts, -1, axis=0)
@@ -150,7 +149,7 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     if hits.size:
         return chord_cut(p, hits[0] * p.step, snap=False)
     j = int(np.flatnonzero(g[:half] * g[1 : half + 1] < 0.0)[0])
-    vertices = curve_from_support(p, mode="spectral").points
+    vertices = curve_from_support(p).points
 
     def gap(theta: float) -> float:
         return (_shoelace(_arc_polygon(p, vertices, theta))
@@ -172,7 +171,7 @@ def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:
     output centrally symmetric by construction. Convexity of both halves is
     verified and fails only when the grid is too coarse.
     """
-    vertices = curve_from_support(p, mode="spectral").points
+    vertices = curve_from_support(p).points
     omega = cut.midpoint
     curves = []
     gaps = []
@@ -235,8 +234,8 @@ def symmetric_shrinker_check(p: SupportFunction, tol: float = 1e-2) -> Symmetric
         raise NotSymmetric(
             f"support is not centrally symmetric: max |p(t) - p(t+pi)| = {sym_dev:.3g}"
         )
-    curve = curve_from_support(p, mode="spectral")
-    rad = p.curvature_radius(mode="spectral")
+    curve = curve_from_support(p)
+    rad = p.curvature_radius()
     residual = float(np.max(np.abs(1.0 / rad - p.values)))
     if residual > tol:
         raise NotAShrinker(

@@ -77,7 +77,7 @@ def test_criterion_1_shrinker_identities():
 
 def test_criterion_2_circle_family_law():
     t0 = time.perf_counter()
-    traj = run_flow(shapes.circle(192), area_floor_rel=1e-3, snapshot_stride=100)
+    traj = run_flow(shapes.circle(192), area_floor_rel=1e-3, snapshot_stride=1)
     worst = 0.0
     for t, snap in traj.snapshots:
         if t > 0.45:
@@ -188,7 +188,7 @@ def test_criterion_6_bonnesen_battery():
     worst_gap = 0.0
     for seed in range(100):
         p = shapes.random_oval_support(512, seed, offset=0.1)
-        curve = resample_arclength(curve_from_support(p, mode="spectral"), 2048)
+        curve = resample_arclength(curve_from_support(p), 2048)
         rep = bonnesen_chain(curve, seed=seed)
         assert rep.chain_ok, f"chain failed for oval seed {seed}"
         assert rep.t1 * rep.t2 == pytest.approx(rep.area / math.pi, rel=1e-12)
@@ -220,7 +220,7 @@ def test_criterion_7_cauchy_and_roundtrip_order():
     worst_cauchy = 0.0
     for seed in range(20):
         p = shapes.random_oval_support(1024, seed, offset=0.15)
-        rel = abs(cauchy_length(p) - length(curve_from_support(p, mode="spectral")))
+        rel = abs(cauchy_length(p) - length(curve_from_support(p)))
         worst_cauchy = max(worst_cauchy, rel / cauchy_length(p))
 
     def roundtrip_err(seed: int, count: int) -> float:
@@ -229,7 +229,7 @@ def test_criterion_7_cauchy_and_roundtrip_order():
         from curveflow import SupportFunction
 
         p = SupportFunction(p_ref)
-        curve = resample_arclength(curve_from_support(p, mode="spectral"), count)
+        curve = resample_arclength(curve_from_support(p), count)
         back = support_from_curve(curve, count)
         return float(np.max(np.abs(back.values - p_ref)))
 
@@ -255,7 +255,7 @@ def test_criterion_8_gage_construction():
     worst_bisect = worst_comp = worst_area = worst_sym = 0.0
     for seed in range(50):
         p = shapes.random_oval_support(1024, seed, offset=0.25)
-        base = curve_from_support(p, mode="spectral")
+        base = curve_from_support(p)
         area = signed_area(base)
         sigma = node_cut_areas(p)
         comp = np.max(np.abs(sigma + np.roll(sigma, -p.count // 2) - area)) / area

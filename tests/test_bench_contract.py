@@ -46,6 +46,12 @@ def test_jobs_speedup_call_binds():
     inspect.signature(cf.classify_closed_solutions).bind(list(spans.JOBS_GRID), jobs=2)
 
 
+def test_curve_from_support_call_binds():
+    """workloads.py calls it with mode="spectral" at 5 sites."""
+    p = cf.shapes.random_oval_support(64, 0)
+    inspect.signature(cf.curve_from_support).bind(p, mode="spectral")
+
+
 def test_ode_route_oracle_margin():
     """The ODE workload's shot periods sit 100x inside gates.shot_period's
     1e-8 of the quadrature oracle, so the gate measures the shot, not the

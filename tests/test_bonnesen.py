@@ -158,7 +158,7 @@ class TestChain:
 
     def test_cos2_oval_strict(self):
         p = shapes.cosine_oval_support(512, {2: (0.1, 0.0)})
-        c = curve_from_support(p, mode="spectral")
+        c = curve_from_support(p)
         rep = bonnesen_chain(c)
         assert rep.chain_ok
         assert rep.t1 < rep.inradius - 1e-4
@@ -179,7 +179,7 @@ class TestChain:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_oval_battery_sample(self, seed):
         p = shapes.random_oval_support(512, seed, offset=0.1)
-        c = resample_arclength(curve_from_support(p, mode="spectral"), 2048)
+        c = resample_arclength(curve_from_support(p), 2048)
         rep = bonnesen_chain(c, seed=seed)
         assert rep.chain_ok
 
@@ -187,14 +187,14 @@ class TestChain:
         gaps = []
         for delta in (0.2, 0.1, 0.05, 0.01):
             p = shapes.cosine_oval_support(1024, {2: (delta, 0.0)})
-            c = curve_from_support(p, mode="spectral")
+            c = curve_from_support(p)
             gaps.append(bonnesen_chain(c).equality_gap)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     @settings(max_examples=15, deadline=None)
     @given(scale=st.floats(0.1, 10.0))
     def test_scaling_covariance(self, scale):
-        base = curve_from_support(shapes.random_oval_support(256, 17), mode="spectral")
+        base = curve_from_support(shapes.random_oval_support(256, 17))
         rep0 = bonnesen_chain(base)
         rep1 = bonnesen_chain(base.scaled(scale))
         assert rep1.inradius == pytest.approx(scale * rep0.inradius, rel=1e-10)

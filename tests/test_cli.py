@@ -172,7 +172,7 @@ class TestSymmetrize:
         p = shapes.random_oval_support(1024, 5, offset=0.25)
         from curveflow import curve_from_support
 
-        write_curve_csv(curve_from_support(p, mode="spectral"), egg)
+        write_curve_csv(curve_from_support(p), egg)
         out = tmp_path / "sym"
         assert main(["symmetrize", "--input", str(egg), "--grid", "512",
                      "--output", str(out)]) == 0

@@ -79,6 +79,14 @@ class TestCurveFromSupport:
         with pytest.raises(NotAnOval):
             curve_from_support(oval(256, {3: (0.2, 0.0)}))
 
+    def test_centered_mode_rejected(self):
+        with pytest.raises(ValueError, match="centered"):
+            curve_from_support(oval(64, {}), mode="centered")
+
+    def test_curve_is_built_once_per_support(self):
+        p = shapes.random_oval_support(256, 1)
+        assert curve_from_support(p) is curve_from_support(p, mode="spectral")
+
     def test_reconstruction_is_ccw_convex(self):
         from curveflow import is_convex, turning_number
 
@@ -107,7 +115,7 @@ class TestCauchyLength:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_polygon_length(self, seed):
         p = shapes.random_oval_support(1024, seed, offset=0.1)
-        c = curve_from_support(p, mode="spectral")
+        c = curve_from_support(p)
         assert cauchy_length(p) == pytest.approx(length(c), rel=1e-5)
 
 
@@ -120,16 +128,16 @@ class TestArea:
         p = oval(256, coeffs)
         expected = oracles.parseval_cosine_area(1.0, coeffs)
         assert expected == pytest.approx(0.96 * np.pi, abs=1e-12)
-        assert area_from_support(p, mode="spectral") == pytest.approx(expected, abs=1e-8)
+        assert area_from_support(p) == pytest.approx(expected, abs=1e-8)
 
     def test_translation_invariance(self):
         p = oval(256, {1: (0.3, 0.0)})
-        assert area_from_support(p, mode="spectral") == pytest.approx(np.pi, abs=1e-8)
+        assert area_from_support(p) == pytest.approx(np.pi, abs=1e-8)
 
     def test_matches_shoelace(self):
         p = shapes.random_oval_support(4096, 11, offset=0.1)
-        a_support = area_from_support(p, mode="spectral")
-        a_shoelace = signed_area(curve_from_support(p, mode="spectral"))
+        a_support = area_from_support(p)
+        a_shoelace = signed_area(curve_from_support(p))
         assert a_support == pytest.approx(a_shoelace, rel=1e-6)
 
 
@@ -141,8 +149,8 @@ class TestCurvature:
 
     def test_third_harmonic_values(self):
         p = oval(768, {3: (0.1, 0.0)})
-        assert curvature_from_support(p, 0.0, mode="spectral") == pytest.approx(5.0, abs=1e-6)
-        assert curvature_from_support(p, np.pi / 3, mode="spectral") == pytest.approx(
+        assert curvature_from_support(p, 0.0) == pytest.approx(5.0, abs=1e-6)
+        assert curvature_from_support(p, np.pi / 3) == pytest.approx(
             1.0 / 1.8, abs=1e-6
         )
 
@@ -150,10 +158,10 @@ class TestCurvature:
         from curveflow import signed_curvature
 
         p = shapes.random_oval_support(2048, 5)
-        c = curve_from_support(p, mode="spectral")
+        c = curve_from_support(p)
         fr = signed_curvature(c)
         k_support = np.array(
-            [curvature_from_support(p, t, mode="spectral") for t in p.theta[:64]]
+            [curvature_from_support(p, t) for t in p.theta[:64]]
         )
         assert np.max(np.abs(k_support - fr.curvature[:64])) < 1e-4
 
@@ -188,7 +196,7 @@ class TestCoordinateIdentities:
 
     def test_edge_directions_follow_tangent_formula(self):
         p = shapes.random_oval_support(1024, 9)
-        c = curve_from_support(p, mode="spectral")
+        c = curve_from_support(p)
         e = c.edges()
         e = e / np.hypot(e[:, 0], e[:, 1])[:, None]
         mid = p.theta + p.step / 2.0
@@ -199,7 +207,7 @@ class TestCoordinateIdentities:
         # -x sin + y cos = p' both against the construction and analytically
         coeffs = {2: (0.05, 0.02), 3: (0.02, -0.03)}
         p = oval(2048, coeffs)
-        c = curve_from_support(p, mode="spectral")
+        c = curve_from_support(p)
         theta = p.theta
         lhs = -c.points[:, 0] * np.sin(theta) + c.points[:, 1] * np.cos(theta)
         analytic = np.zeros_like(theta)
@@ -210,10 +218,10 @@ class TestCoordinateIdentities:
     def test_derivative_of_reconstruction(self):
         # x' = -(p + p'') sin, y' = (p + p'') cos, checked by centered differences
         p = shapes.random_oval_support(4096, 13)
-        c = curve_from_support(p, mode="spectral")
+        c = curve_from_support(p)
         pts = c.points
         diff = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2.0 * p.step)
-        rad = p.curvature_radius(mode="spectral")
+        rad = p.curvature_radius()
         expected = rad[:, None] * np.column_stack([-np.sin(p.theta), np.cos(p.theta)])
         assert np.max(np.hypot(*(diff - expected).T)) < 1e-5
 

@@ -31,7 +31,7 @@ def oval(count, coeffs, mean=1.0):
 
 
 def oval_area(p):
-    return signed_area(curve_from_support(p, mode="spectral"))
+    return signed_area(curve_from_support(p))
 
 
 class TestChordCut:
@@ -128,9 +128,25 @@ class TestBisectingChord:
 
 
 class TestSymmetrize:
+    def test_pair_builds_the_oval_once(self, monkeypatch):
+        # node_cut_areas, the brentq gap, chord_cut and symmetrize all walk the
+        # oval's vertices; the SupportFunction builds them for the first only
+        support_module = importlib.import_module("curveflow.support")
+        symmetrize_module = importlib.import_module("curveflow.symmetrize")
+        builds, solves = [], []
+        build, solve = support_module._oval_curve, symmetrize_module.brentq
+        monkeypatch.setattr(support_module, "_oval_curve",
+                            lambda p: builds.append(p) or build(p))
+        monkeypatch.setattr(symmetrize_module, "brentq",
+                            lambda *a, **k: solves.append(a) or solve(*a, **k))
+        p = shapes.random_oval_support(1024, 0, offset=0.25)
+        symmetrize(p, find_bisecting_chord(p))
+        assert len(solves) == 1  # no grid node bisects, so every builder call is reached
+        assert len(builds) == 1
+
     def test_disk_reproduces_circles(self):
         p = oval(512, {})
-        base = curve_from_support(p, mode="spectral")
+        base = curve_from_support(p)
         pair = symmetrize(p, find_bisecting_chord(p))
         for c in (pair.curve1, pair.curve2):
             assert signed_area(c) == pytest.approx(signed_area(base), rel=1e-9)
@@ -143,7 +159,7 @@ class TestSymmetrize:
         p = support_from_curve(ellipse, 512)
         cut = find_bisecting_chord(p, tol=1e-10)
         pair = symmetrize(p, cut)
-        base = curve_from_support(p, mode="spectral")
+        base = curve_from_support(p)
         # the glued curves reproduce the reconstruction's vertex set
         for c in (pair.curve1, pair.curve2):
             assert c.n == base.n
@@ -165,8 +181,8 @@ class TestSymmetrize:
         p = shapes.random_oval_support(1024, seed, offset=0.2)
         cut = find_bisecting_chord(p, tol=1e-9)
         pair = symmetrize(p, cut)
-        base_len = length(curve_from_support(p, mode="spectral"))
-        diam = curve_from_support(p, mode="spectral").diameter
+        base_len = length(curve_from_support(p))
+        diam = curve_from_support(p).diameter
         for c in (pair.curve1, pair.curve2):
             pts = c.points
             m = pts.shape[0]
