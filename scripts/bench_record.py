@@ -9,8 +9,9 @@ For each workload and seed, ``perfbench/run.py --trace 0`` runs as a
 subprocess in the checkout ``--root`` (default: this one), and the file keeps
 its last two JSON lines: the record (machine, versions, git sha) and the
 result. Then ``pytest tests/test_acceptance.py -s`` runs there, and each
-criterion's printed runtime is stored against its budget. Compare two files
-from the same machine only. The file is written to this repository's root.
+criterion's printed runtime is stored against the budget printed beside it.
+Compare two files from the same machine only. The file is written to this
+repository's root.
 """
 
 import argparse
@@ -22,9 +23,9 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("flow_route", "ode_route", "geometry", "cli")
-# The runtime budget of each criterion in tests/test_acceptance.py, in seconds.
-BUDGETS_S = {"1": 1.0, "2": 10.0, "3": 30.0, "4": 60.0, "5": 5.0, "6": 30.0, "7": 10.0, "8": 30.0}
-_VERDICT = re.compile(r"\[(PASS|FAIL)\] (criterion (\d) [^:]*): .*runtime=([0-9.]+)s")
+# A criterion's line ends with its runtime and the budget its assert uses.
+_VERDICT = re.compile(
+    r"\[(PASS|FAIL)\] (criterion \d [^:]*): .*runtime=([0-9.]+)s budget=([0-9.]+)s")
 
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -41,10 +42,9 @@ def acceptance(root: Path) -> list[dict]:
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
          "tests/test_acceptance.py"], cwd=root, env=env, capture_output=True, text=True).stdout
     rows = []
-    for verdict, name, number, runtime in _VERDICT.findall(out):
-        budget = BUDGETS_S[number]
+    for verdict, name, runtime, budget in _VERDICT.findall(out):
         rows.append({"criterion": name, "passed": verdict == "PASS", "runtime_s": float(runtime),
-                     "budget_s": budget, "budget_share": float(runtime) / budget})
+                     "budget_s": float(budget), "budget_share": float(runtime) / float(budget)})
     return rows
 
 

@@ -52,7 +52,7 @@ _DEFAULTS = {
     "flow": {
         "output": ".",
         "t_max": None,
-        "dt_factor": 2.0,
+        "dt_factor": fl._DT_FACTOR,
         "area_floor_rel": 1e-3,
         "stride": 1,
         "svg_every": 0,
@@ -188,8 +188,8 @@ def _cmd_flow(args) -> int:
                 "stop_reason": traj.stop_reason,
                 "final_time": traj.final_state.time,
                 "steps": traj.final_state.step_count,
-                "final_area": traj.final_state.diagnostics.area,
-                "final_length": traj.final_state.diagnostics.length,
+                "final_area": traj.areas[-1],
+                "final_length": traj.lengths[-1],
             },
         )
     )

@@ -67,15 +67,7 @@ class SolverFailed(NumericalError):
 
 
 class CurveCollapsed(NumericalError):
-    """Enclosed area fell below the extinction floor.
-
-    A normal stop reason for the flow driver; carries the collapsed state so
-    the caller can record the extinction time.
-    """
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+    """The renormalized flow's area fell to zero within one step."""
 
 
 class IsoperimetricViolation(InputError):

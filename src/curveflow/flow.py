@@ -9,7 +9,10 @@ h and a corrector with the midpoint metric h*h1, h1 the predictor's mean
 chord, followed by a resample. The step is unconditionally stable, and on a
 regular polygon the k = 1 symbol is exactly 1/R^2, so the circle law holds
 exactly in space. The driver shrinks the sample count with the curve so the
-step size dt = dt_factor * h^2 stays bounded below until the area floor.
+step size dt = dt_factor * h^2 stays bounded below until the area floor; its
+final state is its last recorded step. run_flow and rescaled_flow refuse
+curves of fewer than 32 samples, on which one step of that size swallows the
+whole curve.
 
 The renormalized variant rescales to enclosed area pi after every step and
 advances physical time by the squared scale factor, so the recorded scale of
@@ -32,7 +35,6 @@ from .curves import (
     _resample,
     _shoelace,
     is_convex,
-    length,
     signed_area,
 )
 from .errors import (
@@ -45,36 +47,19 @@ from .shrinker import ShrinkerReport, verify_shrinker
 
 FloatArray = NDArray[np.float64]
 
-# run_flow decimates no further than this many samples.
+# The fewest samples run_flow and rescaled_flow take; run_flow's decimation floor.
 _MIN_SAMPLES = 32
-
-
-@dataclass(frozen=True)
-class FlowDiagnostics:
-    length: float
-    area: float
-    isoperimetric_ratio: float  # L^2 / (4*pi*A)
+# The step policy: dt = _DT_FACTOR * (mean chord)^2.
+_DT_FACTOR = 2.0
+# rescaled_flow gives up after this many steps.
+_RESCALED_MAX_STEPS = 500_000
 
 
 @dataclass(frozen=True)
 class FlowState:
     curve: ClosedCurve
-    time: float
-    step_count: int
-    diagnostics: FlowDiagnostics
-
-    @classmethod
-    def from_curve(cls, curve: ClosedCurve, time: float = 0.0, step_count: int = 0) -> "FlowState":
-        area = signed_area(curve)
-        perim = length(curve)
-        return cls(
-            curve=curve,
-            time=time,
-            step_count=step_count,
-            diagnostics=FlowDiagnostics(
-                length=perim, area=area, isoperimetric_ratio=_ratio(perim, area)
-            ),
-        )
+    time: float = 0.0
+    step_count: int = 0
 
 
 def _ratio(perim: float, area: float) -> float:
@@ -117,7 +102,7 @@ class FlowTrajectory:
                 )
 
 
-def suggested_dt(curve: ClosedCurve, factor: float = 2.0) -> float:
+def suggested_dt(curve: ClosedCurve, factor: float = _DT_FACTOR) -> float:
     """Default step policy: factor * (mean spacing)^2."""
     h = float(curve.chord_lengths().sum()) / curve.n
     return factor * h * h
@@ -128,7 +113,7 @@ def _xy(z) -> FloatArray:
 
 
 def _step(points, chords, dt: float | None = None, *,
-          dt_factor: float = 2.0, dt_max: float = math.inf):
+          dt_factor: float = _DT_FACTOR, dt_max: float = math.inf):
     """One exponential spectral step on raw arrays: the kernel of csf_step,
     run_flow and rescaled_flow.
 
@@ -153,38 +138,23 @@ def _step(points, chords, dt: float | None = None, *,
     return pts, _checked_chords(pts, new_chords), dt, _shoelace(pts)
 
 
-def _collapsed(state: FlowState, area_floor: float) -> CurveCollapsed:
-    return CurveCollapsed(
-        f"area {state.diagnostics.area:.3g} fell below the floor {area_floor:.3g}"
-        f" at t = {state.time:.6g}",
-        state=state,
-    )
+def _check_samples(curve: ClosedCurve) -> None:
+    if curve.n < _MIN_SAMPLES:
+        raise ValueError(f"flow needs >= {_MIN_SAMPLES} samples, got {curve.n};"
+                         " resample the curve with resample_arclength first")
 
 
-def csf_step(
-    state: FlowState,
-    dt: float,
-    *,
-    area_floor: float = 0.0,
-) -> FlowState:
+def csf_step(curve: ClosedCurve, dt: float) -> ClosedCurve:
     """One step of length ``dt``: flow by the spectral kernel, then
-    redistribute arclength.
-
-    Raises ValueError unless dt > 0, and CurveCollapsed (carrying the
-    post-step state) when the area falls to ``area_floor``.
-    """
-    curve = state.curve
-    pts, _chords, dt, _area = _step(curve.points, curve.chord_lengths(), dt)
-    new_state = FlowState.from_curve(ClosedCurve(pts), state.time + dt, state.step_count + 1)
-    if new_state.diagnostics.area <= area_floor:
-        raise _collapsed(new_state, area_floor)
-    return new_state
+    redistribute arclength. Raises ValueError unless dt > 0."""
+    pts, _chords, _dt, _area = _step(curve.points, curve.chord_lengths(), dt)
+    return ClosedCurve(pts)
 
 
 def run_flow(
     curve: ClosedCurve,
     *,
-    dt_factor: float = 2.0,
+    dt_factor: float = _DT_FACTOR,
     area_floor_rel: float = 1e-3,
     t_max: float = math.inf,
     max_steps: int = 2_000_000,
@@ -195,7 +165,7 @@ def run_flow(
     The sample count is decimated as the length shrinks so the spacing (and
     with it the step size dt_factor * spacing^2) stays near its initial value; collapse is a
     normal stop reason, not an error. A ``snapshot_stride`` of 0 or None
-    takes no snapshots.
+    takes no snapshots. Raises ValueError on fewer than 32 samples.
     """
     if not t_max >= 0.0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
@@ -205,6 +175,7 @@ def run_flow(
         raise ValueError(f"area_floor_rel must be in (0, 1), got {area_floor_rel}")
     if snapshot_stride is not None and snapshot_stride < 0:
         raise ValueError(f"snapshot_stride must be >= 0, got {snapshot_stride}")
+    _check_samples(curve)
     area = signed_area(curve)
     if area <= 0.0:
         raise ValueError("flow requires counter-clockwise orientation (positive area)")
@@ -224,9 +195,13 @@ def run_flow(
     snapshots = [(time, curve)] if snapshot_stride else []
     stop_reason = "step_budget"
     for _ in range(max_steps):
-        if time >= t_max:
-            stop_reason = "t_max"
-            break
+        # stop before the decimation, so the final state is the last record
+        dt_max = math.inf
+        if math.isfinite(t_max):
+            dt_max = t_max - time
+            if dt_max <= 1e-12 * max(1.0, abs(t_max)):
+                stop_reason = "t_max"
+                break
         # halve the sample count by exact subsampling once the spacing has
         # shrunk to half its target; sliding points onto a coarser polygon
         # would cut corners and bleed area instead
@@ -234,12 +209,6 @@ def run_flow(
         if m % 2 == 0 and m // 2 >= _MIN_SAMPLES and perim / target_spacing <= m / 2:
             pts = np.ascontiguousarray(pts[::2])
             chords = _checked_chords(pts)
-        dt_max = math.inf
-        if math.isfinite(t_max):
-            dt_max = t_max - time
-            if dt_max <= 1e-12 * max(1.0, abs(t_max)):
-                stop_reason = "t_max"
-                break
         pts, chords, dt, area = _step(pts, chords, dt_factor=dt_factor, dt_max=dt_max)
         time += dt
         step_count += 1
@@ -260,7 +229,7 @@ def run_flow(
         areas=np.asarray(areas),
         ratios=np.asarray(ratios),
         sample_counts=np.asarray(sample_counts, dtype=np.int64),
-        final_state=FlowState.from_curve(ClosedCurve(pts), time, step_count),
+        final_state=FlowState(ClosedCurve(pts), time, step_count),
         stop_reason=stop_reason,
         snapshots=tuple(snapshots),
     )
@@ -283,9 +252,6 @@ def rescaled_flow(
     curve: ClosedCurve,
     *,
     stationary_tol: float = 3e-4,
-    dt_factor: float = 2.0,
-    max_steps: int = 500_000,
-    verify_tol: float = 1e-2,
     t_max: float = math.inf,
 ) -> tuple[SimilarityProfile, ShrinkerReport]:
     """Renormalized flow: recenter, rescale to area pi, stop when stationary.
@@ -295,12 +261,12 @@ def rescaled_flow(
     Stationarity is the largest per-sample displacement of the normalized
     profile per unit normalized time falling below ``stationary_tol``;
     reaching the physical horizon ``t_max`` also stops the run normally.
-    Returns the scale history and the shrinker verification of the limit.
+    Returns the scale history and the shrinker verification (tol 1e-2) of the
+    limit. Raises NotConvex, then ValueError on fewer than 32 samples.
     """
-    if not 0.0 < dt_factor < math.inf:
-        raise ValueError(f"dt_factor must be finite and > 0, got {dt_factor}")
     if not is_convex(curve):
         raise NotConvex("the renormalized flow driver expects a convex curve")
+    _check_samples(curve)
     area0 = signed_area(curve)
     if area0 <= 0.0:
         raise ValueError("flow requires counter-clockwise orientation (positive area)")
@@ -310,10 +276,10 @@ def rescaled_flow(
     tau = 0.0
     times = [tau]
     scales = [lam]
-    for _ in range(max_steps):
-        stepped, _chords, dt, area = _step(pts, chords, dt_factor=dt_factor)
+    for _ in range(_RESCALED_MAX_STEPS):
+        stepped, _chords, dt, area = _step(pts, chords)
         if area <= 0.0:
-            raise _collapsed(FlowState.from_curve(ClosedCurve(stepped), dt, 1), 0.0)
+            raise CurveCollapsed(f"normalized area {area:.3g} <= 0 after t = {tau:.6g}")
         factor = math.sqrt(math.pi / area)
         rescaled = (stepped - _centroid(stepped)) * factor
         chords = _checked_chords(rescaled)
@@ -325,7 +291,7 @@ def rescaled_flow(
         pts = rescaled
         if displacement / dt < stationary_tol or tau >= t_max:
             profile = ClosedCurve(pts)
-            report = verify_shrinker(profile, verify_tol)
+            report = verify_shrinker(profile, 1e-2)
             return (
                 SimilarityProfile(
                     times=np.asarray(times), scales=np.asarray(scales), reference_curve=profile
@@ -334,7 +300,7 @@ def rescaled_flow(
             )
     raise ToleranceNotMet(
         f"renormalized flow did not reach displacement rate < {stationary_tol:.3g} "
-        f"within {max_steps} steps"
+        f"within {_RESCALED_MAX_STEPS} steps"
     )
 
 

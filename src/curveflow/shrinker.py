@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import (ClosedCurve, _deferred, _JsonReport, is_simple, length, signed_area,
-                     signed_curvature)
+from .curves import (ClosedCurve, _deferred, _JsonReport, is_convex, is_simple, length,
+                     signed_area, signed_curvature)
 from .errors import BlowUp, NotConvex, ToleranceNotMet
 
 FloatArray = NDArray[np.float64]
@@ -68,8 +68,8 @@ def _require_simple_ccw(curve: ClosedCurve) -> None:
         raise ValueError("curve must be simple (embedded)")
 
 
-def fundamental_residual(curve: ClosedCurve) -> tuple[FloatArray, ShrinkerReport]:
-    """Per-sample kappa_i + gamma_i . n_i and its aggregate report."""
+def _residual(curve: ClosedCurve):
+    """fundamental_residual's residual and report, and the curvature frame."""
     _require_simple_ccw(curve)
     frame = signed_curvature(curve)
     residual = frame.curvature + np.einsum("ij,ij->i", frame.points, frame.normal)
@@ -81,20 +81,36 @@ def fundamental_residual(curve: ClosedCurve) -> tuple[FloatArray, ShrinkerReport
         length=length(curve),
         verdict=None,
     )
+    return residual, report, frame
+
+
+def fundamental_residual(curve: ClosedCurve) -> tuple[FloatArray, ShrinkerReport]:
+    """Per-sample kappa_i + gamma_i . n_i and its aggregate report."""
+    residual, report, _frame = _residual(curve)
     return residual, report
 
 
 def gauge_constant(curve: ClosedCurve) -> tuple[float, float]:
     """Fit kappa = C * exp(|gamma|^2 / 2) on a convex CCW curve.
 
-    C is the geometric mean of kappa_i * exp(-|gamma_i|^2 / 2); the second
-    return value is the largest relative deviation of the samples from C.
+    C is the geometric mean of kappa_i * exp(-|gamma_i|^2 / 2) over the
+    samples with kappa_i > 0; the second return value is the largest relative
+    deviation of all samples from C, so a flat sample (kappa_i <= 0, as on a
+    straight side) deviates by 1.
     """
-    frame = signed_curvature(curve)
-    if np.any(frame.curvature <= 0.0):
-        raise NotConvex("gauge fit requires positive curvature (convex, CCW)")
-    log_v = np.log(frame.curvature) - 0.5 * np.einsum("ij,ij->i", frame.points, frame.points)
-    log_c = float(np.mean(log_v))
+    return _gauge(curve, signed_curvature(curve))
+
+
+def _gauge(curve: ClosedCurve, frame) -> tuple[float, float]:
+    kappa = frame.curvature
+    bent = kappa > 0.0
+    if not bent.all():
+        if signed_area(curve) <= 0.0 or not is_convex(curve):
+            raise NotConvex("gauge fit requires a convex counter-clockwise curve")
+        kappa = np.where(bent, kappa, 0.0)
+    with np.errstate(divide="ignore"):
+        log_v = np.log(kappa) - 0.5 * np.einsum("ij,ij->i", frame.points, frame.points)
+    log_c = float(np.mean(log_v[bent]))
     dev = float(np.max(np.abs(np.exp(log_v - log_c) - 1.0)))
     return math.exp(log_c), dev
 
@@ -107,8 +123,8 @@ def verify_shrinker(curve: ClosedCurve, tol: float = 1e-3) -> ShrinkerReport:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    residual, base = fundamental_residual(curve)
-    c, dev = gauge_constant(curve)
+    _residual_values, base, frame = _residual(curve)
+    c, dev = _gauge(curve, frame)
     verdict = (
         abs(base.area - math.pi) <= tol
         and abs(base.length - 2.0 * math.pi) <= tol

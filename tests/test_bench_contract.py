@@ -42,6 +42,16 @@ def test_layer_probe_runs(tmp_path):
     spans.layer_probe(cf, cli, tmp_path)
 
 
+def test_result_hooks_count_the_probe(tmp_path):
+    """Traced runs read step counts, nfev and nit from the public results of
+    the calls they wrap (spans.RESULT_HOOKS)."""
+    with spans.Recorder() as rec:
+        spans.layer_probe(cf, cli, tmp_path)
+    assert rec.counters["flow.steps"] > 0
+    assert rec.counters["shrinker.solve_ivp.nfev"] > 0
+    assert rec.counters["bonnesen.linprog.nit"] > 0
+
+
 def test_jobs_speedup_call_binds():
     inspect.signature(cf.classify_closed_solutions).bind(list(spans.JOBS_GRID), jobs=2)
 

@@ -79,6 +79,19 @@ class TestShrinkVerify:
         assert main(["shrink-verify", "--input", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot parse curve file")
 
+    def test_lshape_exit_four(self, lshape_csv):
+        assert main(["shrink-verify", "--input", lshape_csv]) == 4
+
+    def test_flat_sided_convex_curve_exit_three(self, tmp_path, capsys):
+        # convex with kappa = 0 along its straight sides: not a shrinker, and
+        # not a convexity failure
+        path = tmp_path / "rounded_square.csv"
+        write_curve_csv(shapes.rounded_square(256), path)
+        assert main(["shrink-verify", "--input", str(path)]) == 3
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["verdict"] is False
+        assert report["gauge_max_rel_dev"] >= 1.0
+
 
 class TestOdeShoot:
     def test_amplitude_sweep(self, capsys):
@@ -212,6 +225,16 @@ class TestFlowCommand:
 
     def test_missing_input_exit_one(self, tmp_path):
         assert main(["flow", "--input", str(tmp_path / "none.csv")]) == 1
+
+    def test_four_sample_square_exit_one(self, tmp_path, capsys):
+        # one step would swallow the square and report t = 2.0 for 0.159
+        path = tmp_path / "square.csv"
+        write_curve_csv(shapes.square(1.0), path)
+        assert main(["flow", "--input", str(path), "--output", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: flow needs >= 32 samples, got 4")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_circle_runs_to_extinction(self, tmp_path, capsys):
         small = tmp_path / "c.csv"

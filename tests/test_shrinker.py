@@ -20,7 +20,9 @@ from curveflow import (
     integrate_support_ode,
     ode_energy,
     period_by_quadrature,
+    resample_arclength,
     shoot_period,
+    signed_curvature,
     verify_shrinker,
 )
 from curveflow import shapes
@@ -75,6 +77,22 @@ class TestGaugeConstant:
     def test_not_convex(self):
         with pytest.raises(NotConvex):
             gauge_constant(shapes.l_hexagon())
+
+    def test_clockwise_rejected(self):
+        with pytest.raises(NotConvex):
+            gauge_constant(shapes.circle(256, clockwise=True))
+
+    @pytest.mark.parametrize("curve", [shapes.rounded_square(256),
+                                       resample_arclength(shapes.square(2.0), 256)],
+                             ids=["rounded_square", "square"])
+    def test_flat_sides_deviate_by_one(self, curve):
+        # convex, but kappa = 0 along the straight sides: a flat sample
+        # deviates from C by exactly 1, so the fit reports, not refuses
+        assert np.any(signed_curvature(curve).curvature <= 0.0)
+        c, dev = gauge_constant(curve)
+        assert c > 0.0
+        assert dev >= 1.0
+        assert verify_shrinker(curve).verdict is False
 
 
 class TestSupportOde:
