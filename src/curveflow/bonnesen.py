@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedCurve, _deferred, _JsonReport, is_convex, length, signed_area
+from .curves import ClosedCurve, _deferred, is_convex, length, signed_area
 from .errors import IsoperimetricViolation, NotConvex, SolverFailed
 
 linprog = _deferred("scipy.optimize", "linprog")
 
 
 @dataclass(frozen=True)
-class BonnesenReport(_JsonReport):
+class BonnesenReport:
     area: float
     length: float
     inradius: float

@@ -52,11 +52,9 @@ _DEFAULTS = {
     "flow": {
         "output": ".",
         "t_max": None,
-        "dt_factor": fl._DT_FACTOR,
         "area_floor_rel": 1e-3,
         "stride": 1,
         "svg_every": 0,
-        "format": "csv",
     },
     "shrink-verify": {"tol": 1e-3, "output": None},
     "ode-shoot": {"tol": 1e-3, "output": None, "jobs": 1, "format": "csv"},
@@ -74,12 +72,11 @@ _FLAGS = {
     "jobs": (int, "parallel workers for the survey (>= 1)"),
     "format": (str, "output format"),
     "t_max": (float, "flow time horizon (>= 0)"),
-    "dt_factor": (float, "step factor (> 0): dt = X * spacing^2"),
     "area_floor_rel": (float, "stop when the area falls below this fraction of the initial area"),
     "stride": (int, "trajectory CSV decimation (>= 1)"),
     "svg_every": (int, "write an SVG snapshot every N accepted steps (>= 0)"),
 }
-_FORMATS = {"flow": ["csv", "svg"], "ode-shoot": ["csv", "json"]}
+_FORMATS = ["csv", "json"]  # of ode-shoot, the one subcommand with --format
 
 
 def _setup_logging() -> None:
@@ -105,12 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in _DEFAULTS[command]:
             kind, text = _FLAGS[key]
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text,
-                           choices=_FORMATS[command] if key == "format" else None)
+                           choices=_FORMATS if key == "format" else None)
         p.add_argument("--config", help="JSON config file (flags override it)")
     return parser
 
 
-def _config_value(command: str, key: str, value):
+def _config_value(key: str, value):
     """A --config value, checked as its flag would check it on the command line."""
     kind = _FLAGS[key][0]
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -119,8 +116,8 @@ def _config_value(command: str, key: str, value):
         value = kind(str(value))
     except ValueError as exc:
         raise InputError(f"config key {key!r}: invalid {kind.__name__} value {value!r}") from exc
-    if key == "format" and value not in _FORMATS[command]:
-        raise InputError(f"config key 'format': {value!r} is not one of {_FORMATS[command]}")
+    if key == "format" and value not in _FORMATS:
+        raise InputError(f"config key 'format': {value!r} is not one of {_FORMATS}")
     return value
 
 
@@ -135,7 +132,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
             if k not in config:
                 raise InputError(f"config key {k!r} is not a flag of {args.command}: "
                                  f"expected one of {sorted(config)}")
-            config[k] = _config_value(args.command, k, v)
+            config[k] = _config_value(k, v)
     for k in config:
         flag = getattr(args, k)
         if flag is not None:
@@ -161,21 +158,20 @@ def _cmd_flow(args) -> int:
     if config["stride"] < 1:  # before the flow runs, not after it in write_csv
         raise InputError(f"--stride must be >= 1, got {config['stride']}")
     curve = _read_curve(args.input)
-    out = Path(config["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    if config["format"] == "svg" and not config["svg_every"]:
-        config["svg_every"] = 10
+    out = Path(config["output"])  # made only once the flow has run
+    if out.exists() and not out.is_dir():
+        raise InputError(f"--output {out} is not a directory")
     t_max = config["t_max"] if config["t_max"] is not None else np.inf
     traj = fl.run_flow(
         curve,
-        dt_factor=config["dt_factor"],
         area_floor_rel=config["area_floor_rel"],
         t_max=t_max,
         snapshot_stride=config["svg_every"] or None,
     )
+    out.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out / "trajectory.csv", stride=config["stride"])
     cv.write_curve_csv(traj.final_state.curve, out / "final_curve.csv")
-    if config["svg_every"] or config["format"] == "svg":
+    if config["svg_every"]:
         viewbox = fl._viewbox(curve.points)
         for i, (_t, snap) in enumerate(traj.snapshots):
             fl.write_curve_svg(snap, out / f"snapshot_{i:06d}.svg", viewbox=viewbox)

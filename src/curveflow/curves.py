@@ -9,8 +9,7 @@ area and positive curvature on convex curves.
 from __future__ import annotations
 
 import importlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,13 +62,6 @@ def _deferred(module: str, name: str):
         return getattr(importlib.import_module(module), name)(*args, **kwargs)
 
     return call
-
-
-class _JsonReport:
-    """Base of the report dataclasses: the JSON object of their fields in order."""
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)

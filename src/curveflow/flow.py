@@ -9,10 +9,11 @@ h and a corrector with the midpoint metric h*h1, h1 the predictor's mean
 chord, followed by a resample. The step is unconditionally stable, and on a
 regular polygon the k = 1 symbol is exactly 1/R^2, so the circle law holds
 exactly in space. The driver shrinks the sample count with the curve so the
-step size dt = dt_factor * h^2 stays bounded below until the area floor; its
-final state is its last recorded step. run_flow and rescaled_flow refuse
-curves of fewer than 32 samples, on which one step of that size swallows the
-whole curve.
+step size dt = 2 h^2 stays bounded below until the area floor; its final
+state is its last recorded step. That step size is fixed: at 4 h^2 the
+circle law on a 96-sample circle misses 1e-3. run_flow and rescaled_flow
+refuse clockwise curves and curves of fewer than 32 samples, on which one
+step of that size swallows the whole curve.
 
 The renormalized variant rescales to enclosed area pi after every step and
 advances physical time by the squared scale factor, so the recorded scale of
@@ -51,7 +52,8 @@ FloatArray = NDArray[np.float64]
 _MIN_SAMPLES = 32
 # The step policy: dt = _DT_FACTOR * (mean chord)^2.
 _DT_FACTOR = 2.0
-# rescaled_flow gives up after this many steps.
+# run_flow stops with "step_budget", and rescaled_flow gives up, after these many steps.
+_MAX_STEPS = 2_000_000
 _RESCALED_MAX_STEPS = 500_000
 
 
@@ -60,10 +62,6 @@ class FlowState:
     curve: ClosedCurve
     time: float = 0.0
     step_count: int = 0
-
-
-def _ratio(perim: float, area: float) -> float:
-    return perim * perim / (4.0 * math.pi * area) if area > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,6 @@ class FlowTrajectory:
     times: FloatArray
     lengths: FloatArray
     areas: FloatArray
-    ratios: FloatArray
     sample_counts: NDArray[np.int64]
     final_state: FlowState
     stop_reason: str  # "collapsed" | "t_max" | "step_budget"
@@ -90,35 +87,42 @@ class FlowTrajectory:
     def extinction_time(self) -> float | None:
         return self.final_state.time if self.stop_reason == "collapsed" else None
 
+    @property
+    def ratios(self) -> FloatArray:
+        """Isoperimetric ratio L^2 / (4 pi A) per record; inf where A <= 0."""
+        with np.errstate(divide="ignore"):
+            ratios = self.lengths * self.lengths / (4.0 * math.pi * self.areas)
+        return np.where(self.areas > 0.0, ratios, math.inf)
+
     def write_csv(self, path, stride: int = 1) -> None:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
+        ratios = self.ratios
         with open(path, "w", encoding="ascii") as fh:
             fh.write("t,L,A,ratio\n")
             for i in range(0, len(self.times), stride):
                 fh.write(
                     f"{self.times[i]:.17g},{self.lengths[i]:.17g},"
-                    f"{self.areas[i]:.17g},{self.ratios[i]:.17g}\n"
+                    f"{self.areas[i]:.17g},{ratios[i]:.17g}\n"
                 )
 
 
-def suggested_dt(curve: ClosedCurve, factor: float = _DT_FACTOR) -> float:
-    """Default step policy: factor * (mean spacing)^2."""
+def suggested_dt(curve: ClosedCurve) -> float:
+    """The step policy: 2 * (mean spacing)^2."""
     h = float(curve.chord_lengths().sum()) / curve.n
-    return factor * h * h
+    return _DT_FACTOR * h * h
 
 
 def _xy(z) -> FloatArray:
     return np.column_stack((z.real, z.imag))
 
 
-def _step(points, chords, dt: float | None = None, *,
-          dt_factor: float = _DT_FACTOR, dt_max: float = math.inf):
+def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
     """One exponential spectral step on raw arrays: the kernel of csf_step,
     run_flow and rescaled_flow.
 
     ``points`` (whose cyclic chord lengths are ``chords``) move by ``dt``, or by
-    dt_factor * h^2 capped at ``dt_max`` for mean chord h, and are resampled to
+    2 h^2 capped at ``dt_max`` for mean chord h, and are resampled to
     as many samples. The moved and resampled points get the checks of a
     ClosedCurve. Returns the new points, their chord lengths, the dt taken and
     the enclosed area.
@@ -126,7 +130,7 @@ def _step(points, chords, dt: float | None = None, *,
     m = points.shape[0]
     h = float(chords.sum()) / m
     if dt is None:
-        dt = min(dt_factor * h * h, dt_max)
+        dt = min(_DT_FACTOR * h * h, dt_max)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     spectrum = np.fft.fft(points[:, 0] + 1j * points[:, 1])
@@ -138,10 +142,16 @@ def _step(points, chords, dt: float | None = None, *,
     return pts, _checked_chords(pts, new_chords), dt, _shoelace(pts)
 
 
-def _check_samples(curve: ClosedCurve) -> None:
+def _entry_area(curve: ClosedCurve) -> float:
+    """The enclosed area of a curve that run_flow and rescaled_flow accept:
+    >= 32 samples, counter-clockwise. Raises ValueError otherwise."""
     if curve.n < _MIN_SAMPLES:
         raise ValueError(f"flow needs >= {_MIN_SAMPLES} samples, got {curve.n};"
                          " resample the curve with resample_arclength first")
+    area = signed_area(curve)
+    if area <= 0.0:
+        raise ValueError("flow requires counter-clockwise orientation (positive area)")
+    return area
 
 
 def csf_step(curve: ClosedCurve, dt: float) -> ClosedCurve:
@@ -154,31 +164,25 @@ def csf_step(curve: ClosedCurve, dt: float) -> ClosedCurve:
 def run_flow(
     curve: ClosedCurve,
     *,
-    dt_factor: float = _DT_FACTOR,
     area_floor_rel: float = 1e-3,
     t_max: float = math.inf,
-    max_steps: int = 2_000_000,
     snapshot_stride: int | None = None,
 ) -> FlowTrajectory:
     """Flow until the area floor, the time horizon, or the step budget.
 
     The sample count is decimated as the length shrinks so the spacing (and
-    with it the step size dt_factor * spacing^2) stays near its initial value; collapse is a
-    normal stop reason, not an error. A ``snapshot_stride`` of 0 or None
-    takes no snapshots. Raises ValueError on fewer than 32 samples.
+    with it the step size 2 * spacing^2) stays near its initial value; collapse
+    is a normal stop reason, not an error. A ``snapshot_stride`` of 0 or None
+    takes no snapshots. Raises ValueError on fewer than 32 samples or a
+    clockwise curve.
     """
     if not t_max >= 0.0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    if not 0.0 < dt_factor < math.inf:
-        raise ValueError(f"dt_factor must be finite and > 0, got {dt_factor}")
     if not 0.0 < area_floor_rel < 1.0:
         raise ValueError(f"area_floor_rel must be in (0, 1), got {area_floor_rel}")
     if snapshot_stride is not None and snapshot_stride < 0:
         raise ValueError(f"snapshot_stride must be >= 0, got {snapshot_stride}")
-    _check_samples(curve)
-    area = signed_area(curve)
-    if area <= 0.0:
-        raise ValueError("flow requires counter-clockwise orientation (positive area)")
+    area = _entry_area(curve)
     pts = curve.points
     chords = curve.chord_lengths()
     perim = float(chords.sum())
@@ -190,11 +194,10 @@ def run_flow(
     times = [time]
     lengths = [perim]
     areas = [area]
-    ratios = [_ratio(perim, area)]
     sample_counts = [curve.n]
     snapshots = [(time, curve)] if snapshot_stride else []
     stop_reason = "step_budget"
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         # stop before the decimation, so the final state is the last record
         dt_max = math.inf
         if math.isfinite(t_max):
@@ -209,14 +212,13 @@ def run_flow(
         if m % 2 == 0 and m // 2 >= _MIN_SAMPLES and perim / target_spacing <= m / 2:
             pts = np.ascontiguousarray(pts[::2])
             chords = _checked_chords(pts)
-        pts, chords, dt, area = _step(pts, chords, dt_factor=dt_factor, dt_max=dt_max)
+        pts, chords, dt, area = _step(pts, chords, dt_max=dt_max)
         time += dt
         step_count += 1
         perim = float(chords.sum())
         times.append(time)
         lengths.append(perim)
         areas.append(area)
-        ratios.append(_ratio(perim, area))
         sample_counts.append(pts.shape[0])
         if area <= area_floor:
             stop_reason = "collapsed"
@@ -227,7 +229,6 @@ def run_flow(
         times=np.asarray(times),
         lengths=np.asarray(lengths),
         areas=np.asarray(areas),
-        ratios=np.asarray(ratios),
         sample_counts=np.asarray(sample_counts, dtype=np.int64),
         final_state=FlowState(ClosedCurve(pts), time, step_count),
         stop_reason=stop_reason,
@@ -262,14 +263,12 @@ def rescaled_flow(
     profile per unit normalized time falling below ``stationary_tol``;
     reaching the physical horizon ``t_max`` also stops the run normally.
     Returns the scale history and the shrinker verification (tol 1e-2) of the
-    limit. Raises NotConvex, then ValueError on fewer than 32 samples.
+    limit. Raises NotConvex, then ValueError on fewer than 32 samples or a
+    clockwise curve.
     """
     if not is_convex(curve):
         raise NotConvex("the renormalized flow driver expects a convex curve")
-    _check_samples(curve)
-    area0 = signed_area(curve)
-    if area0 <= 0.0:
-        raise ValueError("flow requires counter-clockwise orientation (positive area)")
+    area0 = _entry_area(curve)
     lam = math.sqrt(area0 / math.pi)
     pts = (curve.points - _centroid(curve.points)) * math.sqrt(math.pi / area0)
     chords = _checked_chords(pts)

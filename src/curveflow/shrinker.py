@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import (ClosedCurve, _deferred, _JsonReport, is_convex, is_simple, length,
+from .curves import (ClosedCurve, _deferred, is_convex, is_simple, length,
                      signed_area, signed_curvature)
 from .errors import BlowUp, NotConvex, ToleranceNotMet
 
@@ -31,7 +31,7 @@ P_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
-class ShrinkerReport(_JsonReport):
+class ShrinkerReport:
     """Residual statistics of kappa + gamma . n plus the circle verdict.
 
     ``gauge_constant``/``gauge_max_rel_dev`` stay None when only the residual
@@ -292,7 +292,7 @@ class PeriodEntry:
 
 
 @dataclass(frozen=True)
-class ClassificationReport(_JsonReport):
+class ClassificationReport:
     """Period survey over an amplitude grid.
 
     ``no_circle_period`` asserts that no measured period equals 2*pi within

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bonnesen import bonnesen_roots, circumradius, inradius
-from .curves import (ClosedCurve, _deferred, _JsonReport, _shoelace, _vertex_turns, is_convex,
+from .curves import (ClosedCurve, _deferred, _shoelace, _vertex_turns, is_convex,
                      length, signed_area)
 from .errors import (
     NotAShrinker,
@@ -89,15 +89,12 @@ def _arc_polygon(p: SupportFunction, vertices: FloatArray, theta: float) -> Floa
     return np.vstack([start, inner, end])
 
 
-def chord_cut(p: SupportFunction, theta: float, snap: bool = True) -> ChordCut:
+def chord_cut(p: SupportFunction, theta: float) -> ChordCut:
     """Chord between the boundary points at theta and theta + pi.
 
-    ``snap`` rounds theta to the nearest grid node (theta + pi is then a node
-    too); with ``snap=False`` the endpoints are evaluated spectrally between
-    nodes, which keeps sigma continuous for the chord search.
+    The endpoints are evaluated spectrally, between grid nodes too, which
+    keeps sigma continuous in theta for the chord search.
     """
-    if snap:
-        theta = p.step * round(float(theta) / p.step)
     theta = float(np.mod(theta, 2.0 * np.pi))
     vertices = curve_from_support(p).points
     arc = _arc_polygon(p, vertices, theta)
@@ -147,7 +144,7 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     g = sigma - np.roll(sigma, -half)
     hits = np.flatnonzero(np.abs(g[:half]) <= bound)
     if hits.size:
-        return chord_cut(p, hits[0] * p.step, snap=False)
+        return chord_cut(p, hits[0] * p.step)
     j = int(np.flatnonzero(g[:half] * g[1 : half + 1] < 0.0)[0])
     vertices = curve_from_support(p).points
 
@@ -160,7 +157,7 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     if not result.converged or miss > bound:
         raise ToleranceNotMet(f"equal-area chord search ended at |sigma(t) - sigma(t+pi)| = "
                               f"{miss:.3g} > {bound:.3g}")
-    return chord_cut(p, theta, snap=False)
+    return chord_cut(p, theta)
 
 
 def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:
@@ -198,7 +195,7 @@ def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:
 
 
 @dataclass(frozen=True)
-class SymmetricShrinkerReport(_JsonReport):
+class SymmetricShrinkerReport:
     """Numerical form of the symmetric-case contradiction scaffold.
 
     For a centrally symmetric solution of kappa = p the support is pinched

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -209,7 +210,7 @@ class TestChain:
 
     def test_json_fields(self):
         rep = bonnesen_chain(shapes.ellipse(512))
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(asdict(rep)))
         assert list(payload) == [
             "area",
             "length",

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -234,7 +235,7 @@ class TestFlowCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: flow needs >= 32 samples, got 4")
-        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_circle_runs_to_extinction(self, tmp_path, capsys):
         small = tmp_path / "c.csv"
@@ -276,6 +277,18 @@ class TestRangeChecks:
         assert captured.err.startswith("error: ")
         assert not (out / "trajectory.csv").exists()
 
+    def test_output_file_rejected_before_the_flow_runs(self, tmp_path, capsys, monkeypatch):
+        def no_flow(*_args, **_kwargs):
+            raise AssertionError("run_flow called for an output that is a file")
+
+        monkeypatch.setattr(curveflow.flow, "run_flow", no_flow)
+        small = tmp_path / "c.csv"
+        write_curve_csv(shapes.circle(64), small)
+        assert main(["flow", "--input", str(small), "--output", str(small)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --output")
+
 
 class TestRejectedValues:
     """Each bad tolerance, flow flag or amplitude exits 1 and names itself."""
@@ -292,7 +305,6 @@ class TestRejectedValues:
         (["flow", "--area-floor-rel", "2", "--t-max", "1e-3"], "area_floor_rel"),
         (["flow", "--area-floor-rel", "1", "--t-max", "1e-3"], "area_floor_rel"),
         (["flow", "--area-floor-rel", "nan", "--t-max", "1e-3"], "area_floor_rel"),
-        (["flow", "--dt-factor", "nan", "--t-max", "1e-3"], "dt_factor"),
     ])
     def test_exit_one(self, tmp_path, capsys, argv, name):
         curve = tmp_path / "c.csv"
@@ -382,6 +394,8 @@ class TestFlags:
         (["flow", "--format", "json", "--t-max", "1e-4"], "--format"),
         (["ode-shoot", "--amplitudes", "1.1", "--format", "svg"], "--format"),
         (["flow", "--until-extinct", "--t-max", "1e-4"], "--until-extinct"),
+        (["flow", "--format", "svg", "--t-max", "1e-4"], "--format"),
+        (["flow", "--dt-factor", "2", "--t-max", "1e-4"], "--dt-factor"),
     ])
     def test_unread_flag_exit_one(self, ellipse_csv, tmp_path, capsys, argv, flag):
         argv = argv + ["--output", str(tmp_path)]
@@ -399,6 +413,19 @@ class TestFlags:
         parser = _build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (`--.*) \|$", readme, re.M))
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(rows) == set(subparsers)
+        # --config is documented once, below the table, for every subcommand
+        assert "`--config FILE`" in readme
+        for command, sub in subparsers.items():
+            registered = {s for a in sub._actions for s in a.option_strings}
+            listed = set(re.findall(r"`(--[a-z-]+)", rows[command]))
+            assert listed == registered - {"-h", "--help", "--config"}, command
 
 
 # Defines solvers(), the SciPy solver modules loaded so far, for _fresh_python.

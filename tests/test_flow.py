@@ -2,10 +2,12 @@
 
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import curveflow.flow
 import oracles
 from curveflow import (
     ClosedCurve,
@@ -65,7 +67,6 @@ class TestSingleStep:
         curve = shapes.ellipse(256)
         h = float(np.mean(curve.chord_lengths()))
         assert suggested_dt(curve) == pytest.approx(2.0 * h * h, rel=1e-14)
-        assert suggested_dt(curve, factor=0.5) == pytest.approx(0.5 * h * h, rel=1e-14)
 
 
 class TestRunFlow:
@@ -150,8 +151,9 @@ class TestRunFlow:
         assert traj.stop_reason == "t_max"
         assert traj.final_state.time >= 0.05
 
-    def test_step_budget_stop(self):
-        traj = run_flow(shapes.circle(128), max_steps=7)
+    def test_step_budget_stop(self, monkeypatch):
+        monkeypatch.setattr(curveflow.flow, "_MAX_STEPS", 7)
+        traj = run_flow(shapes.circle(128))
         assert traj.stop_reason == "step_budget"
         assert traj.final_state.step_count == 7
 
@@ -159,8 +161,9 @@ class TestRunFlow:
         with pytest.raises(ValueError):
             run_flow(shapes.circle(128, clockwise=True))
 
-    def test_too_few_samples_for_fit(self):
-        traj = run_flow(shapes.circle(128), max_steps=4)
+    def test_too_few_samples_for_fit(self, monkeypatch):
+        monkeypatch.setattr(curveflow.flow, "_MAX_STEPS", 4)
+        traj = run_flow(shapes.circle(128))
         with pytest.raises(TooFewSamples):
             area_decay_check(traj)
 
@@ -256,9 +259,9 @@ class TestRescaledFlow:
 
 class TestRejectedFlags:
     @pytest.mark.parametrize("kwargs, name", [
-        ({"dt_factor": 0.0}, "dt_factor"),
-        ({"dt_factor": math.nan}, "dt_factor"),
-        ({"dt_factor": math.inf}, "dt_factor"),
+        ({"t_max": -1.0}, "t_max"),
+        ({"t_max": math.nan}, "t_max"),
+        ({"snapshot_stride": -1}, "snapshot_stride"),
         ({"area_floor_rel": 0.0}, "area_floor_rel"),
         ({"area_floor_rel": 1.0}, "area_floor_rel"),
         ({"area_floor_rel": 2.0}, "area_floor_rel"),
@@ -266,7 +269,7 @@ class TestRejectedFlags:
     ])
     def test_run_flow(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
-            run_flow(shapes.circle(64), t_max=1e-3, **kwargs)
+            run_flow(shapes.circle(64), **{"t_max": 1e-3, **kwargs})
 
 
 def spectral_step(curve, dt_factor=2.0, dt_max=math.inf):
@@ -366,8 +369,18 @@ class TestBitIdentity:
 
 
 class TestOutputs:
-    def test_trajectory_csv(self, tmp_path):
-        traj = run_flow(shapes.circle(128), max_steps=50)
+    def test_ratios_derived_from_lengths_and_areas(self):
+        traj = run_flow(shapes.ellipse(128), t_max=0.1)
+        expected = traj.lengths ** 2 / (4.0 * math.pi * traj.areas)
+        assert traj.ratios == pytest.approx(expected, rel=1e-15)
+        # a record with no positive area has an infinite ratio
+        spent = replace(traj, areas=np.concatenate([traj.areas[:-2], [0.0, -1.0]]))
+        assert spent.ratios[:-2] == pytest.approx(expected[:-2], rel=1e-15)
+        assert np.all(spent.ratios[-2:] == math.inf)
+
+    def test_trajectory_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(curveflow.flow, "_MAX_STEPS", 50)
+        traj = run_flow(shapes.circle(128))
         path = tmp_path / "traj.csv"
         traj.write_csv(path, stride=5)
         lines = path.read_text().splitlines()

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,11 +49,6 @@ class TestChordCut:
         p = oval(1024, {1: (0.3, 0.0)})
         cut = chord_cut(p, np.pi / 2)
         assert cut.sigma == pytest.approx(oval_area(p) / 2, abs=1e-6)
-
-    def test_snap_rounds_to_grid(self):
-        p = oval(256, {})
-        assert chord_cut(p, 0.4999 * p.step).theta == pytest.approx(0.0, abs=1e-15)
-        assert chord_cut(p, 0.5001 * p.step).theta == pytest.approx(p.step, rel=1e-12)
 
     def test_complementarity_on_all_nodes(self):
         from curveflow.symmetrize import node_cut_areas
@@ -241,6 +237,6 @@ class TestSymmetricShrinkerCheck:
 
     def test_report_json(self):
         rep = symmetric_shrinker_check(oval(256, {}), tol=1e-2)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(asdict(rep)))
         assert payload["is_circle"] is True
         assert set(payload) >= {"p_min", "p_max", "inradius", "circumradius", "t1", "t2"}
