@@ -22,7 +22,7 @@ def battery(count: int, samples: int, outdir: Path) -> None:
     for seed in range(count):
         p = shapes.random_oval_support(512, seed, offset=0.1)
         curve = resample_arclength(curve_from_support(p), samples)
-        rep = bonnesen_chain(curve, seed=seed)
+        rep = bonnesen_chain(curve)
         rows.append(asdict(rep) | {"seed": seed})
         failures += not rep.chain_ok
     (outdir / "battery.json").write_text(json.dumps(rows, indent=1))

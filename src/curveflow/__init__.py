@@ -73,14 +73,10 @@ from .shrinker import (
 )
 from .support import (
     SupportFunction,
-    WidthFunction,
     area_from_support,
     cauchy_length,
-    curvature_from_support,
     curve_from_support,
-    read_support_csv,
     support_from_curve,
-    width,
     write_support_csv,
 )
 from .symmetrize import (

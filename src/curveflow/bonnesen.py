@@ -9,8 +9,8 @@ all four quantities on the sample polygon and reports the chain.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -90,48 +90,45 @@ def _circle_from_three(a, b, c):
 _EPS_FACTOR = 1.0 + 1e-14
 
 
-def minimal_enclosing_circle(points, seed: int = 0) -> tuple[float, float, float]:
-    """Smallest circle containing the points; randomized incremental, O(n) expected.
+def minimal_enclosing_circle(points) -> tuple[float, float, float]:
+    """Smallest circle containing the points, by the Elzinga-Hearn iteration.
 
-    The shuffle is seeded for reproducible runs; the result itself does not
-    depend on the seed.
+    The circle rests on a rim of at most three points. Each round takes the
+    point farthest from the centre and, of the circles through two or three
+    of the rim points and that point, keeps the smallest that holds them all
+    (Elzinga & Hearn, Management Science 19, 1972). The radius grows every
+    round, so the iteration ends. The circle is unique, so nothing is
+    randomized.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("no points given")
-    order = list(range(len(pts)))
-    random.Random(seed).shuffle(order)
-    return _enclose(pts[order], [])
-
-
-def _enclose(pts: np.ndarray, boundary: list) -> tuple[float, float, float]:
-    """Smallest circle containing ``pts`` with the 0, 1 or 2 ``boundary`` points
-    on its rim (Welzl's recursion, one level per boundary point)."""
-    if len(boundary) == 2:
-        circle = _circle_from_two(*boundary)
-    else:
-        x, y = boundary[0] if boundary else pts[0].tolist()
-        circle = (x, y, 0.0)
-    i = 0
+    first = tuple(pts[0].tolist())
+    far = np.argmax(np.hypot(pts[:, 0] - first[0], pts[:, 1] - first[1]))
+    rim = [first, tuple(pts[far].tolist())]
+    circle = _circle_from_two(*rim)  # (x, y, 0.0) when every point is pts[0]
     while True:
         x, y, r = circle
-        rest = pts[i:]
-        outside = np.flatnonzero(np.hypot(rest[:, 0] - x, rest[:, 1] - y) > r * _EPS_FACTOR)
-        if outside.size == 0:
+        d = np.hypot(pts[:, 0] - x, pts[:, 1] - y)
+        q = int(np.argmax(d))
+        if d[q] <= r * _EPS_FACTOR:
             return circle
-        i += int(outside[0])
-        p = tuple(pts[i].tolist())
-        if len(boundary) == 2:
-            # None only when rounding puts p on the line through the boundary
-            circle = _circle_from_three(*boundary, p) or circle
-        else:
-            circle = _enclose(pts[:i], boundary + [p])
-        i += 1
+        held = rim + [tuple(pts[q].tolist())]
+        best = None
+        for k, build in ((2, _circle_from_two), (3, _circle_from_three)):
+            for sub in combinations(held, k):
+                c = build(*sub)
+                if c is not None and (best is None or c[2] < best[0][2]) and all(
+                        math.hypot(a - c[0], b - c[1]) <= c[2] * _EPS_FACTOR for a, b in held):
+                    best = c, list(sub)
+        if best is None or best[0][2] <= r:
+            return circle  # the radius did not grow: rounding, not a larger circle
+        circle, rim = best
 
 
-def circumradius(curve: ClosedCurve, seed: int = 0) -> tuple[float, np.ndarray]:
+def circumradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
     """Radius and center of the minimal circle enclosing the curve samples."""
-    x, y, r = minimal_enclosing_circle(curve.points, seed=seed)
+    x, y, r = minimal_enclosing_circle(curve.points)
     return float(r), np.array([x, y])
 
 
@@ -154,11 +151,13 @@ def bonnesen_chain(curve: ClosedCurve, tol: float | None = None, seed: int = 0) 
     ``tol`` (finite, > 0) defaults to 1e-6 times the curve diameter. The
     quadratic is also checked to be negative at the midpoint of (t1, t2) when
     the roots are distinct; one interior point suffices for an upward parabola.
+    ``seed`` has no effect: the enclosing circle is deterministic. It stays
+    because the benchmark in ``perfbench/`` passes it.
     """
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     r, _ = inradius(curve)  # raises NotConvex first: the quadratic needs a convex domain
-    big_r, _ = circumradius(curve, seed=seed)
+    big_r, _ = circumradius(curve)
     area = abs(signed_area(curve))
     perim = length(curve)
     t1, t2 = bonnesen_roots(area, perim)

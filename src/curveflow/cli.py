@@ -58,7 +58,7 @@ _DEFAULTS = {
     },
     "shrink-verify": {"tol": 1e-3, "output": None},
     "ode-shoot": {"tol": 1e-3, "output": None, "jobs": 1, "format": "csv"},
-    "bonnesen": {"seed": 0, "tol": None, "output": None},
+    "bonnesen": {"tol": None, "output": None},
     "symmetrize": {"grid": 1024, "tol": 1e-8, "output": "."},
     "support": {"grid": 1024, "output": None},
 }
@@ -68,7 +68,6 @@ _FLAGS = {
     "output": (str, "output directory or file"),
     "grid": (int, "support grid size (even, >= 16)"),
     "tol": (float, "tolerance knob"),
-    "seed": (int, "seed for randomized algorithms"),
     "jobs": (int, "parallel workers for the survey (>= 1)"),
     "format": (str, "output format"),
     "t_max": (float, "flow time horizon (>= 0)"),
@@ -232,7 +231,7 @@ def _cmd_bonnesen(args) -> int:
     """inradius/circumradius inequality chain"""
     config = _effective_config(args)
     curve = _read_curve(args.input)
-    report = bn.bonnesen_chain(curve, tol=config["tol"], seed=config["seed"])
+    report = bn.bonnesen_chain(curve, tol=config["tol"])
     text = _json_report(config, asdict(report))
     print(text)
     if config["output"]:

@@ -366,27 +366,17 @@ def classify_closed_solutions(
 
     entries = []
     for p0, period in zip(amplitudes, periods):
-        if math.isnan(period):
-            entries.append(
-                PeriodEntry(
-                    p0=p0,
-                    period=float("nan"),
-                    ratio_to_2pi=float("nan"),
-                    is_constant=True,
-                    two_pi_match=False,
-                    al_candidate=None,
-                )
-            )
-            continue
         ratio = period / (2.0 * math.pi)
+        constant = math.isnan(period)  # p0 = 1: the circle, which has no period
         entries.append(
             PeriodEntry(
                 p0=p0,
                 period=period,
                 ratio_to_2pi=ratio,
-                is_constant=False,
+                is_constant=constant,
                 two_pi_match=abs(period - 2.0 * math.pi) <= tol,
-                al_candidate=_rational_candidate(ratio, tol / (2.0 * math.pi)),
+                al_candidate=None if constant
+                else _rational_candidate(ratio, tol / (2.0 * math.pi)),
             )
         )
     no_circle = not any(e.two_pi_match for e in entries)

@@ -3,7 +3,7 @@
 The support function p(theta) is the distance from the origin to the tangent
 line with outward normal (cos theta, sin theta). It is sampled on a uniform
 grid over [0, 2*pi); the grid count is required even so that theta + pi always
-lands on a grid node (width and symmetrization then need no interpolation).
+lands on a grid node (symmetrization then needs no interpolation).
 
 Derivatives are spectral: the samples are read as a trigonometric polynomial
 and differentiated through their FFT, on the grid and between its nodes.
@@ -96,17 +96,6 @@ class SupportFunction:
         return _oval_curve(self)  # once per instance: a chord search and symmetrize read it 4 times
 
 
-@dataclass(frozen=True)
-class WidthFunction:
-    """w(theta) = p(theta) + p(theta + pi) on the half grid [0, pi)."""
-
-    values: FloatArray
-
-    @property
-    def theta(self) -> FloatArray:
-        return np.pi * np.arange(self.values.size) / self.values.size
-
-
 def support_from_curve(curve: ClosedCurve, count: int) -> SupportFunction:
     """Extract support samples of a convex curve containing the origin.
 
@@ -162,31 +151,6 @@ def cauchy_length(p: SupportFunction) -> float:
 def area_from_support(p: SupportFunction) -> float:
     """Enclosed area 0.5 * integral of p * (p + p'')."""
     return float(0.5 * p.step * np.sum(p.values * p.curvature_radius()))
-
-
-def curvature_from_support(p: SupportFunction, theta: float) -> float:
-    """Curvature 1 / (p + p'') at ``theta``, from the trigonometric interpolant."""
-    curve_from_support(p)  # NotAnOval unless p + p'' > 0 at every node
-    value = float(p.eval(theta, order=0) + p.eval(theta, order=2))
-    if value <= 0.0:
-        raise NotAnOval(f"p + p'' interpolates to {value:.6g} at theta={theta:.6g}")
-    return 1.0 / value
-
-
-def width(p: SupportFunction) -> WidthFunction:
-    """Pointwise width from exactly opposite grid samples."""
-    half = p.count // 2
-    w = p.values[:half] + p.values[half:]
-    return WidthFunction(values=w)
-
-
-def read_support_csv(path) -> SupportFunction:
-    """Read ``theta,p`` lines; theta must be the uniform ascending grid."""
-    data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    p = SupportFunction(data[:, 1])
-    if not np.allclose(data[:, 0], p.theta, atol=1e-9):
-        raise ValueError(f"support file {path} is not on the uniform [0, 2pi) grid")
-    return p
 
 
 def write_support_csv(p: SupportFunction, path) -> None:

@@ -43,6 +43,12 @@ SQRT2_PI = math.sqrt(2.0) * math.pi
 TWO_PI = 2.0 * math.pi
 
 
+def _seconds(elapsed: float) -> str:
+    """A runtime with 3 significant digits and no exponent, so that
+    scripts/bench_record.py reads a nonzero budget share even for fast criteria."""
+    return f"{elapsed:.{max(2 - math.floor(math.log10(elapsed)), 0)}f}"
+
+
 def _verdict(name: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
@@ -66,7 +72,7 @@ def test_criterion_1_shrinker_identities():
         "criterion 1 shrinker identities",
         ok,
         f"|A-pi|={area_err:.2e} |L-2pi|={len_err:.2e} residual={report.max_residual:.2e} "
-        f"gauge={report.gauge_max_rel_dev:.2e} runtime={elapsed:.2f}s budget={budget_s:g}s",
+        f"gauge={report.gauge_max_rel_dev:.2e} runtime={_seconds(elapsed)}s budget={budget_s:g}s",
     )
     assert area_err < 1e-5
     assert len_err < 1e-5
@@ -92,7 +98,7 @@ def test_criterion_2_circle_family_law():
     _verdict(
         "criterion 2 circle family law",
         ok,
-        f"max|R - sqrt(1-2t)|={worst:.2e} extinction={extinction:.4f} runtime={elapsed:.1f}s "
+        f"max|R - sqrt(1-2t)|={worst:.2e} extinction={extinction:.4f} runtime={_seconds(elapsed)}s "
         f"budget={budget_s:g}s",
     )
     assert traj.stop_reason == "collapsed"
@@ -125,7 +131,7 @@ def test_criterion_3_area_decay(label, curve):
         f"criterion 3 area decay ({label})",
         ok,
         f"slope={slope:.5f} (rel err {slope_rel:.2e}) extinction={traj.extinction_time:.4f} "
-        f"vs A0/2pi={t_pred:.4f} runtime={elapsed:.1f}s budget={budget_s:g}s",
+        f"vs A0/2pi={t_pred:.4f} runtime={_seconds(elapsed)}s budget={budget_s:g}s",
     )
     assert slope_rel < 0.01
     assert ext_rel < 0.05
@@ -143,7 +149,7 @@ def test_criterion_4_theorem_evidence_flow_route():
         "criterion 4 theorem evidence (flow route)",
         ok,
         f"residual={report.max_residual:.2e} equality_gap={chain.equality_gap:.2e} "
-        f"runtime={elapsed:.1f}s budget={budget_s:g}s",
+        f"runtime={_seconds(elapsed)}s budget={budget_s:g}s",
     )
     assert report.max_residual < 1e-2
     assert chain.equality_gap < 1e-2
@@ -174,7 +180,7 @@ def test_criterion_5_theorem_evidence_ode_route():
         f"periods={[round(t, 5) for t in periods]} "
         f"window({math.pi:.4f},{SQRT2_PI:.4f})={'yes' if in_window else 'NO'} "
         f"none=2pi={'yes' if none_two_pi else 'NO'} small-amp err={abs(small - SQRT2_PI):.1e} "
-        f"energy drift={drift:.1e} runtime={elapsed:.1f}s budget={budget_s:g}s",
+        f"energy drift={drift:.1e} runtime={_seconds(elapsed)}s budget={budget_s:g}s",
     )
     assert none_two_pi
     assert report.no_circle_period
@@ -196,7 +202,7 @@ def test_criterion_6_bonnesen_battery():
     for seed in range(100):
         p = shapes.random_oval_support(512, seed, offset=0.1)
         curve = resample_arclength(curve_from_support(p), 2048)
-        rep = bonnesen_chain(curve, seed=seed)
+        rep = bonnesen_chain(curve)
         assert rep.chain_ok, f"chain failed for oval seed {seed}"
         assert rep.t1 * rep.t2 == pytest.approx(rep.area / math.pi, rel=1e-12)
         assert rep.t1 + rep.t2 == pytest.approx(rep.length / math.pi, rel=1e-12)
@@ -215,7 +221,7 @@ def test_criterion_6_bonnesen_battery():
         "criterion 6 Bonnesen battery",
         ok,
         f"100 ovals chain ok, circle spread={spread:.2e} t2-t1={coincide:.2e} "
-        f"runtime={elapsed:.1f}s budget={budget_s:g}s",
+        f"runtime={_seconds(elapsed)}s budget={budget_s:g}s",
     )
     assert spread < 1e-4
     assert coincide < 1e-4
@@ -251,7 +257,7 @@ def test_criterion_7_cauchy_and_roundtrip_order():
         "criterion 7 Cauchy formula and round-trip order",
         ok,
         f"max cauchy rel err={worst_cauchy:.2e} doubling orders={np.round(orders, 3)} "
-        f"runtime={elapsed:.1f}s budget={budget_s:g}s",
+        f"runtime={_seconds(elapsed)}s budget={budget_s:g}s",
     )
     assert worst_cauchy < 1e-5
     assert np.all(orders >= 1.9)
@@ -293,7 +299,7 @@ def test_criterion_8_gage_construction():
         "criterion 8 Gage construction",
         ok,
         f"bisect={worst_bisect:.1e} complementarity={worst_comp:.1e} area={worst_area:.1e} "
-        f"symmetry={worst_sym:.1e} runtime={elapsed:.1f}s budget={budget_s:g}s",
+        f"symmetry={worst_sym:.1e} runtime={_seconds(elapsed)}s budget={budget_s:g}s",
     )
     assert worst_bisect <= 1e-6
     assert worst_comp <= 1e-8

@@ -62,6 +62,11 @@ def test_curve_from_support_call_binds():
     inspect.signature(cf.curve_from_support).bind(p, mode="spectral")
 
 
+def test_bonnesen_chain_call_binds():
+    """workloads.py passes seed= to bonnesen_chain for each oval item."""
+    inspect.signature(cf.bonnesen_chain).bind(cf.shapes.circle(64), seed=1)
+
+
 def test_ode_route_oracle_margin():
     """The ODE workload's shot periods sit 100x inside gates.shot_period's
     1e-8 of the quadrature oracle, so the gate measures the shot, not the

@@ -70,18 +70,19 @@ class TestCircumradius:
         r, _ = circumradius(shapes.square(1.0))
         assert r == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(60))
     def test_against_bruteforce_oracle(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1.0, 1.0, size=(14, 2))
-        x, y, r = minimal_enclosing_circle(pts, seed=seed)
+        x, y, r = minimal_enclosing_circle(pts)
         assert r == pytest.approx(oracles.brute_enclosing_radius(pts), rel=1e-12)
         assert np.all(np.hypot(pts[:, 0] - x, pts[:, 1] - y) <= r * (1 + 1e-12))
 
-    def test_seed_does_not_change_result(self):
-        pts = np.random.default_rng(42).uniform(-1, 1, size=(200, 2))
-        a = minimal_enclosing_circle(pts, seed=0)
-        b = minimal_enclosing_circle(pts, seed=99)
+    def test_point_order_does_not_change_result(self):
+        rng = np.random.default_rng(42)
+        pts = rng.uniform(-1, 1, size=(200, 2))
+        a = minimal_enclosing_circle(pts)
+        b = minimal_enclosing_circle(pts[rng.permutation(len(pts))])
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("pts", [
@@ -92,10 +93,9 @@ class TestCircumradius:
                                np.sin(2 * np.pi * np.arange(13) / 13)]) + [0.4, -0.1],
     ], ids=["collinear", "repeated", "two-points", "regular-13-gon"])
     def test_degenerate_inputs_against_oracle(self, pts):
-        for seed in range(3):
-            x, y, r = minimal_enclosing_circle(pts, seed=seed)
-            assert r == pytest.approx(oracles.brute_enclosing_radius(pts), rel=1e-12)
-            assert np.all(np.hypot(pts[:, 0] - x, pts[:, 1] - y) <= r * (1 + 1e-12))
+        x, y, r = minimal_enclosing_circle(pts)
+        assert r == pytest.approx(oracles.brute_enclosing_radius(pts), rel=1e-12)
+        assert np.all(np.hypot(pts[:, 0] - x, pts[:, 1] - y) <= r * (1 + 1e-12))
 
     def test_one_point_and_none(self):
         assert minimal_enclosing_circle([[0.2, -0.7]]) == (0.2, -0.7, 0.0)
@@ -181,7 +181,7 @@ class TestChain:
     def test_random_oval_battery_sample(self, seed):
         p = shapes.random_oval_support(512, seed, offset=0.1)
         c = resample_arclength(curve_from_support(p), 2048)
-        rep = bonnesen_chain(c, seed=seed)
+        rep = bonnesen_chain(c)
         assert rep.chain_ok
 
     def test_equality_gap_shrinks_with_eccentricity(self):
