@@ -7,7 +7,9 @@ only observed homothetic limit is the circle.
 
 ODE route: period survey of p'' = 1/p - p. A closed embedded solution with
 turning number one would need a period of exactly 2*pi; the measured periods
-stay inside (pi, sqrt(2)*pi), so only the constant solution closes.
+stay inside (pi, sqrt(2)*pi), so only the constant solution closes. The
+amplitudes whose period is 2*pi*q/m, which close the non-embedded curves of
+turning number q with m maxima, are found on the quadrature oracle and shot.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 
 from curveflow import (
     bonnesen_chain,
@@ -22,8 +25,10 @@ from curveflow import (
     curve_from_support,
     period_by_quadrature,
     rescaled_flow,
+    shoot_period,
 )
 from curveflow import shapes
+from curveflow.shrinker import _CLOSING_RATIOS
 
 
 def flow_route(outdir: Path) -> None:
@@ -60,6 +65,14 @@ def ode_route(outdir: Path, amplitudes) -> None:
     print(f"  all periods in (pi, sqrt(2)*pi) = ({window[0]:.4f}, {window[1]:.4f}): {inside}")
     print(f"  no period equals 2*pi within 1e-3: {report.no_circle_period}")
     print(f"  wrote {outdir / 'classification.csv'}")
+    print("  closing amplitudes, period = 2*pi*q/m:")
+    print("  q/m    p0            |shot-2pi*q/m|")
+    for ratio in _CLOSING_RATIOS:
+        target = 2.0 * math.pi * ratio
+        p0 = brentq(lambda a: period_by_quadrature(a) - target, 1.001, 5.8,
+                    xtol=1e-14, rtol=1e-15)
+        shot = shoot_period(p0, tol=1e-13)
+        print(f"  {str(ratio):<6s} {p0:.10f}  {abs(shot - target):.1e}")
     print()
 
 

@@ -57,7 +57,7 @@ _DEFAULTS = {
         "svg_every": 0,
     },
     "shrink-verify": {"tol": 1e-3, "output": None},
-    "ode-shoot": {"tol": 1e-3, "output": None, "jobs": 1, "format": "csv"},
+    "ode-shoot": {"tol": 1e-3, "output": None, "format": "csv"},
     "bonnesen": {"tol": None, "output": None},
     "symmetrize": {"grid": 1024, "tol": 1e-8, "output": "."},
     "support": {"grid": 1024, "output": None},
@@ -68,7 +68,6 @@ _FLAGS = {
     "output": (str, "output directory or file"),
     "grid": (int, "support grid size (even, >= 16)"),
     "tol": (float, "tolerance knob"),
-    "jobs": (int, "parallel workers for the survey (>= 1)"),
     "format": (str, "output format"),
     "t_max": (float, "flow time horizon (>= 0)"),
     "area_floor_rel": (float, "stop when the area falls below this fraction of the initial area"),
@@ -214,9 +213,7 @@ def _cmd_ode_shoot(args) -> int:
         raise InputError(f"cannot parse --amplitudes {raw!r}: {exc}") from exc
     if not amplitudes:
         raise InputError("--amplitudes must list at least one p0 value")
-    if config["jobs"] < 1:
-        raise InputError(f"--jobs must be >= 1, got {config['jobs']}")
-    report = sk.classify_closed_solutions(amplitudes, tol=config["tol"], jobs=config["jobs"])
+    report = sk.classify_closed_solutions(amplitudes, tol=config["tol"])
     if config["format"] == "json":
         print(_json_report(config, asdict(report)))
     else:
@@ -270,8 +267,7 @@ def _cmd_support(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         sp.write_support_csv(p, out / "support.csv")
     else:
-        for t, v in zip(p.theta, p.values):
-            sys.stdout.write(f"{t:.17g},{v:.17g}\n")
+        sp.write_support_csv(p, sys.stdout)
     return EXIT_OK
 
 

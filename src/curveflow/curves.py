@@ -20,6 +20,9 @@ FloatArray = NDArray[np.float64]
 
 # Relative scale below which two consecutive samples count as coincident.
 _DEGENERATE_REL = 1e-12
+# The np.savetxt arguments of every CSV the package writes: 17 significant
+# digits round-trip a float64, so np.loadtxt reads back the same values.
+_CSV = {"fmt": "%.17g", "delimiter": ",", "comments": ""}
 
 
 def _edges(pts: FloatArray) -> FloatArray:
@@ -376,6 +379,4 @@ def read_curve_csv(path) -> ClosedCurve:
 
 def write_curve_csv(curve: ClosedCurve, path) -> None:
     """Write the curve as ``x,y`` lines with 17 significant digits."""
-    with open(path, "w", encoding="ascii") as fh:
-        for x, y in curve.points:
-            fh.write(f"{x:.17g},{y:.17g}\n")
+    np.savetxt(path, curve.points, **_CSV)

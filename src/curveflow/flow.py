@@ -30,6 +30,7 @@ from numpy.typing import NDArray
 
 from .curves import (
     ClosedCurve,
+    _CSV,
     _centroid,
     _checked_chords,
     _edges,
@@ -55,6 +56,8 @@ _DT_FACTOR = 2.0
 # run_flow stops with "step_budget", and rescaled_flow gives up, after these many steps.
 _MAX_STEPS = 2_000_000
 _RESCALED_MAX_STEPS = 500_000
+# rescaled_flow stops once its displacement rate falls below this.
+_STATIONARY_TOL = 3e-4
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,8 @@ class FlowTrajectory:
     def write_csv(self, path, stride: int = 1) -> None:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        ratios = self.ratios
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("t,L,A,ratio\n")
-            for i in range(0, len(self.times), stride):
-                fh.write(
-                    f"{self.times[i]:.17g},{self.lengths[i]:.17g},"
-                    f"{self.areas[i]:.17g},{ratios[i]:.17g}\n"
-                )
+        rows = np.column_stack([self.times, self.lengths, self.areas, self.ratios])
+        np.savetxt(path, rows[::stride], header="t,L,A,ratio", **_CSV)
 
 
 def suggested_dt(curve: ClosedCurve) -> float:
@@ -252,7 +249,6 @@ def area_decay_check(traj: FlowTrajectory) -> float:
 def rescaled_flow(
     curve: ClosedCurve,
     *,
-    stationary_tol: float = 3e-4,
     t_max: float = math.inf,
 ) -> tuple[SimilarityProfile, ShrinkerReport]:
     """Renormalized flow: recenter, rescale to area pi, stop when stationary.
@@ -260,8 +256,8 @@ def rescaled_flow(
     The physical time advances by lambda^2 * dt per normalized step, so the
     recorded (time, scale) pairs trace the homothety factor of the raw flow.
     Stationarity is the largest per-sample displacement of the normalized
-    profile per unit normalized time falling below ``stationary_tol``;
-    reaching the physical horizon ``t_max`` also stops the run normally.
+    profile per unit normalized time falling below 3e-4; reaching the
+    physical horizon ``t_max`` also stops the run normally.
     Returns the scale history and the shrinker verification (tol 1e-2) of the
     limit. Raises NotConvex, then ValueError on fewer than 32 samples or a
     clockwise curve.
@@ -288,7 +284,7 @@ def rescaled_flow(
         scales.append(lam)
         displacement = float(np.max(np.hypot(*(rescaled - pts).T)))
         pts = rescaled
-        if displacement / dt < stationary_tol or tau >= t_max:
+        if displacement / dt < _STATIONARY_TOL or tau >= t_max:
             profile = ClosedCurve(pts)
             report = verify_shrinker(profile, 1e-2)
             return (
@@ -298,7 +294,7 @@ def rescaled_flow(
                 report,
             )
     raise ToleranceNotMet(
-        f"renormalized flow did not reach displacement rate < {stationary_tol:.3g} "
+        f"renormalized flow did not reach displacement rate < {_STATIONARY_TOL:.3g} "
         f"within {_RESCALED_MAX_STEPS} steps"
     )
 

@@ -10,13 +10,15 @@ period evidence that no closed embedded solution exists besides the circle.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import (ClosedCurve, _deferred, is_convex, is_simple, length,
+from .curves import (ClosedCurve, _CSV, _deferred, is_convex, is_simple, length,
                      signed_area, signed_curvature)
 from .errors import BlowUp, NotConvex, ToleranceNotMet
 
@@ -54,11 +56,6 @@ class OdeTrajectory:
     p: FloatArray
     dp: FloatArray
     energy: FloatArray
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for t, p, dp, e in zip(self.theta, self.p, self.dp, self.energy):
-                fh.write(f"{t:.17g},{p:.17g},{dp:.17g},{e:.17g}\n")
 
 
 def _require_simple_ccw(curve: ClosedCurve) -> None:
@@ -297,9 +294,10 @@ class ClassificationReport:
 
     ``no_circle_period`` asserts that no measured period equals 2*pi within
     the tolerance except the constant solution, i.e. no closed embedded
-    solution with turning number one appears besides the circle. Rational
-    ratios period/(2*pi) = q/m with m >= 2 are flagged as candidates for the
-    known closed-but-nonembedded curves.
+    solution with turning number one appears besides the circle. A ratio
+    period/(2*pi) within the tolerance of a closing ratio q/m (see
+    ``_CLOSING_RATIOS``) is flagged as a candidate for the closed but
+    non-embedded curve with turning number q and m maxima.
     """
 
     tol: float
@@ -311,28 +309,19 @@ class ClassificationReport:
             fh.write(self.to_csv())
 
     def to_csv(self) -> str:
-        lines = ["p0,period,ratio_to_2pi"]
-        for e in self.entries:
-            lines.append(f"{e.p0:.17g},{e.period:.17g},{e.ratio_to_2pi:.17g}")
-        lines.append(
-            "# no period equals 2*pi within tol=%.17g: %s"
-            % (self.tol, "true" if self.no_circle_period else "false")
-        )
-        return "\n".join(lines) + "\n"
+        rows = np.array([(e.p0, e.period, e.ratio_to_2pi) for e in self.entries]).reshape(-1, 3)
+        summary = "true" if self.no_circle_period else "false"
+        buf = io.StringIO()
+        np.savetxt(buf, rows, header="p0,period,ratio_to_2pi",
+                   footer=f"# no period equals 2*pi within tol={self.tol:.17g}: {summary}", **_CSV)
+        return buf.getvalue()
 
 
-def _rational_candidate(ratio: float, tol: float):
-    best = None
-    for m in range(2, 13):  # closing needs m maxima; up to 12 are tried
-        q = round(ratio * m)
-        if q < 1:
-            continue
-        err = abs(ratio - q / m)
-        if err <= tol and (best is None or err < best[2]):
-            best = (q, m, err)
-    if best is None:
-        return None
-    return (best[0], best[1])
+# The ratios period/(2*pi) = q/m that close a curve of turning number q with
+# m maxima, reduced, for m <= 12 inside criterion 5's window (1/2, 1/sqrt(2))
+# (Abresch-Langer): 6/11, 5/9, 4/7, 7/12, 3/5, 5/8, 7/11, 2/3 and 7/10.
+_CLOSING_RATIOS = sorted({Fraction(q, m) for m in range(2, 13) for q in range(1, m)
+                          if 0.5 < q / m < 0.5 ** 0.5})
 
 
 def classify_closed_solutions(
@@ -367,16 +356,17 @@ def classify_closed_solutions(
     entries = []
     for p0, period in zip(amplitudes, periods):
         ratio = period / (2.0 * math.pi)
-        constant = math.isnan(period)  # p0 = 1: the circle, which has no period
+        # a NaN ratio is nearest to the first closing ratio and within tol of none
+        nearest = min(_CLOSING_RATIOS, key=lambda f: abs(ratio - f))
         entries.append(
             PeriodEntry(
                 p0=p0,
                 period=period,
                 ratio_to_2pi=ratio,
-                is_constant=constant,
+                is_constant=math.isnan(period),  # p0 = 1: the circle, which has no period
                 two_pi_match=abs(period - 2.0 * math.pi) <= tol,
-                al_candidate=None if constant
-                else _rational_candidate(ratio, tol / (2.0 * math.pi)),
+                al_candidate=(nearest.numerator, nearest.denominator)
+                if abs(ratio - nearest) <= tol / (2.0 * math.pi) else None,
             )
         )
     no_circle = not any(e.two_pi_match for e in entries)

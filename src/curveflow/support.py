@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import ClosedCurve, is_convex, winding_number
+from .curves import ClosedCurve, _CSV, is_convex, winding_number
 from .errors import NotAnOval, NotConvex, OriginOutside
 
 FloatArray = NDArray[np.float64]
@@ -154,6 +154,5 @@ def area_from_support(p: SupportFunction) -> float:
 
 
 def write_support_csv(p: SupportFunction, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for t, v in zip(p.theta, p.values):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    """Write ``theta,p`` lines to a path or a text stream."""
+    np.savetxt(path, np.column_stack([p.theta, p.values]), **_CSV)

@@ -116,17 +116,6 @@ class TestOdeShoot:
     def test_blowup_exit_two(self):
         assert main(["ode-shoot", "--amplitudes", "1e-9"]) == 2
 
-    def test_zero_jobs_exit_one(self, capsys):
-        assert main(["ode-shoot", "--amplitudes", "1.1", "--jobs", "0"]) == 1
-        assert "error: --jobs must be >= 1" in capsys.readouterr().err
-
-    def test_jobs_deterministic(self, capsys):
-        assert main(["ode-shoot", "--amplitudes", "1.1,1.5,2,3", "--jobs", "4"]) == 0
-        parallel = capsys.readouterr().out
-        assert main(["ode-shoot", "--amplitudes", "1.1,1.5,2,3"]) == 0
-        serial = capsys.readouterr().out
-        assert parallel == serial
-
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "runs"
         assert main(["ode-shoot", "--amplitudes", "1.2", "--output", str(out)]) == 0
@@ -378,12 +367,19 @@ class TestConfigPrecedence:
         assert main(["ode-shoot", "--amplitudes", "1.1", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_config_values_take_flag_types(self, tmp_path, capsys):
+    def test_config_values_take_flag_types(self, circle_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jobs": "1", "tol": "0.5", "format": "json"}))
+        cfg.write_text(json.dumps({"tol": "0.5", "format": "json"}))
         assert main(["ode-shoot", "--amplitudes", "1.5", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["config"] == {
-            "tol": 0.5, "output": None, "jobs": 1, "format": "json"}
+            "tol": 0.5, "output": None, "format": "json"}
+        cfg.write_text(json.dumps({"stride": "2", "t_max": "1e-3"}))
+        out = tmp_path / "flow"
+        assert main(["flow", "--input", circle_csv, "--output", str(out),
+                     "--config", str(cfg)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["stride"] == 2 and isinstance(config["stride"], int)
+        assert config["t_max"] == 1e-3
 
 
 class TestFlags:
@@ -397,6 +393,7 @@ class TestFlags:
         (["flow", "--format", "svg", "--t-max", "1e-4"], "--format"),
         (["flow", "--dt-factor", "2", "--t-max", "1e-4"], "--dt-factor"),
         (["bonnesen", "--seed", "7"], "--seed"),
+        (["ode-shoot", "--amplitudes", "1.1", "--jobs", "2"], "--jobs"),
     ])
     def test_unread_flag_exit_one(self, ellipse_csv, tmp_path, capsys, argv, flag):
         argv = argv + ["--output", str(tmp_path)]

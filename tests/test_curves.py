@@ -1,6 +1,8 @@
 """Tests for discrete closed curves and their measurements."""
 
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveflow import (
+    ClassificationReport,
     ClosedCurve,
     DegenerateSegment,
+    FlowState,
+    FlowTrajectory,
+    SupportFunction,
     TooFewPoints,
     is_convex,
     is_simple,
@@ -21,9 +27,11 @@ from curveflow import (
     turning_number,
     winding_number,
     write_curve_csv,
+    write_support_csv,
 )
 from curveflow import shapes
 from curveflow.errors import InputError
+from curveflow.shrinker import PeriodEntry
 
 import oracles
 
@@ -335,3 +343,66 @@ class TestCsvIO:
         with pytest.raises(InputError) as info:
             read_curve_csv(path)
         assert not isinstance(info.value, TooFewPoints)
+
+
+class TestCsvFormat:
+    """The exact bytes of every CSV writer: 17 significant digits, commas,
+    one row per line, no comment marks."""
+
+    SUPPORT = (
+        "0,1\n0.39269908169872414,1.3333333333333333\n0.78539816339744828,1.6666666666666665\n"
+        "1.1780972450961724,2\n1.5707963267948966,2.333333333333333\n"
+        "1.9634954084936207,2.666666666666667\n2.3561944901923448,3\n"
+        "2.748893571891069,3.3333333333333335\n3.1415926535897931,3.6666666666666665\n"
+        "3.5342917352885173,4\n3.9269908169872414,4.3333333333333339\n"
+        "4.3196898986859651,4.6666666666666661\n4.7123889803846897,5\n"
+        "5.1050880620834143,5.333333333333333\n5.497787143782138,5.666666666666667\n"
+        "5.8904862254808616,6\n"
+    )
+
+    def test_curve(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_curve_csv(ClosedCurve([(0.1, -0.0), (1.0, 2.5), (-1 / 3, 1e-300)]), path)
+        assert path.read_text() == "0.10000000000000001,-0\n1,2.5\n-0.33333333333333331,1e-300\n"
+
+    def test_trajectory_stride_and_inf_ratio(self, tmp_path):
+        traj = FlowTrajectory(
+            times=np.array([0.0, 0.1, 0.2, 0.3, 0.4]),
+            lengths=np.array([2 * math.pi, 6.0, 5.5, 5.0, 4.5]),
+            areas=np.full(5, math.pi),
+            sample_counts=np.full(5, 32),
+            final_state=FlowState(ClosedCurve([(0, 0), (1, 0), (0, 1)])),
+            stop_reason="t_max",
+        )
+        path = tmp_path / "t.csv"
+        replace(traj, areas=np.array([math.pi, 2.75, 2.5, 2.0, 0.0])).write_csv(path, stride=2)
+        assert path.read_text() == (
+            "t,L,A,ratio\n0,6.2831853071795862,3.1415926535897931,1\n"
+            "0.20000000000000001,5.5,2.5,0.96288740570596687\n0.40000000000000002,4.5,0,inf\n"
+        )
+
+    def test_survey(self):
+        report = ClassificationReport(tol=1e-3, no_circle_period=True, entries=(
+            PeriodEntry(1.0, math.nan, math.nan, True, False, None),
+            PeriodEntry(1.5, 4.3621244652028146, 0.69425367101911839, False, False, None),
+        ))
+        assert report.to_csv() == (
+            "p0,period,ratio_to_2pi\n1,nan,nan\n1.5,4.3621244652028146,0.69425367101911839\n"
+            "# no period equals 2*pi within tol=0.001: true\n"
+        )
+
+    def test_empty_survey(self):
+        report = ClassificationReport(tol=0.1, no_circle_period=False, entries=())
+        assert report.to_csv() == (
+            "p0,period,ratio_to_2pi\n# no period equals 2*pi within tol=0.10000000000000001: false\n"
+        )
+
+    def test_support(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_support_csv(SupportFunction(1.0 + np.arange(16) / 3), path)
+        assert path.read_text() == self.SUPPORT
+
+    def test_support_to_stream(self):
+        buf = io.StringIO()
+        write_support_csv(SupportFunction(1.0 + np.arange(16) / 3), buf)
+        assert buf.getvalue() == self.SUPPORT

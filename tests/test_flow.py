@@ -218,8 +218,9 @@ class TestRescaledFlow:
         profile, report = rescaled_flow(shapes.rounded_square(192))
         assert report.max_residual < 1e-2
 
-    def test_scale_tracks_circle_law(self):
-        profile, _ = rescaled_flow(shapes.circle(192), stationary_tol=0.0, t_max=0.4)
+    def test_scale_tracks_circle_law(self, monkeypatch):
+        monkeypatch.setattr(curveflow.flow, "_STATIONARY_TOL", 0.0)
+        profile, _ = rescaled_flow(shapes.circle(192), t_max=0.4)
         expected = np.sqrt(np.maximum(1.0 - 2.0 * profile.times, 0.0))
         assert np.max(np.abs(profile.scales - expected)) < 1e-4
 

@@ -125,14 +125,6 @@ class TestSupportOde:
     def test_energy_helper_at_equilibrium(self):
         assert ode_energy(1.0, 0.0) == pytest.approx(0.5, rel=1e-15)
 
-    def test_csv_dump(self, tmp_path):
-        traj = integrate_support_ode(1.2, 0.0, np.pi)
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path)
-        data = np.loadtxt(path, delimiter=",")
-        assert data.shape[1] == 4
-        assert data[0, 1] == 1.2
-
 
 class TestShootPeriod:
     def test_small_amplitude_linearization(self):
@@ -289,13 +281,29 @@ class TestClassification:
         assert rep.entries[0].is_constant
         assert math.isnan(rep.entries[0].period)
 
-    def test_flags_abresch_langer_candidate(self):
-        # locate the amplitude whose period closes a 2-winding, 3-maxima curve
-        target = 2 * math.pi * 2 / 3
-        p0_star = brentq(lambda p0: shoot_period(p0) - target, 1.5, 2.5, xtol=1e-10)
+    @pytest.mark.parametrize("q, m, p0_pinned", [
+        (6, 11, 3.7480716599), (5, 9, 3.4750019329), (4, 7, 3.1566160299),
+        (7, 12, 2.9660284240), (3, 5, 2.7365319184), (5, 8, 2.4328412378),
+        (7, 11, 2.3007054075), (2, 3, 1.9335970709), (7, 10, 1.3658233416),
+    ])
+    def test_flags_abresch_langer_candidate(self, q, m, p0_pinned):
+        """The amplitude whose period closes a curve of turning number q with
+        m maxima, found on the quadrature oracle, is flagged as (q, m)."""
+        target = 2 * math.pi * q / m
+        p0_star = brentq(lambda p0: period_by_quadrature(p0) - target, 1.001, 5.8,
+                         xtol=1e-14, rtol=1e-15)
+        assert round(p0_star, 10) == p0_pinned
+        assert abs(shoot_period(p0_star, tol=1e-13) - target) < 1e-11
         rep = classify_closed_solutions([p0_star], tol=1e-6)
-        assert rep.entries[0].al_candidate == (2, 3)
+        assert rep.entries[0].al_candidate == (q, m)
         assert rep.no_circle_period
+
+    def test_half_period_never_flagged(self):
+        """A period of pi is never attained, so 1/2 is no closing ratio: a
+        tolerance that reaches 1/2 from p0 = 5.8, but no closing ratio, flags
+        nothing."""
+        rep = classify_closed_solutions([5.8], tol=0.12)
+        assert rep.entries[0].al_candidate is None
 
     def test_jobs_merge_deterministic(self):
         grid = [1.1, 1.7, 2.4, 3.1]
