@@ -32,34 +32,65 @@ class BonnesenReport:
     equality_gap: float
 
 
+# Constraint generation for the inradius LP: the edges the first solve sees,
+# the edges each further round adds, and the rounds before it gives up.
+_START_EDGES = 128
+_BATCH_EDGES = 16
+_MAX_ROUNDS = 64
+
+
 def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
     """Chebyshev center of the convex sample polygon.
 
     Maximizes the minimum distance to the edge lines, which for a convex
-    polygon equals the distance to the boundary. Solved as the standard
-    linear program max r s.t. n_i . x + r <= n_i . v_i over inward normals.
+    polygon equals the distance to the boundary: the linear program
+    max r s.t. n_i . x + r <= n_i . v_i over inward normals n_i. It is solved
+    by constraint generation (Elzinga & Hearn, Management Science 19, 1972).
+    The first solve takes 128 evenly spaced edges, or all of them on at most
+    128 samples, where the LP is the full one. While some edge not yet
+    taken lies closer to the centre than r * (1 - 1e-12), the 16 closest of
+    them join and the LP is solved again; a solve on every edge is final.
+    Raises ``SolverFailed`` when a solve fails or the rounds run out.
     """
     if not is_convex(curve):
         raise NotConvex("inradius requires a convex curve")
     pts = curve.points
+    n = len(pts)
     e = curve.edges()
     elen = curve.chord_lengths()
     orient = 1.0 if signed_area(curve) > 0.0 else -1.0
     inward = orient * np.column_stack([-e[:, 1], e[:, 0]]) / elen[:, None]
     # inward . (x - v_i) >= r  <=>  -inward . x + r <= -inward . v_i
-    a_ub = np.column_stack([-inward, np.ones(len(pts))])
+    a_ub = np.column_stack([-inward, np.ones(n)])
     b_ub = -np.einsum("ij,ij->i", inward, pts)
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise SolverFailed(f"Chebyshev center LP failed: {res.message}")
-    x, y, r = res.x
-    return float(r), np.array([x, y])
+    # A solve on a subset of the edges bounds x and y by the bounding box,
+    # which holds the centre, so it stays bounded whatever the subset. It is
+    # held to 1e-10 feasibility, not HiGHS's 1e-7: a centre up to 1e-7 r
+    # inside a solved edge inflates r, and the test of the other edges with it.
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    box = [(lo[0], hi[0]), (lo[1], hi[1]), (0.0, None)]
+    tight = {"primal_feasibility_tolerance": 1e-10}
+    active = np.arange(_START_EDGES) * n // _START_EDGES if n > _START_EDGES else np.arange(n)
+    for _ in range(_MAX_ROUNDS):
+        full = active.size == n
+        res = linprog(
+            c=[0.0, 0.0, -1.0],
+            A_ub=a_ub[active],
+            b_ub=b_ub[active],
+            bounds=[(None, None), (None, None), (0.0, None)] if full else box,
+            method="highs",
+            options={} if full else tight,
+        )
+        if not res.success:
+            raise SolverFailed(f"Chebyshev center LP failed: {res.message}")
+        x, y, r = res.x
+        slack = b_ub - a_ub[:, :2] @ np.array([x, y])
+        slack[active] = np.inf  # the solved edges hold to HiGHS's tolerance
+        if slack.min() >= r * (1.0 - 1e-12):  # always once every edge is solved
+            return float(r), np.array([x, y])
+        batch = min(_BATCH_EDGES, n - active.size)
+        active = np.concatenate([active, np.argpartition(slack, batch - 1)[:batch]])
+    raise SolverFailed(f"Chebyshev center LP not certified after {_MAX_ROUNDS} rounds")
 
 
 def _circle_from_two(a, b):

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import ClosedCurve, _CSV, is_convex, winding_number
+from .curves import ClosedCurve, _CSV, is_convex, signed_area, winding_number
 from .errors import NotAnOval, NotConvex, OriginOutside
 
 FloatArray = NDArray[np.float64]
@@ -71,9 +71,10 @@ class SupportFunction:
         return self.values + self.derivative(2)
 
     @cached_property
-    def _eval_coefficients(self):
-        # once per instance: the chord search calls eval 8 times per gap
-        return np.fft.rfft(self.values) / self.count
+    def _series_coefficients(self) -> dict:
+        # order -> weighted series coefficients, built once per instance and
+        # order by eval: the chord search calls it 8 times per gap
+        return {}
 
     def eval(self, theta, order: int = 0):
         """Evaluate p (or a derivative) at arbitrary angles.
@@ -82,14 +83,16 @@ class SupportFunction:
         for band-limited support functions.
         """
         theta = np.asarray(theta, dtype=float)
-        coef = _differentiate(self._eval_coefficients, order)
-        k = np.arange(coef.size)
-        # real series: c_0 + 2*Re sum_{k>=1} c_k e^{ik theta}, Nyquist unhalved
-        phases = np.exp(1j * np.multiply.outer(theta, k))
-        weights = np.full(coef.size, 2.0)
-        weights[0] = 1.0
-        weights[-1] = 1.0  # the count is even, so the last coefficient is Nyquist
-        return np.real(phases @ (weights * coef))
+        coef = self._series_coefficients.get(order)
+        if coef is None:
+            coef = _differentiate(np.fft.rfft(self.values) / self.count, order)
+            # real series: c_0 + 2*Re sum_{k>=1} c_k e^{ik theta}, Nyquist unhalved
+            weights = np.full(coef.size, 2.0)
+            weights[0] = 1.0
+            weights[-1] = 1.0  # the count is even, so the last coefficient is Nyquist
+            coef = self._series_coefficients[order] = weights * coef
+        phases = np.exp(1j * np.multiply.outer(theta, np.arange(coef.size)))
+        return np.real(phases @ coef)
 
     @cached_property
     def _curve(self) -> ClosedCurve:
@@ -100,7 +103,12 @@ def support_from_curve(curve: ClosedCurve, count: int) -> SupportFunction:
     """Extract support samples of a convex curve containing the origin.
 
     Uses the vertex-max form p(theta) = max_i <x_i, u(theta)>, which stays
-    robust on polygons where normal directions jump at vertices.
+    robust on polygons where normal directions jump at vertices. The maximum
+    sits at the vertex between the two edges whose outward normals bracket
+    theta, so each grid angle finds it by binary search over the unwrapped
+    edge-normal angles of the counter-clockwise polygon, then takes the max
+    over that vertex and its two neighbours, which absorbs rounding in the
+    angles: O((n + count) log n) instead of a dense n x count product.
     """
     if count < MIN_GRID or count % 2 != 0:
         raise ValueError(f"grid count must be even and >= {MIN_GRID}, got {count}")
@@ -108,15 +116,14 @@ def support_from_curve(curve: ClosedCurve, count: int) -> SupportFunction:
         raise NotConvex("support function requires a convex curve")
     if winding_number(curve, (0.0, 0.0)) == 0:
         raise OriginOutside("origin must lie strictly inside the curve")
+    pts = curve.points if signed_area(curve) > 0.0 else curve.points[::-1]
+    e = np.roll(pts, -1, axis=0) - pts
+    ang = np.unwrap(np.arctan2(-e[:, 0], e[:, 1]))  # outward normal of edge i
     theta = 2.0 * np.pi * np.arange(count) / count
-    u = np.column_stack([np.cos(theta), np.sin(theta)])
-    pts = curve.points
-    p = np.empty(count)
-    block = max(1, int(4_000_000 // max(pts.shape[0], 1)))
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        p[start:stop] = (pts @ u[start:stop].T).max(axis=0)
-    return SupportFunction(p)
+    j = np.searchsorted(ang, ang[0] + np.mod(theta - ang[0], 2.0 * np.pi))
+    near = pts[(j[:, None] + np.arange(-1, 2)) % len(pts)]  # vertices j - 1, j, j + 1
+    p = near[..., 0] * np.cos(theta)[:, None] + near[..., 1] * np.sin(theta)[:, None]
+    return SupportFunction(p.max(axis=1))
 
 
 def _oval_map(p, dp, c, s):

@@ -58,6 +58,14 @@ def grid_inradius(points: np.ndarray, resolution: int = 200) -> float:
     return best
 
 
+def brute_support(points: np.ndarray, count: int) -> np.ndarray:
+    """Support samples max_i <x_i, u(theta_k)> over every vertex, at
+    theta_k = 2*pi*k/count: the dense vertex-by-angle table, reduced."""
+    theta = 2.0 * np.pi * np.arange(count) / count
+    table = np.outer(points[:, 0], np.cos(theta)) + np.outer(points[:, 1], np.sin(theta))
+    return table.max(axis=0)
+
+
 def brute_enclosing_radius(points: np.ndarray) -> float:
     """Minimal enclosing circle by checking all pairs and triples (small n)."""
     pts = np.asarray(points, dtype=float)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import curveflow.bonnesen
 from curveflow import (
+    ClosedCurve,
     IsoperimetricViolation,
     NotConvex,
     SolverFailed,
@@ -22,6 +23,7 @@ from curveflow import (
     inradius,
     minimal_enclosing_circle,
     resample_arclength,
+    signed_area,
 )
 from curveflow import shapes
 
@@ -54,6 +56,103 @@ class TestInradius:
         monkeypatch.setattr(curveflow.bonnesen, "linprog", lambda *a, **k: failed)
         with pytest.raises(SolverFailed, match="iteration limit"):
             inradius(shapes.circle(64))
+
+    # a centre that every edge of the unit circle violates
+    _TOO_FAR = SimpleNamespace(success=True, x=np.array([0.0, 0.0, 2.0]), nit=1)
+
+    def test_later_round_failure_is_numerical(self, monkeypatch):
+        failed = SimpleNamespace(success=False, message="iteration limit reached")
+        results = iter([self._TOO_FAR, failed])
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", lambda *a, **k: next(results))
+        with pytest.raises(SolverFailed, match="iteration limit"):
+            inradius(shapes.circle(4096))
+
+    def test_round_cap_is_numerical(self, monkeypatch):
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", lambda *a, **k: self._TOO_FAR)
+        with pytest.raises(SolverFailed, match="rounds"):
+            inradius(shapes.circle(4096))
+
+
+def _random_polygon(n, seed):
+    """A convex n-gon: sorted random angles on a random ellipse, rotated and moved."""
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    a, b = rng.uniform(0.5, 2.0, 2)
+    rot = rng.uniform(0.0, np.pi)
+    turn = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
+    return np.column_stack([a * np.cos(ang), b * np.sin(ang)]) @ turn.T + rng.normal(size=2)
+
+
+def _full_lp(points):
+    """Inradius, centre and inward unit normals from one LP over every edge."""
+    from scipy.optimize import linprog
+
+    e = np.roll(points, -1, axis=0) - points
+    orient = np.sign(np.sum(points[:, 0] * np.roll(points[:, 1], -1)
+                            - np.roll(points[:, 0], -1) * points[:, 1]))
+    inward = orient * np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([-inward, np.ones(len(points))]),
+                  b_ub=-np.sum(inward * points, axis=1),
+                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
+    assert res.success
+    return res.x[2], res.x[:2], inward
+
+
+class TestConstraintGeneration:
+    """The inradius LP solved on a growing subset of the edges."""
+
+    @staticmethod
+    def _check(points, resolution=80):
+        r, center = inradius(ClosedCurve(points))
+        r_full, center_full, inward = _full_lp(points)
+        if len(points) <= 128:  # every edge in the first solve: the full LP itself
+            assert r == r_full
+            assert np.array_equal(center, center_full)
+        else:
+            # both are HiGHS vertices, exact only to its feasibility tolerance:
+            # on these polygons' clustered short edges that is ~1e-13 relative
+            assert r == pytest.approx(r_full, rel=1e-12)
+        slack = np.sum(inward * (center - points), axis=1)
+        assert slack.min() >= r * (1.0 - 1e-12)
+        ccw = points[::-1] if signed_area(ClosedCurve(points)) < 0.0 else points
+        lower = oracles.grid_inradius(ccw, resolution)
+        # the distance to the edges is 1-Lipschitz, and some grid node lies
+        # within half a cell diagonal of the centre
+        half_diagonal = np.hypot(*np.ptp(points, axis=0)) / (2.0 * (resolution - 1))
+        assert lower <= r * (1.0 + 1e-12)
+        assert r - lower <= half_diagonal
+
+    @pytest.mark.parametrize("n", [3, 64, 128, 129, 2048])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("clockwise", [False, True], ids=["ccw", "cw"])
+    def test_random_polygons(self, n, seed, clockwise):
+        points = _random_polygon(n, seed)
+        self._check(points[::-1].copy() if clockwise else points)
+
+    def test_thin_ellipse(self):
+        self._check(shapes.ellipse(2048, a=1.0, b=0.01).points)
+
+    def test_circle_65536(self):
+        self._check(shapes.circle(65536).points, resolution=21)
+
+    def test_certified_where_the_full_lp_is_not(self):
+        # at HiGHS's default 1e-7 feasibility the full LP's centre for this
+        # oval sits 3.8e-8 relative inside an edge, and its r is 1.8e-8 high
+        p = shapes.random_oval_support(512, 1179821995, offset=0.1)
+        points = resample_arclength(curve_from_support(p), 2048).points
+        r, center = inradius(ClosedCurve(points))
+        r_full, center_full, inward = _full_lp(points)
+        assert np.sum(inward * (center - points), axis=1).min() >= r * (1.0 - 1e-12)
+        assert np.sum(inward * (center_full - points), axis=1).min() <= r * (1.0 + 1e-12)
+        assert r <= r_full * (1.0 + 1e-12)
+
+    def test_clustered_vertices(self):
+        # the first 128 edges all lie on the bottom side: only the bounding
+        # box keeps that first LP bounded
+        bottom = np.column_stack([np.linspace(-1.0, 1.0, 2001)[:-1], np.full(2000, -1.0)])
+        points = np.vstack([bottom, [[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]])
+        self._check(points)
+        assert inradius(ClosedCurve(points))[0] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCircumradius:

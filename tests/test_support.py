@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveflow import (
+    ClosedCurve,
     NotAnOval,
     NotConvex,
     OriginOutside,
@@ -58,6 +59,43 @@ class TestSupportFromCurve:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             support_from_curve(shapes.circle(256), 8)
+
+
+def _random_polygon(n, seed):
+    """A convex n-gon around the origin: sorted random angles on a random ellipse."""
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    a, b = rng.uniform(0.5, 2.0, 2)
+    return np.column_stack([a * np.cos(ang), b * np.sin(ang)]) + rng.uniform(-0.2, 0.2, 2)
+
+
+def _subdivided(corners, per_side):
+    """The polygon through ``corners`` with each side cut into equal pieces."""
+    t = np.arange(per_side)[:, None] / per_side
+    nxt = np.roll(corners, -1, axis=0)
+    return np.vstack([a + t * (b - a) for a, b in zip(corners, nxt)])
+
+
+class TestSupportAgainstOracle:
+    """The angle search against the dense max over every vertex."""
+
+    @pytest.mark.parametrize("points, count", [
+        *[(_random_polygon(n, seed), count)
+          for n, seed, count in [(3, 0, 64), (17, 1, 128), (200, 2, 256), (2048, 3, 512)]],
+        (_subdivided(np.array([[1.0, 0.2], [-0.4, 1.1], [-0.9, -0.6], [0.6, -1.0]]), 25), 256),
+        (_subdivided(np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]), 16), 128),
+        (shapes.circle(8).points, 1024),
+        (shapes.circle(4096).points, 64),
+        (shapes.ellipse(512, center=(1.7, 0.3)).points, 256),
+    ], ids=["random-3", "random-17", "random-200", "random-2048", "collinear-quad",
+            "collinear-square", "8-gon-1024", "circle4096-64", "off-centre"])
+    @pytest.mark.parametrize("clockwise", [False, True], ids=["ccw", "cw"])
+    def test_matches_dense_max(self, points, count, clockwise):
+        if clockwise:
+            points = points[::-1].copy()
+        p = support_from_curve(ClosedCurve(points), count)
+        expected = oracles.brute_support(points, count)
+        assert np.all(np.abs(p.values - expected) <= 4 * np.finfo(float).eps * expected)
 
 
 class TestCurveFromSupport:
