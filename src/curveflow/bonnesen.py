@@ -69,7 +69,6 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
     # inside a solved edge inflates r, and the test of the other edges with it.
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     box = [(lo[0], hi[0]), (lo[1], hi[1]), (0.0, None)]
-    tight = {"primal_feasibility_tolerance": 1e-10}
     active = np.arange(_START_EDGES) * n // _START_EDGES if n > _START_EDGES else np.arange(n)
     for _ in range(_MAX_ROUNDS):
         full = active.size == n
@@ -79,7 +78,7 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
             b_ub=b_ub[active],
             bounds=[(None, None), (None, None), (0.0, None)] if full else box,
             method="highs",
-            options={} if full else tight,
+            options={} if full else {"primal_feasibility_tolerance": 1e-10},
         )
         if not res.success:
             raise SolverFailed(f"Chebyshev center LP failed: {res.message}")
