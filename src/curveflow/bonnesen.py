@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
-from .curves import ClosedCurve, _deferred, is_convex, length, signed_area
+from .curves import ClosedCurve, _deferred, _edges, is_convex, length, signed_area
 from .errors import IsoperimetricViolation, NotConvex, SolverFailed
 
 linprog = _deferred("scipy.optimize", "linprog")
@@ -33,7 +33,7 @@ class BonnesenReport:
 
 
 # Constraint generation for the inradius LP: the edges the first solve sees,
-# the edges each further round adds, and the rounds before it gives up.
+# the edges each further round adds, and the rounds before a solve on every edge.
 _START_EDGES = 128
 _BATCH_EDGES = 16
 _MAX_ROUNDS = 64
@@ -44,52 +44,59 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
 
     Maximizes the minimum distance to the edge lines, which for a convex
     polygon equals the distance to the boundary: the linear program
-    max r s.t. n_i . x + r <= n_i . v_i over inward normals n_i. It is solved
-    by constraint generation (Elzinga & Hearn, Management Science 19, 1972).
-    The first solve takes 128 evenly spaced edges, or all of them on at most
-    128 samples, where the LP is the full one. While some edge not yet
-    taken lies closer to the centre than r * (1 - 1e-12), the 16 closest of
-    them join and the LP is solved again; a solve on every edge is final.
-    Raises ``SolverFailed`` when a solve fails or the rounds run out.
+    max r s.t. n_i . x + r <= n_i . v_i over inward normals n_i. On at most
+    128 samples it is solved once over every edge. Beyond that it is solved
+    by constraint generation (Elzinga & Hearn, Management Science 19, 1972):
+    the first solve takes 128 evenly spaced edges, and while some edge not
+    yet taken lies closer to the centre than r * (1 - 1e-12), the 16 closest
+    of them join and the LP is solved again. After 64 such rounds the last
+    solve takes every edge. Raises ``SolverFailed`` when a solve fails.
     """
     if not is_convex(curve):
         raise NotConvex("inradius requires a convex curve")
     pts = curve.points
     n = len(pts)
-    e = curve.edges()
-    elen = curve.chord_lengths()
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    if n > _START_EDGES:
+        # HiGHS's tolerances are absolute: solve with the bounding box centred
+        # on the origin and scaled by a power of two to an extent below 1
+        shift, scale = 0.5 * (lo + hi), 2.0 ** math.frexp(float(np.max(hi - lo)))[1]
+        pts, lo, hi = (pts - shift) / scale, (lo - shift) / scale, (hi - shift) / scale
+    e = _edges(pts)
     orient = 1.0 if signed_area(curve) > 0.0 else -1.0
-    inward = orient * np.column_stack([-e[:, 1], e[:, 0]]) / elen[:, None]
+    inward = orient * np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
     # inward . (x - v_i) >= r  <=>  -inward . x + r <= -inward . v_i
     a_ub = np.column_stack([-inward, np.ones(n)])
     b_ub = -np.einsum("ij,ij->i", inward, pts)
+    if n <= _START_EDGES:
+        return _chebyshev(a_ub, b_ub, [(None, None), (None, None), (0.0, None)], {})
     # A solve on a subset of the edges bounds x and y by the bounding box,
     # which holds the centre, so it stays bounded whatever the subset. It is
-    # held to 1e-10 feasibility, not HiGHS's 1e-7: a centre up to 1e-7 r
-    # inside a solved edge inflates r, and the test of the other edges with it.
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    # held to 1e-10 feasibility, not HiGHS's 1e-7: a centre up to 1e-7 of the
+    # extent inside a solved edge inflates r, and the test of the other edges.
     box = [(lo[0], hi[0]), (lo[1], hi[1]), (0.0, None)]
-    active = np.arange(_START_EDGES) * n // _START_EDGES if n > _START_EDGES else np.arange(n)
-    for _ in range(_MAX_ROUNDS):
-        full = active.size == n
-        res = linprog(
-            c=[0.0, 0.0, -1.0],
-            A_ub=a_ub[active],
-            b_ub=b_ub[active],
-            bounds=[(None, None), (None, None), (0.0, None)] if full else box,
-            method="highs",
-            options={} if full else {"primal_feasibility_tolerance": 1e-10},
-        )
-        if not res.success:
-            raise SolverFailed(f"Chebyshev center LP failed: {res.message}")
-        x, y, r = res.x
-        slack = b_ub - a_ub[:, :2] @ np.array([x, y])
+    tight = {"primal_feasibility_tolerance": 1e-10}
+    active = np.arange(_START_EDGES) * n // _START_EDGES
+    for rounds in count(1):
+        r, center = _chebyshev(a_ub[active], b_ub[active], box, tight)
+        slack = b_ub - a_ub[:, :2] @ center
         slack[active] = np.inf  # the solved edges hold to HiGHS's tolerance
         if slack.min() >= r * (1.0 - 1e-12):  # always once every edge is solved
-            return float(r), np.array([x, y])
-        batch = min(_BATCH_EDGES, n - active.size)
-        active = np.concatenate([active, np.argpartition(slack, batch - 1)[:batch]])
-    raise SolverFailed(f"Chebyshev center LP not certified after {_MAX_ROUNDS} rounds")
+            return r * scale, center * scale + shift
+        if rounds == _MAX_ROUNDS:
+            active = np.arange(n)
+        else:
+            batch = min(_BATCH_EDGES, n - active.size)
+            active = np.concatenate([active, np.argpartition(slack, batch - 1)[:batch]])
+
+
+def _chebyshev(a_ub, b_ub, bounds, options) -> tuple[float, np.ndarray]:
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                  method="highs", options=options)
+    if not res.success:
+        raise SolverFailed(f"Chebyshev center LP failed: {res.message}")
+    x, y, r = res.x
+    return float(r), np.array([x, y])
 
 
 def _circle_from_two(a, b):

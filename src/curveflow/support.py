@@ -109,6 +109,9 @@ def support_from_curve(curve: ClosedCurve, count: int) -> SupportFunction:
     edge-normal angles of the counter-clockwise polygon, then takes the max
     over that vertex and its two neighbours, which absorbs rounding in the
     angles: O((n + count) log n) instead of a dense n x count product.
+    The search needs those angles to turn once, never back. ``is_convex``
+    tolerates a near-duplicate sample whose tiny edge points anywhere; such
+    a polygon takes the max over every vertex instead.
     """
     if count < MIN_GRID or count % 2 != 0:
         raise ValueError(f"grid count must be even and >= {MIN_GRID}, got {count}")
@@ -120,6 +123,11 @@ def support_from_curve(curve: ClosedCurve, count: int) -> SupportFunction:
     e = np.roll(pts, -1, axis=0) - pts
     ang = np.unwrap(np.arctan2(-e[:, 0], e[:, 1]))  # outward normal of edge i
     theta = 2.0 * np.pi * np.arange(count) / count
+    if np.any(np.diff(ang) < 0.0) or ang[-1] - ang[0] > 2.0 * np.pi:
+        block = max(1, 4_000_000 // len(pts))  # angles per (n x block) product
+        u = np.column_stack([np.cos(theta), np.sin(theta)])
+        return SupportFunction(np.concatenate(
+            [(pts @ u[k:k + block].T).max(axis=0) for k in range(0, count, block)]))
     j = np.searchsorted(ang, ang[0] + np.mod(theta - ang[0], 2.0 * np.pi))
     near = pts[(j[:, None] + np.arange(-1, 2)) % len(pts)]  # vertices j - 1, j, j + 1
     p = near[..., 0] * np.cos(theta)[:, None] + near[..., 1] * np.sin(theta)[:, None]

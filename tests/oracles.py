@@ -4,6 +4,7 @@ Everything here is deliberately brute-force or quadrature-based so it shares
 no code path with the library implementations it checks. The one exception is
 ``reference_step``, a second flow scheme (explicit Euler) composed from the
 public curve primitives, against which the spectral flow kernel is compared.
+``random_convex_polygon`` draws the test polygons that several modules share.
 """
 
 import numpy as np
@@ -64,6 +65,17 @@ def brute_support(points: np.ndarray, count: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(count) / count
     table = np.outer(points[:, 0], np.cos(theta)) + np.outer(points[:, 1], np.sin(theta))
     return table.max(axis=0)
+
+
+def random_convex_polygon(n: int, seed: int) -> np.ndarray:
+    """A convex n-gon around the origin, counter-clockwise: sorted random
+    angles on a random ellipse, rotated, then moved by at most 0.2 a side."""
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    a, b = rng.uniform(0.5, 2.0, 2)
+    rot = rng.uniform(0.0, np.pi)
+    turn = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
+    return np.column_stack([a * np.cos(ang), b * np.sin(ang)]) @ turn.T + rng.uniform(-0.2, 0.2, 2)
 
 
 def brute_enclosing_radius(points: np.ndarray) -> float:

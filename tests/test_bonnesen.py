@@ -67,20 +67,19 @@ class TestInradius:
         with pytest.raises(SolverFailed, match="iteration limit"):
             inradius(shapes.circle(4096))
 
-    def test_round_cap_is_numerical(self, monkeypatch):
-        monkeypatch.setattr(curveflow.bonnesen, "linprog", lambda *a, **k: self._TOO_FAR)
-        with pytest.raises(SolverFailed, match="rounds"):
-            inradius(shapes.circle(4096))
+    def test_round_cap_ends_in_a_solve_on_every_edge(self, monkeypatch):
+        rows = []
 
+        def too_far(*args, A_ub, **kwargs):
+            rows.append(len(A_ub))
+            return self._TOO_FAR
 
-def _random_polygon(n, seed):
-    """A convex n-gon: sorted random angles on a random ellipse, rotated and moved."""
-    rng = np.random.default_rng(seed)
-    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-    a, b = rng.uniform(0.5, 2.0, 2)
-    rot = rng.uniform(0.0, np.pi)
-    turn = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
-    return np.column_stack([a * np.cos(ang), b * np.sin(ang)]) @ turn.T + rng.normal(size=2)
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", too_far)
+        r, center = inradius(shapes.circle(4096))
+        # 64 rounds from 128 edges, 16 more each, then all 4096
+        assert rows == [128 + 16 * k for k in range(64)] + [4096]
+        assert r == 2.0 * 4.0  # the unit circle is solved at a quarter scale
+        assert np.array_equal(center, [0.0, 0.0])
 
 
 def _full_lp(points):
@@ -126,7 +125,7 @@ class TestConstraintGeneration:
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("clockwise", [False, True], ids=["ccw", "cw"])
     def test_random_polygons(self, n, seed, clockwise):
-        points = _random_polygon(n, seed)
+        points = oracles.random_convex_polygon(n, seed)
         self._check(points[::-1].copy() if clockwise else points)
 
     def test_thin_ellipse(self):
@@ -145,6 +144,20 @@ class TestConstraintGeneration:
         assert np.sum(inward * (center - points), axis=1).min() >= r * (1.0 - 1e-12)
         assert np.sum(inward * (center_full - points), axis=1).min() <= r * (1.0 + 1e-12)
         assert r <= r_full * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("scale, offset", [(1e-6, 0.0), (1e6, 0.0), (1.0, 1e6), (1e-6, 1.0)])
+    def test_scale_and_offset(self, scale, offset):
+        points = oracles.random_convex_polygon(2048, 0)
+        r, _ = inradius(ClosedCurve(points))
+        moved = points * scale + offset
+        r_moved, center_moved = inradius(ClosedCurve(moved))
+        # the moved samples are rounded to the resolution of their coordinates
+        resolution = 4 * np.finfo(float).eps * np.abs(moved).max()
+        assert r_moved == pytest.approx(r * scale, rel=1e-12, abs=resolution)
+        e = np.roll(moved, -1, axis=0) - moved
+        inward = np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+        slack = np.sum(inward * (center_moved - moved), axis=1)
+        assert slack.min() >= r_moved * (1.0 - 1e-12) - resolution
 
     def test_clustered_vertices(self):
         # the first 128 edges all lie on the bottom side: only the bounding

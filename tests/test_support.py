@@ -14,6 +14,7 @@ from curveflow import (
     area_from_support,
     cauchy_length,
     curve_from_support,
+    is_convex,
     length,
     signed_area,
     support_from_curve,
@@ -61,14 +62,6 @@ class TestSupportFromCurve:
             support_from_curve(shapes.circle(256), 8)
 
 
-def _random_polygon(n, seed):
-    """A convex n-gon around the origin: sorted random angles on a random ellipse."""
-    rng = np.random.default_rng(seed)
-    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-    a, b = rng.uniform(0.5, 2.0, 2)
-    return np.column_stack([a * np.cos(ang), b * np.sin(ang)]) + rng.uniform(-0.2, 0.2, 2)
-
-
 def _subdivided(corners, per_side):
     """The polygon through ``corners`` with each side cut into equal pieces."""
     t = np.arange(per_side)[:, None] / per_side
@@ -80,7 +73,7 @@ class TestSupportAgainstOracle:
     """The angle search against the dense max over every vertex."""
 
     @pytest.mark.parametrize("points, count", [
-        *[(_random_polygon(n, seed), count)
+        *[(oracles.random_convex_polygon(n, seed), count)
           for n, seed, count in [(3, 0, 64), (17, 1, 128), (200, 2, 256), (2048, 3, 512)]],
         (_subdivided(np.array([[1.0, 0.2], [-0.4, 1.1], [-0.9, -0.6], [0.6, -1.0]]), 25), 256),
         (_subdivided(np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]), 16), 128),
@@ -96,6 +89,25 @@ class TestSupportAgainstOracle:
         p = support_from_curve(ClosedCurve(points), count)
         expected = oracles.brute_support(points, count)
         assert np.all(np.abs(p.values - expected) <= 4 * np.finfo(float).eps * expected)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("share, turn", [(0.5, -2.0), (1.0, 2.0)], ids=["middle", "closing"])
+    def test_near_duplicate_vertex(self, n, share, turn):
+        # a sample 1e-11 before vertex k + 1, whose tiny edge turns 2 rad off
+        # the edge before it, within is_convex's tolerance: in the middle the
+        # normal angles step back where the binary search probes first; on
+        # the closing edge they run past a full turn
+        points = shapes.circle(n).points
+        k = int(share * n) - 1
+        e = points[(k + 1) % n] - points[k]
+        phi = np.arctan2(e[1], e[0]) + turn
+        extra = points[(k + 1) % n] - 1e-11 * np.array([np.cos(phi), np.sin(phi)])
+        points = np.vstack([points[:k + 1], extra, points[k + 1:]])
+        assert is_convex(ClosedCurve(points))
+        for count in (64, 256):
+            p = support_from_curve(ClosedCurve(points), count)
+            expected = oracles.brute_support(points, count)
+            assert np.all(np.abs(p.values - expected) <= 4 * np.finfo(float).eps * expected)
 
 
 class TestCurveFromSupport:
