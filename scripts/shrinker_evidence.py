@@ -3,7 +3,9 @@
 
 Flow route: renormalized flow from several convex seeds; every limit profile
 satisfies the shrinker relation and the Bonnesen equality gap closes, i.e. the
-only observed homothetic limit is the circle.
+only observed homothetic limit is the circle. Each limit is also cut by its
+equal-area chord and symmetrized, and the support of each centrally symmetric
+half is checked to be constant (the symmetric case).
 
 ODE route: period survey of p'' = 1/p - p. A closed embedded solution with
 turning number one would need a period of exactly 2*pi; the measured periods
@@ -23,9 +25,13 @@ from curveflow import (
     bonnesen_chain,
     classify_closed_solutions,
     curve_from_support,
+    find_bisecting_chord,
     period_by_quadrature,
     rescaled_flow,
     shoot_period,
+    support_from_curve,
+    symmetric_shrinker_check,
+    symmetrize,
 )
 from curveflow import shapes
 from curveflow.shrinker import _CLOSING_RATIOS
@@ -45,6 +51,18 @@ def flow_route(outdir: Path) -> None:
             f"  {name:16s} residual={report.max_residual:.3e} "
             f"|A-pi|={abs(report.area - math.pi):.2e} "
             f"equality_gap={chain.equality_gap:.3e} verdict={report.verdict}"
+        )
+        # the symmetric case: each half of the chord symmetrization, centred
+        # at the chord midpoint, must have a constant support
+        p = support_from_curve(profile.reference_curve, 128)
+        pair = symmetrize(p, find_bisecting_chord(p))
+        checks = [symmetric_shrinker_check(support_from_curve(half.translated(-pair.omega0), 128),
+                                           tol=1e-2)
+                  for half in (pair.curve1, pair.curve2)]
+        print(
+            f"  {'':16s} symmetric halves: is_circle={all(c.is_circle for c in checks)} "
+            f"p_max-p_min={max(c.p_max - c.p_min for c in checks):.1e} "
+            f"bounds_ok={all(c.bounds_ok for c in checks)}"
         )
     print()
 

@@ -44,12 +44,14 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
 
     Maximizes the minimum distance to the edge lines, which for a convex
     polygon equals the distance to the boundary: the linear program
-    max r s.t. n_i . x + r <= n_i . v_i over inward normals n_i. On at most
-    128 samples it is solved once over every edge. Beyond that it is solved
-    by constraint generation (Elzinga & Hearn, Management Science 19, 1972):
-    the first solve takes 128 evenly spaced edges, and while some edge not
-    yet taken lies closer to the centre than r * (1 - 1e-12), the 16 closest
-    of them join and the LP is solved again. After 64 such rounds the last
+    max r s.t. n_i . x + r <= n_i . v_i over inward normals n_i. HiGHS's
+    tolerances are absolute, so the LP is solved with the bounding box
+    centred on the origin and scaled by a power of two to an extent below 1.
+    It is solved by constraint generation (Elzinga & Hearn, Management
+    Science 19, 1972): the first solve takes up to 128 evenly spaced edges,
+    so it takes every edge of a smaller polygon, and while some edge not yet
+    taken lies closer to the centre than r * (1 - 1e-12), the 16 closest of
+    them join and the LP is solved again. After 64 such rounds the last
     solve takes every edge. Raises ``SolverFailed`` when a solve fails.
     """
     if not is_convex(curve):
@@ -57,28 +59,27 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
     pts = curve.points
     n = len(pts)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    if n > _START_EDGES:
-        # HiGHS's tolerances are absolute: solve with the bounding box centred
-        # on the origin and scaled by a power of two to an extent below 1
-        shift, scale = 0.5 * (lo + hi), 2.0 ** math.frexp(float(np.max(hi - lo)))[1]
-        pts, lo, hi = (pts - shift) / scale, (lo - shift) / scale, (hi - shift) / scale
+    shift, scale = 0.5 * (lo + hi), 2.0 ** math.frexp(float(np.max(hi - lo)))[1]
+    pts, lo, hi = (pts - shift) / scale, (lo - shift) / scale, (hi - shift) / scale
     e = _edges(pts)
     orient = 1.0 if signed_area(curve) > 0.0 else -1.0
     inward = orient * np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
     # inward . (x - v_i) >= r  <=>  -inward . x + r <= -inward . v_i
     a_ub = np.column_stack([-inward, np.ones(n)])
     b_ub = -np.einsum("ij,ij->i", inward, pts)
-    if n <= _START_EDGES:
-        return _chebyshev(a_ub, b_ub, [(None, None), (None, None), (0.0, None)], {})
     # A solve on a subset of the edges bounds x and y by the bounding box,
     # which holds the centre, so it stays bounded whatever the subset. It is
     # held to 1e-10 feasibility, not HiGHS's 1e-7: a centre up to 1e-7 of the
     # extent inside a solved edge inflates r, and the test of the other edges.
     box = [(lo[0], hi[0]), (lo[1], hi[1]), (0.0, None)]
-    tight = {"primal_feasibility_tolerance": 1e-10}
-    active = np.arange(_START_EDGES) * n // _START_EDGES
+    first = min(n, _START_EDGES)
+    active = np.arange(first) * n // first
     for rounds in count(1):
-        r, center = _chebyshev(a_ub[active], b_ub[active], box, tight)
+        res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub[active], b_ub=b_ub[active], bounds=box,
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10})
+        if not res.success:
+            raise SolverFailed(f"Chebyshev center LP failed: {res.message}")
+        r, center = float(res.x[2]), res.x[:2]
         slack = b_ub - a_ub[:, :2] @ center
         slack[active] = np.inf  # the solved edges hold to HiGHS's tolerance
         if slack.min() >= r * (1.0 - 1e-12):  # always once every edge is solved
@@ -88,15 +89,6 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
         else:
             batch = min(_BATCH_EDGES, n - active.size)
             active = np.concatenate([active, np.argpartition(slack, batch - 1)[:batch]])
-
-
-def _chebyshev(a_ub, b_ub, bounds, options) -> tuple[float, np.ndarray]:
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                  method="highs", options=options)
-    if not res.success:
-        raise SolverFailed(f"Chebyshev center LP failed: {res.message}")
-    x, y, r = res.x
-    return float(r), np.array([x, y])
 
 
 def _circle_from_two(a, b):

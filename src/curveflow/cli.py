@@ -164,7 +164,7 @@ def _cmd_flow(args) -> int:
         curve,
         area_floor_rel=config["area_floor_rel"],
         t_max=t_max,
-        snapshot_stride=config["svg_every"] or None,
+        snapshot_stride=config["svg_every"],
     )
     out.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out / "trajectory.csv", stride=config["stride"])

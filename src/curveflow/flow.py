@@ -163,21 +163,21 @@ def run_flow(
     *,
     area_floor_rel: float = 1e-3,
     t_max: float = math.inf,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int = 0,
 ) -> FlowTrajectory:
     """Flow until the area floor, the time horizon, or the step budget.
 
     The sample count is decimated as the length shrinks so the spacing (and
     with it the step size 2 * spacing^2) stays near its initial value; collapse
-    is a normal stop reason, not an error. A ``snapshot_stride`` of 0 or None
-    takes no snapshots. Raises ValueError on fewer than 32 samples or a
-    clockwise curve.
+    is a normal stop reason, not an error. A ``snapshot_stride`` of 0 takes no
+    snapshots. Raises ValueError on fewer than 32 samples or a clockwise
+    curve.
     """
     if not t_max >= 0.0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     if not 0.0 < area_floor_rel < 1.0:
         raise ValueError(f"area_floor_rel must be in (0, 1), got {area_floor_rel}")
-    if snapshot_stride is not None and snapshot_stride < 0:
+    if snapshot_stride < 0:
         raise ValueError(f"snapshot_stride must be >= 0, got {snapshot_stride}")
     area = _entry_area(curve)
     pts = curve.points

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bonnesen import bonnesen_roots, circumradius, inradius
+from .bonnesen import bonnesen_chain
 from .curves import (ClosedCurve, _deferred, _shoelace, _vertex_turns, is_convex,
                      length, signed_area)
 from .errors import (
@@ -238,21 +238,20 @@ def symmetric_shrinker_check(p: SupportFunction, tol: float = 1e-2) -> Symmetric
         raise NotAShrinker(
             f"curvature 1/(p+p'') deviates from p by {residual:.3g} > tol = {tol:.3g}"
         )
-    r, _ = inradius(curve)
-    big_r, _ = circumradius(curve)
-    t1, t2 = bonnesen_roots(abs(signed_area(curve)), length(curve))
+    chain = bonnesen_chain(curve)
     p_min = float(np.min(p.values))
     p_max = float(np.max(p.values))
-    bounds_ok = (r <= p_min + tol * scale) and (p_max <= big_r + tol * scale)
+    bounds_ok = (chain.inradius <= p_min + tol * scale
+                 and p_max <= chain.circumradius + tol * scale)
     is_circle = (p_max - p_min) <= tol * scale
     return SymmetricShrinkerReport(
         is_circle=is_circle,
         p_min=p_min,
         p_max=p_max,
-        inradius=r,
-        circumradius=big_r,
-        t1=t1,
-        t2=t2,
+        inradius=chain.inradius,
+        circumradius=chain.circumradius,
+        t1=chain.t1,
+        t2=chain.t2,
         symmetry_dev=sym_dev,
         shrinker_residual=residual,
         bounds_ok=bounds_ok,

@@ -103,14 +103,10 @@ class TestConstraintGeneration:
     @staticmethod
     def _check(points, resolution=80):
         r, center = inradius(ClosedCurve(points))
-        r_full, center_full, inward = _full_lp(points)
-        if len(points) <= 128:  # every edge in the first solve: the full LP itself
-            assert r == r_full
-            assert np.array_equal(center, center_full)
-        else:
-            # both are HiGHS vertices, exact only to its feasibility tolerance:
-            # on these polygons' clustered short edges that is ~1e-13 relative
-            assert r == pytest.approx(r_full, rel=1e-12)
+        r_full, _, inward = _full_lp(points)
+        # both are HiGHS vertices, exact only to its feasibility tolerance:
+        # on these polygons' clustered short edges that is ~1e-13 relative
+        assert r == pytest.approx(r_full, rel=1e-12)
         slack = np.sum(inward * (center - points), axis=1)
         assert slack.min() >= r * (1.0 - 1e-12)
         ccw = points[::-1] if signed_area(ClosedCurve(points)) < 0.0 else points
@@ -147,17 +143,18 @@ class TestConstraintGeneration:
 
     @pytest.mark.parametrize("scale, offset", [(1e-6, 0.0), (1e6, 0.0), (1.0, 1e6), (1e-6, 1.0)])
     def test_scale_and_offset(self, scale, offset):
-        points = oracles.random_convex_polygon(2048, 0)
-        r, _ = inradius(ClosedCurve(points))
-        moved = points * scale + offset
-        r_moved, center_moved = inradius(ClosedCurve(moved))
-        # the moved samples are rounded to the resolution of their coordinates
-        resolution = 4 * np.finfo(float).eps * np.abs(moved).max()
-        assert r_moved == pytest.approx(r * scale, rel=1e-12, abs=resolution)
-        e = np.roll(moved, -1, axis=0) - moved
-        inward = np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
-        slack = np.sum(inward * (center_moved - moved), axis=1)
-        assert slack.min() >= r_moved * (1.0 - 1e-12) - resolution
+        for n in (64, 2048):  # the first solve takes every edge, then only some
+            points = oracles.random_convex_polygon(n, 0)
+            r, _ = inradius(ClosedCurve(points))
+            moved = points * scale + offset
+            r_moved, center_moved = inradius(ClosedCurve(moved))
+            # the moved samples are rounded to the resolution of their coordinates
+            resolution = 4 * np.finfo(float).eps * np.abs(moved).max()
+            assert r_moved == pytest.approx(r * scale, rel=1e-12, abs=resolution)
+            e = np.roll(moved, -1, axis=0) - moved
+            inward = np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+            slack = np.sum(inward * (center_moved - moved), axis=1)
+            assert slack.min() >= r_moved * (1.0 - 1e-12) - resolution
 
     def test_clustered_vertices(self):
         # the first 128 edges all lie on the bottom side: only the bounding
@@ -267,6 +264,13 @@ class TestChain:
         for value in (rep.t1, rep.inradius, rep.circumradius, rep.t2):
             assert value == pytest.approx(1.0, abs=1e-4)
         assert rep.equality_gap < 1e-4
+        assert rep.chain_ok
+
+    def test_small_curve_inradius_below_the_semi_axis(self):
+        # at 128 samples and scale 1e-6 the LP is solved in a frame scaled to
+        # the curve: on the raw points r came out 2% above the semi-axis
+        rep = bonnesen_chain(shapes.ellipse(128).scaled(1e-6))
+        assert rep.inradius <= 1e-6 * (1.0 + 1e-12)
         assert rep.chain_ok
 
     def test_cos2_oval_strict(self):

@@ -308,19 +308,23 @@ class TestRejectedValues:
         assert name in captured.err
 
 
+def _src_env() -> dict:
+    """The environment with the imported curveflow's source on PYTHONPATH."""
+    src = str(Path(curveflow.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestBrokenPipe:
     def test_reader_closing_early_exits_quietly(self, tmp_path):
         path = tmp_path / "c.csv"
         write_curve_csv(shapes.circle(256), path)
-        src = str(Path(curveflow.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         # 16384 CSV lines (about 600 kB) overflow the pipe buffer, so the writer
         # is still writing when the reader goes away
         proc = subprocess.Popen(
             [sys.executable, "-m", "curveflow.cli", "support", "--input", str(path),
              "--grid", "16384"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
         assert proc.stdout.readline().startswith(b"0,")
         proc.stdout.close()
         assert proc.wait(timeout=120) == 141
@@ -437,11 +441,8 @@ def solvers():
 
 def _fresh_python(code: str, *args: str):
     """Run ``code`` after _PRELUDE in a new interpreter; the JSON on its last stdout line."""
-    src = str(Path(curveflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _PRELUDE + code, *args], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=_src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -490,3 +491,20 @@ print(json.dumps([before, threaded, serial]))
 """)
         assert before == [], f"import curveflow loaded {before}"
         assert threaded == serial
+
+
+class TestEvidenceScripts:
+    """The two scripts in scripts/ run to their closing line on small inputs."""
+
+    @pytest.mark.parametrize("argv, closing", [
+        (["shrinker_evidence.py", "--amplitudes", "1.5"],
+         "embedded profile appears on either route."),
+        (["bonnesen_battery.py", "--count", "3", "--samples", "512"],
+         "gap -> 0 as the oval tends to the circle (the equality case)."),
+    ], ids=["shrinker_evidence", "bonnesen_battery"])
+    def test_runs(self, tmp_path, argv, closing):
+        script = Path(__file__).resolve().parents[1] / "scripts" / argv[0]
+        proc = subprocess.run([sys.executable, str(script), *argv[1:], "--output", str(tmp_path)],
+                              capture_output=True, text=True, env=_src_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].strip() == closing
