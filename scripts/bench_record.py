@@ -11,7 +11,9 @@ its last two JSON lines: the record (machine, versions, git sha) and the
 result. Then ``pytest tests/test_acceptance.py -s`` runs there, and each
 criterion's printed runtime is stored against the budget printed beside it.
 Compare two files from the same machine only. The file is written to this
-repository's root.
+repository's root. A run that exits non-zero, or an acceptance run that
+prints no criterion line, stops the script with the tail of its output and
+writes no file.
 """
 
 import argparse
@@ -28,23 +30,32 @@ _VERDICT = re.compile(
     r"\[(PASS|FAIL)\] (criterion \d [^:]*): .*runtime=([0-9.]+)s budget=([0-9.]+)s")
 
 
+def _tail(text: str) -> str:
+    return "\n".join(text.strip().splitlines()[-20:])
+
+
 def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
-    record, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{_tail(proc.stderr)}")
+    record, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {"workload": workload, "seed": seed, **record, "result": result}
 
 
 def acceptance(root: Path) -> list[dict]:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-         "tests/test_acceptance.py"], cwd=root, env=env, capture_output=True, text=True).stdout
+         "tests/test_acceptance.py"], cwd=root, env=env, capture_output=True, text=True)
     rows = []
-    for verdict, name, runtime, budget in _VERDICT.findall(out):
+    for verdict, name, runtime, budget in _VERDICT.findall(proc.stdout):
         rows.append({"criterion": name, "passed": verdict == "PASS", "runtime_s": float(runtime),
                      "budget_s": float(budget), "budget_share": float(runtime) / float(budget)})
+    if not rows:  # a collection error prints no criterion line
+        raise RuntimeError(f"the acceptance run (exit {proc.returncode}) printed no "
+                           f"criterion line:\n{_tail(proc.stdout + proc.stderr)}")
     return rows
 
 

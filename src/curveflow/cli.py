@@ -146,8 +146,14 @@ def _read_curve(path) -> cv.ClosedCurve:
     return cv.read_curve_csv(path)
 
 
-def _json_report(config: dict, payload: dict) -> str:
-    return json.dumps({"config": config, "report": payload}, indent=2, sort_keys=False)
+def _emit(config: dict, payload: dict, name: str | None = None) -> None:
+    """Print the JSON report; with --output set, also write it to ``name`` there."""
+    text = json.dumps({"config": config, "report": payload}, indent=2)
+    print(text)
+    if name and config["output"]:
+        out = Path(config["output"])
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text + "\n")
 
 
 def _cmd_flow(args) -> int:
@@ -175,18 +181,13 @@ def _cmd_flow(args) -> int:
             fl.write_curve_svg(snap, out / f"snapshot_{i:06d}.svg", viewbox=viewbox)
     log.info("flow stopped (%s) at t = %.6g after %d steps",
              traj.stop_reason, traj.final_state.time, traj.final_state.step_count)
-    print(
-        _json_report(
-            config,
-            {
-                "stop_reason": traj.stop_reason,
-                "final_time": traj.final_state.time,
-                "steps": traj.final_state.step_count,
-                "final_area": traj.areas[-1],
-                "final_length": traj.lengths[-1],
-            },
-        )
-    )
+    _emit(config, {
+        "stop_reason": traj.stop_reason,
+        "final_time": traj.final_state.time,
+        "steps": traj.final_state.step_count,
+        "final_area": traj.areas[-1],
+        "final_length": traj.lengths[-1],
+    })
     return EXIT_OK
 
 
@@ -195,11 +196,7 @@ def _cmd_shrink_verify(args) -> int:
     config = _effective_config(args)
     curve = _read_curve(args.input)
     report = sk.verify_shrinker(curve, tol=config["tol"])
-    text = _json_report(config, asdict(report))
-    print(text)
-    if config["output"]:
-        Path(config["output"]).mkdir(parents=True, exist_ok=True)
-        (Path(config["output"]) / "shrinker_report.json").write_text(text + "\n")
+    _emit(config, asdict(report), "shrinker_report.json")
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
@@ -215,9 +212,9 @@ def _cmd_ode_shoot(args) -> int:
         raise InputError("--amplitudes must list at least one p0 value")
     report = sk.classify_closed_solutions(amplitudes, tol=config["tol"])
     if config["format"] == "json":
-        print(_json_report(config, asdict(report)))
+        _emit(config, asdict(report))
     else:
-        sys.stdout.write(report.to_csv())
+        report.write_csv(sys.stdout)
     if config["output"]:
         Path(config["output"]).mkdir(parents=True, exist_ok=True)
         report.write_csv(Path(config["output"]) / "classification.csv")
@@ -229,11 +226,7 @@ def _cmd_bonnesen(args) -> int:
     config = _effective_config(args)
     curve = _read_curve(args.input)
     report = bn.bonnesen_chain(curve, tol=config["tol"])
-    text = _json_report(config, asdict(report))
-    print(text)
-    if config["output"]:
-        Path(config["output"]).mkdir(parents=True, exist_ok=True)
-        (Path(config["output"]) / "bonnesen_report.json").write_text(text + "\n")
+    _emit(config, asdict(report), "bonnesen_report.json")
     return EXIT_OK if report.chain_ok else EXIT_VERDICT_FALSE
 
 
@@ -251,9 +244,7 @@ def _cmd_symmetrize(args) -> int:
     cv.write_curve_csv(pair.curve2.translated(shift), out / "symmetrized_2.csv")
     sidecar = pair.sidecar()
     sidecar["omega0"] = [sidecar["omega0"][0] + shift[0], sidecar["omega0"][1] + shift[1]]
-    text = _json_report(config, sidecar)
-    (out / "symmetrize_report.json").write_text(text + "\n")
-    print(text)
+    _emit(config, sidecar, "symmetrize_report.json")
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ period evidence that no closed embedded solution exists besides the circle.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,16 +35,15 @@ P_FLOOR = 1e-7
 class ShrinkerReport:
     """Residual statistics of kappa + gamma . n plus the circle verdict.
 
-    ``gauge_constant``/``gauge_max_rel_dev`` stay None when only the residual
-    aggregation ran. The contracting sign convention (epsilon = -1) is fixed.
+    The contracting sign convention (epsilon = -1) is fixed.
     """
 
     max_residual: float
-    gauge_constant: float | None
-    gauge_max_rel_dev: float | None
+    gauge_constant: float
+    gauge_max_rel_dev: float
     area: float
     length: float
-    verdict: bool | None
+    verdict: bool
 
 
 @dataclass(frozen=True)
@@ -58,33 +56,22 @@ class OdeTrajectory:
     energy: FloatArray
 
 
-def _require_simple_ccw(curve: ClosedCurve) -> None:
+def _frame(curve: ClosedCurve):
+    """The curvature frame of a simple counter-clockwise curve."""
     if signed_area(curve) <= 0.0:
         raise ValueError("curve must be counter-clockwise oriented")
     if not is_simple(curve):
         raise ValueError("curve must be simple (embedded)")
+    return signed_curvature(curve)
 
 
-def _residual(curve: ClosedCurve):
-    """fundamental_residual's residual and report, and the curvature frame."""
-    _require_simple_ccw(curve)
-    frame = signed_curvature(curve)
-    residual = frame.curvature + np.einsum("ij,ij->i", frame.points, frame.normal)
-    report = ShrinkerReport(
-        max_residual=float(np.max(np.abs(residual))),
-        gauge_constant=None,
-        gauge_max_rel_dev=None,
-        area=signed_area(curve),
-        length=length(curve),
-        verdict=None,
-    )
-    return residual, report, frame
+def _residual(frame) -> FloatArray:
+    return frame.curvature + np.einsum("ij,ij->i", frame.points, frame.normal)
 
 
-def fundamental_residual(curve: ClosedCurve) -> tuple[FloatArray, ShrinkerReport]:
-    """Per-sample kappa_i + gamma_i . n_i and its aggregate report."""
-    residual, report, _frame = _residual(curve)
-    return residual, report
+def fundamental_residual(curve: ClosedCurve) -> FloatArray:
+    """Per-sample kappa_i + gamma_i . n_i of a simple counter-clockwise curve."""
+    return _residual(_frame(curve))
 
 
 def gauge_constant(curve: ClosedCurve) -> tuple[float, float]:
@@ -120,22 +107,14 @@ def verify_shrinker(curve: ClosedCurve, tol: float = 1e-3) -> ShrinkerReport:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    _residual_values, base, frame = _residual(curve)
+    frame = _frame(curve)
+    max_residual = float(np.max(np.abs(_residual(frame))))
     c, dev = _gauge(curve, frame)
-    verdict = (
-        abs(base.area - math.pi) <= tol
-        and abs(base.length - 2.0 * math.pi) <= tol
-        and base.max_residual <= tol
-        and dev <= tol
-    )
-    return ShrinkerReport(
-        max_residual=base.max_residual,
-        gauge_constant=c,
-        gauge_max_rel_dev=dev,
-        area=base.area,
-        length=base.length,
-        verdict=verdict,
-    )
+    area, perimeter = signed_area(curve), length(curve)
+    verdict = (abs(area - math.pi) <= tol and abs(perimeter - 2.0 * math.pi) <= tol
+               and max_residual <= tol and dev <= tol)
+    return ShrinkerReport(max_residual=max_residual, gauge_constant=c, gauge_max_rel_dev=dev,
+                          area=area, length=perimeter, verdict=verdict)
 
 
 def _ode_rhs(_theta, y):
@@ -305,16 +284,12 @@ class ClassificationReport:
     entries: tuple[PeriodEntry, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_csv())
-
-    def to_csv(self) -> str:
+        """Write ``p0,period,ratio_to_2pi`` lines and the verdict footer to a
+        path or a text stream."""
         rows = np.array([(e.p0, e.period, e.ratio_to_2pi) for e in self.entries]).reshape(-1, 3)
         summary = "true" if self.no_circle_period else "false"
-        buf = io.StringIO()
-        np.savetxt(buf, rows, header="p0,period,ratio_to_2pi",
+        np.savetxt(path, rows, header="p0,period,ratio_to_2pi",
                    footer=f"# no period equals 2*pi within tol={self.tol:.17g}: {summary}", **_CSV)
-        return buf.getvalue()
 
 
 # The ratios period/(2*pi) = q/m that close a curve of turning number q with

@@ -27,6 +27,8 @@ MIN_GRID = 16
 
 def _differentiate(coef: np.ndarray, order: int) -> np.ndarray:
     """rfft coefficients of the ``order``-th derivative, from those of p."""
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"derivative order must be a non-negative integer, got {order!r}")
     coef = coef * (1j * np.arange(coef.size)) ** order
     if order % 2:
         coef[-1] = 0.0  # Nyquist mode has no well-defined odd derivative

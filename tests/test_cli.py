@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 import curveflow
 import curveflow.bonnesen
 import curveflow.flow
-from curveflow import ClosedCurve, read_curve_csv, write_curve_csv
+from curveflow import ClosedCurve, curve_from_support, read_curve_csv, write_curve_csv
 from curveflow import shapes
 from curveflow.cli import _build_parser, main
 
@@ -39,6 +40,13 @@ def ellipse_csv(tmp_path):
 def lshape_csv(tmp_path):
     path = tmp_path / "lshape.csv"
     write_curve_csv(shapes.l_hexagon(), path)
+    return str(path)
+
+
+@pytest.fixture()
+def egg_csv(tmp_path):
+    path = tmp_path / "egg.csv"
+    write_curve_csv(curve_from_support(shapes.random_oval_support(1024, 5, offset=0.25)), path)
     return str(path)
 
 
@@ -170,14 +178,9 @@ class TestSupport:
 
 
 class TestSymmetrize:
-    def test_writes_pair_and_sidecar(self, tmp_path, capsys):
-        egg = tmp_path / "egg.csv"
-        p = shapes.random_oval_support(1024, 5, offset=0.25)
-        from curveflow import curve_from_support
-
-        write_curve_csv(curve_from_support(p), egg)
+    def test_writes_pair_and_sidecar(self, egg_csv, tmp_path, capsys):
         out = tmp_path / "sym"
-        assert main(["symmetrize", "--input", str(egg), "--grid", "512",
+        assert main(["symmetrize", "--input", egg_csv, "--grid", "512",
                      "--output", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
         rep = payload["report"]
@@ -193,6 +196,36 @@ class TestSymmetrize:
 
     def test_nonconvex_exit_four(self, lshape_csv):
         assert main(["symmetrize", "--input", lshape_csv]) == 4
+
+    def test_not_convex_after_gluing_exit_four(self, egg_csv, tmp_path, capsys, monkeypatch):
+        # the package's ``symmetrize`` attribute is the function, not the module
+        module = importlib.import_module("curveflow.symmetrize")
+        monkeypatch.setattr(module, "is_convex", lambda curve: False)
+        assert main(["symmetrize", "--input", egg_csv, "--grid", "512",
+                     "--output", str(tmp_path / "sym")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
+class TestReportFiles:
+    """Each report file holds exactly what its command printed."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["shrink-verify", "--input", "{circle}"], "shrinker_report.json"),
+        (["bonnesen", "--input", "{ellipse}"], "bonnesen_report.json"),
+        (["symmetrize", "--input", "{egg}", "--grid", "512"], "symmetrize_report.json"),
+        (["ode-shoot", "--amplitudes", "1.1,1.5,2.5,1"], "classification.csv"),
+    ])
+    def test_file_equals_stdout(self, circle_csv, ellipse_csv, egg_csv, tmp_path, capsys,
+                                argv, name):
+        argv = [a.format(circle=circle_csv, ellipse=ellipse_csv, egg=egg_csv) for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--output", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.endswith("\n")
+        assert (out / name).read_text() == printed
 
 
 class TestFlowCommand:

@@ -381,19 +381,23 @@ class TestCsvFormat:
             "0.20000000000000001,5.5,2.5,0.96288740570596687\n0.40000000000000002,4.5,0,inf\n"
         )
 
-    def test_survey(self):
+    def test_survey(self, tmp_path):
         report = ClassificationReport(tol=1e-3, no_circle_period=True, entries=(
             PeriodEntry(1.0, math.nan, math.nan, True, False, None),
             PeriodEntry(1.5, 4.3621244652028146, 0.69425367101911839, False, False, None),
         ))
-        assert report.to_csv() == (
+        path = tmp_path / "survey.csv"
+        report.write_csv(path)
+        assert path.read_text() == (
             "p0,period,ratio_to_2pi\n1,nan,nan\n1.5,4.3621244652028146,0.69425367101911839\n"
             "# no period equals 2*pi within tol=0.001: true\n"
         )
 
     def test_empty_survey(self):
         report = ClassificationReport(tol=0.1, no_circle_period=False, entries=())
-        assert report.to_csv() == (
+        buf = io.StringIO()
+        report.write_csv(buf)
+        assert buf.getvalue() == (
             "p0,period,ratio_to_2pi\n# no period equals 2*pi within tol=0.10000000000000001: false\n"
         )
 

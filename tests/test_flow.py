@@ -11,6 +11,7 @@ import curveflow.flow
 import oracles
 from curveflow import (
     ClosedCurve,
+    CurveCollapsed,
     resample_arclength,
     NotConvex,
     TooFewSamples,
@@ -237,6 +238,12 @@ class TestRescaledFlow:
         # shrinker check after a whole flow
         with pytest.raises(NotConvex):
             rescaled_flow(shapes.doubled_circle(512))
+
+    def test_collapsed_step_raises(self, monkeypatch):
+        monkeypatch.setattr(curveflow.flow, "_step",
+                            lambda pts, chords: (pts, chords, 1e-3, 0.0))
+        with pytest.raises(CurveCollapsed, match="normalized area 0 <= 0"):
+            rescaled_flow(shapes.ellipse(64))
 
     def test_end_to_end_symmetric_verdict(self):
         # flow route feeding the symmetric-case check: the limit is a circle

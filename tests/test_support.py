@@ -275,6 +275,15 @@ class TestSpectralEval:
                                       self._eval_uncached(p, thetas, order))
                 assert p.eval(0.7, order=order) == self._eval_uncached(p, 0.7, order)
 
+    @pytest.mark.parametrize("order", [-1, 1.5])
+    @pytest.mark.parametrize("method", ["derivative", "eval"])
+    def test_bad_order_rejected(self, method, order):
+        # -1 would be NaN everywhere (0 ** -1 at k = 0); 1.5 a fractional derivative
+        p = shapes.random_oval_support(64, 0)
+        call = p.derivative if method == "derivative" else lambda order: p.eval(0.7, order)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            call(order)
+
 
 class TestValidationAndIO:
     def test_positive_samples_required(self):
