@@ -9,7 +9,8 @@ the 128 + SIGPIPE a shell reports for a tool killed by a broken pipe.
 Each subcommand takes only the flags it reads (``_DEFAULTS``). Flags override
 values from an optional JSON config file (``--config``), an object whose keys
 are those flags; it in turn overrides the defaults. The effective
-configuration is echoed into every JSON report. ``CURVEFLOW_LOG``
+configuration is echoed into every JSON report, beside the package version
+and the seconds the run took (``elapsed_s``). ``CURVEFLOW_LOG``
 (error|info|debug) sets verbosity.
 """
 
@@ -20,11 +21,13 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import bonnesen as bn
 from . import curves as cv
 from . import flow as fl
@@ -75,6 +78,8 @@ _FLAGS = {
     "svg_every": (int, "write an SVG snapshot every N accepted steps (>= 0)"),
 }
 _FORMATS = ["csv", "json"]  # of ode-shoot, the one subcommand with --format
+# time.perf_counter() when main() began; each JSON report's elapsed_s counts from it.
+_started = 0.0
 
 
 def _setup_logging() -> None:
@@ -148,7 +153,8 @@ def _read_curve(path) -> cv.ClosedCurve:
 
 def _emit(config: dict, payload: dict, name: str | None = None) -> None:
     """Print the JSON report; with --output set, also write it to ``name`` there."""
-    text = json.dumps({"config": config, "report": payload}, indent=2)
+    text = json.dumps({"config": config, "report": payload, "version": __version__,
+                       "elapsed_s": time.perf_counter() - _started}, indent=2)
     print(text)
     if name and config["output"]:
         out = Path(config["output"])
@@ -273,6 +279,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    global _started
+    _started = time.perf_counter()
     _setup_logging()
     parser = _build_parser()
     try:

@@ -180,7 +180,8 @@ def resample_arclength(
 
 def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
     """:func:`resample_arclength` on a raw sample array, which gets the checks
-    of a ClosedCurve first. Returns the new samples and their chord lengths."""
+    of a ClosedCurve first. Returns the new samples, their chord lengths and
+    whether the chords met ``rel_tol`` within ``max_passes``."""
     if m < 3:
         raise TooFewPoints(f"resampling needs m >= 3, got {m}")
     edges = _edges(points)
@@ -206,8 +207,9 @@ def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
         diff = _edges(pts)
         chords = np.hypot(diff[:, 0], diff[:, 1])
         mean = chords.sum() / m
-        if npass == max_passes or np.max(np.abs(chords - mean)) <= rel_tol * mean:
-            return pts, chords
+        converged = bool(np.max(np.abs(chords - mean)) <= rel_tol * mean)
+        if converged or npass == max_passes:
+            return pts, chords, converged
         np.cumsum(chords, out=u[1:])
         t_knots[:m] = t
         t = np.interp(u[m] * fractions, u, t_knots)

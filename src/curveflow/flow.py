@@ -6,18 +6,21 @@ into the full flow), so the second difference along the curve is circulant
 with symbol 4 sin^2(pi k/m) / h^2 for mean chord h. One step integrates
 z_t = z_ss exactly for that symbol on z = x + iy: a predictor with the metric
 h and a corrector with the midpoint metric h*h1, h1 the predictor's mean
-chord, followed by a resample. The step is unconditionally stable, and on a
-regular polygon the k = 1 symbol is exactly 1/R^2, so the circle law holds
-exactly in space. The driver shrinks the sample count with the curve so the
-step size dt = 2 h^2 stays bounded below until the area floor; its final
-state is its last recorded step. That step size is fixed: at 4 h^2 the
-circle law on a 96-sample circle misses 1e-3. run_flow and rescaled_flow
-refuse clockwise curves and curves of fewer than 32 samples, on which one
-step of that size swallows the whole curve.
+chord, followed by a resample that raises ToleranceNotMet if it misses. The
+step is unconditionally stable, and on a regular polygon the k = 1 symbol is
+exactly 1/R^2, so the circle law holds exactly in space. run_flow steps by
+dt = 2 h^2 and shrinks the sample count with the curve so that step stays
+bounded below until the area floor; its final state is its last recorded
+step. That step size is fixed: at 4 h^2 the circle law on a 96-sample circle
+misses 1e-3. run_flow and rescaled_flow refuse clockwise curves and curves of
+fewer than 32 samples, on which one step of 2 h^2 swallows the whole curve.
 
 The renormalized variant rescales to enclosed area pi after every step and
 advances physical time by the squared scale factor, so the recorded scale of
-an exact circle follows sqrt(1 - 2t).
+an exact circle follows sqrt(1 - 2t). It steps by a fixed normalized dt of
+8e-3, not 2 h^2: the regular polygon is a fixed point of every step size, so
+the limit does not depend on dt, and the step count to stationarity does not
+grow with n.
 """
 
 from __future__ import annotations
@@ -56,8 +59,13 @@ _DT_FACTOR = 2.0
 # run_flow stops with "step_budget", and rescaled_flow gives up, after these many steps.
 _MAX_STEPS = 2_000_000
 _RESCALED_MAX_STEPS = 500_000
+# rescaled_flow's step in normalized time; at 1.6e-2 its clock misses the
+# circle law by 1.5e-4.
+_RESCALED_DT = 8e-3
 # rescaled_flow stops once its displacement rate falls below this.
 _STATIONARY_TOL = 3e-4
+# Smoothing passes the flow's arclength resample may take to meet rel_tol 1e-8.
+_RESAMPLE_PASSES = 20
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,13 @@ class FlowState:
 
 @dataclass(frozen=True)
 class SimilarityProfile:
-    """Scale history lambda(t) of the renormalized flow and its limit shape."""
+    """Scale history lambda(t) of the renormalized flow, the displacement rate
+    of each step (``rates[i]`` between ``times[i]`` and ``times[i + 1]``) and
+    the limit shape."""
 
     times: FloatArray
     scales: FloatArray
+    rates: FloatArray
     reference_curve: ClosedCurve
 
 
@@ -121,8 +132,9 @@ def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
     ``points`` (whose cyclic chord lengths are ``chords``) move by ``dt``, or by
     2 h^2 capped at ``dt_max`` for mean chord h, and are resampled to
     as many samples. The moved and resampled points get the checks of a
-    ClosedCurve. Returns the new points, their chord lengths, the dt taken and
-    the enclosed area.
+    ClosedCurve, and a resample that misses its tolerance raises
+    ToleranceNotMet. Returns the new points, their chord lengths, the dt taken
+    and the enclosed area.
     """
     m = points.shape[0]
     h = float(chords.sum()) / m
@@ -135,8 +147,12 @@ def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
     e = _edges(_xy(np.fft.ifft(spectrum * np.exp(s / (h * h)))))
     h1 = float(np.hypot(e[:, 0], e[:, 1]).sum()) / m
     moved = _xy(np.fft.ifft(spectrum * np.exp(s / (h * h1))))
-    pts, new_chords = _resample(moved, m, rel_tol=1e-8, max_passes=20)
-    return pts, _checked_chords(pts, new_chords), dt, _shoelace(pts)
+    pts, new_chords, converged = _resample(moved, m, rel_tol=1e-8, max_passes=_RESAMPLE_PASSES)
+    new_chords = _checked_chords(pts, new_chords)
+    if not converged:
+        raise ToleranceNotMet(
+            f"arclength resample missed rel_tol 1e-8 in {_RESAMPLE_PASSES} passes")
+    return pts, new_chords, dt, _shoelace(pts)
 
 
 def _entry_area(curve: ClosedCurve) -> float:
@@ -253,11 +269,12 @@ def rescaled_flow(
 ) -> tuple[SimilarityProfile, ShrinkerReport]:
     """Renormalized flow: recenter, rescale to area pi, stop when stationary.
 
+    Each step takes the fixed normalized dt = 8e-3, whatever the sample count.
     The physical time advances by lambda^2 * dt per normalized step, so the
     recorded (time, scale) pairs trace the homothety factor of the raw flow.
     Stationarity is the largest per-sample displacement of the normalized
-    profile per unit normalized time falling below 3e-4; reaching the
-    physical horizon ``t_max`` also stops the run normally.
+    profile per unit normalized time (the recorded rate) falling below 3e-4;
+    reaching the physical horizon ``t_max`` also stops the run normally.
     Returns the scale history and the shrinker verification (tol 1e-2) of the
     limit. Raises NotConvex, then ValueError on fewer than 32 samples or a
     clockwise curve.
@@ -271,8 +288,9 @@ def rescaled_flow(
     tau = 0.0
     times = [tau]
     scales = [lam]
+    rates = []
     for _ in range(_RESCALED_MAX_STEPS):
-        stepped, _chords, dt, area = _step(pts, chords)
+        stepped, _chords, dt, area = _step(pts, chords, _RESCALED_DT)
         if area <= 0.0:
             raise CurveCollapsed(f"normalized area {area:.3g} <= 0 after t = {tau:.6g}")
         factor = math.sqrt(math.pi / area)
@@ -282,14 +300,15 @@ def rescaled_flow(
         lam /= factor
         times.append(tau)
         scales.append(lam)
-        displacement = float(np.max(np.hypot(*(rescaled - pts).T)))
+        rates.append(float(np.max(np.hypot(*(rescaled - pts).T))) / dt)
         pts = rescaled
-        if displacement / dt < _STATIONARY_TOL or tau >= t_max:
+        if rates[-1] < _STATIONARY_TOL or tau >= t_max:
             profile = ClosedCurve(pts)
             report = verify_shrinker(profile, 1e-2)
             return (
                 SimilarityProfile(
-                    times=np.asarray(times), scales=np.asarray(scales), reference_curve=profile
+                    times=np.asarray(times), scales=np.asarray(scales),
+                    rates=np.asarray(rates), reference_curve=profile,
                 ),
                 report,
             )

@@ -150,10 +150,14 @@ class TestBonnesen:
         assert main(["bonnesen", "--input", ellipse_csv]) == 2
 
     def test_seed_determinism(self, ellipse_csv, capsys):
-        assert main(["bonnesen", "--input", ellipse_csv]) == 0
-        first = capsys.readouterr().out
-        assert main(["bonnesen", "--input", ellipse_csv]) == 0
-        assert capsys.readouterr().out == first
+        # every byte but the run's wall time repeats
+        def printed():
+            assert main(["bonnesen", "--input", ellipse_csv]) == 0
+            return re.sub(r'"elapsed_s": [0-9.e+-]+', '"elapsed_s": _', capsys.readouterr().out)
+
+        first = printed()
+        assert '"elapsed_s": _' in first
+        assert printed() == first
 
 
 class TestSupport:
@@ -226,6 +230,27 @@ class TestReportFiles:
         printed = capsys.readouterr().out
         assert printed.endswith("\n")
         assert (out / name).read_text() == printed
+
+
+class TestReportMetadata:
+    """Every JSON report carries the package version and the run's elapsed
+    seconds beside its config and report."""
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--input", "{circle}", "--t-max", "1e-3", "--output", "{out}"],
+        ["shrink-verify", "--input", "{circle}"],
+        ["bonnesen", "--input", "{ellipse}"],
+        ["symmetrize", "--input", "{egg}", "--grid", "512", "--output", "{out}"],
+        ["ode-shoot", "--amplitudes", "1.5", "--format", "json"],
+    ], ids=lambda argv: argv[0])
+    def test_version_and_elapsed(self, circle_csv, ellipse_csv, egg_csv, tmp_path, capsys,
+                                 argv):
+        argv = [a.format(circle=circle_csv, ellipse=ellipse_csv, egg=egg_csv,
+                         out=tmp_path / "out") for a in argv]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["version"] == curveflow.__version__
+        assert payload["elapsed_s"] > 0.0
 
 
 class TestFlowCommand:

@@ -14,6 +14,7 @@ from curveflow import (
     CurveCollapsed,
     resample_arclength,
     NotConvex,
+    ToleranceNotMet,
     TooFewSamples,
     area_decay_check,
     centroid,
@@ -225,6 +226,17 @@ class TestRescaledFlow:
         expected = np.sqrt(np.maximum(1.0 - 2.0 * profile.times, 0.0))
         assert np.max(np.abs(profile.scales - expected)) < 1e-4
 
+    def test_rates_record_why_it_stopped(self):
+        profile, _ = rescaled_flow(shapes.ellipse(192))
+        assert len(profile.rates) == len(profile.times) - 1
+        assert profile.rates[-1] < curveflow.flow._STATIONARY_TOL
+        assert np.all(profile.rates[:-1] >= curveflow.flow._STATIONARY_TOL)
+
+    def test_step_count_independent_of_n(self):
+        steps = [len(rescaled_flow(shapes.ellipse(n))[0].times) - 1 for n in (256, 1024)]
+        assert max(steps) <= 600
+        assert abs(steps[1] - steps[0]) <= 0.01 * steps[0]
+
     def test_nonconvex_rejected(self):
         with pytest.raises(NotConvex):
             rescaled_flow(shapes.l_hexagon())
@@ -241,7 +253,7 @@ class TestRescaledFlow:
 
     def test_collapsed_step_raises(self, monkeypatch):
         monkeypatch.setattr(curveflow.flow, "_step",
-                            lambda pts, chords: (pts, chords, 1e-3, 0.0))
+                            lambda pts, chords, dt=None: (pts, chords, 1e-3, 0.0))
         with pytest.raises(CurveCollapsed, match="normalized area 0 <= 0"):
             rescaled_flow(shapes.ellipse(64))
 
@@ -263,6 +275,16 @@ class TestRescaledFlow:
             rep = symmetric_shrinker_check(ph, tol=5e-2)
             assert rep.is_circle
             assert length(half) / 2 == pytest.approx(math.pi, abs=1e-2)
+
+
+@pytest.mark.parametrize("flow", [
+    lambda curve: run_flow(curve, t_max=0.1),
+    rescaled_flow,
+], ids=["run_flow", "rescaled_flow"])
+def test_missed_resample_raises(flow, monkeypatch):
+    monkeypatch.setattr(curveflow.flow, "_RESAMPLE_PASSES", 0)
+    with pytest.raises(ToleranceNotMet, match="resample missed rel_tol 1e-8 in 0 passes"):
+        flow(shapes.ellipse(128))
 
 
 class TestRejectedFlags:
@@ -347,7 +369,7 @@ class TestBitIdentity:
         ref = ClosedCurve((curve.points - centroid(curve)) * math.sqrt(math.pi / area))
         tau, times, scales = 0.0, [0.0], [lam]
         while tau < t_max:
-            stepped, dt = spectral_step(ref)
+            stepped, dt = spectral_step(ref, dt_factor=math.inf, dt_max=8e-3)
             factor = math.sqrt(math.pi / signed_area(stepped))
             ref = ClosedCurve((stepped.points - centroid(stepped)) * factor)
             tau += lam * lam * dt

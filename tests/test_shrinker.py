@@ -364,12 +364,33 @@ class TestVerifyShrinker:
         ]
 
     def test_gauge_deviation_tracks_log_derivative_identity(self):
-        # kappa' = kappa * (gamma . gamma') holds iff the gauge fit is exact
-        c = shapes.circle(2048)
-        fr_res = fundamental_residual(c)
-        _, dev_circle = gauge_constant(c)
-        _, dev_ellipse = gauge_constant(shapes.ellipse(2048))
-        assert dev_circle < 1e-6 < dev_ellipse
+        # kappa = -gamma . n differentiated along arclength is
+        # kappa' = kappa * (gamma . gamma'), the log derivative of the gauge law
+        # kappa = C exp(|gamma|^2 / 2): both hold on the unit circle, and both
+        # fail once it is moved off the origin
+        centred = shapes.circle(4096)
+        moved = shapes.circle(4096, center=(0.3, 0.0))
+        assert log_derivative_residual(centred) < 1e-6
+        assert log_derivative_residual(moved) > 0.1
+        assert gauge_constant(centred)[1] < 1e-6 < gauge_constant(moved)[1]
+
+
+def log_derivative_residual(curve):
+    """max |kappa' - kappa * (gamma . gamma')|, ' = d/ds, on a uniformly sampled
+    curve: kappa from signed_curvature, derivatives spectral in the sample index."""
+    frame = signed_curvature(curve)
+    k = np.fft.fftfreq(curve.n, 1.0 / curve.n)
+    if curve.n % 2 == 0:
+        k[curve.n // 2] = 0.0  # the Nyquist mode has no real derivative
+
+    def d(f):
+        return np.fft.ifft(1j * k * np.fft.fft(f)).real
+
+    x, y = frame.points.T
+    dx, dy = d(x), d(y)
+    speed = np.hypot(dx, dy)
+    kappa = frame.curvature
+    return float(np.max(np.abs(d(kappa) - kappa * (x * dx + y * dy)) / speed))
 
 
 class TestRejectedInput:
