@@ -6,6 +6,8 @@ this becomes kappa = p, i.e. the second-order ODE p'' = 1/p - p for the
 support function. Both views are implemented: residual/gauge checks on
 discrete curves, and shooting of the ODE with event detection to produce the
 period evidence that no closed embedded solution exists besides the circle.
+The ODE is reversible (theta -> -theta), so an orbit is symmetric about each
+turning point: a shot from rest stops at the first, and the period is twice that.
 """
 
 from __future__ import annotations
@@ -135,12 +137,12 @@ _floor_event.terminal = True
 _floor_event.direction = -1
 
 
-def _solve(p0: float, dp0: float, span: float, tol: float, events=(), t_eval=None):
+def _solve(p0: float, dp0: float, span: float, tol: float, events=(), t_eval=None, atol=None):
     """DOP853 run of p'' = 1/p - p from (p0, dp0) over [0, span].
 
     Refuses a bad start or tolerance before any solver runs, and raises
     BlowUp when p reaches the collapse floor, which is event 0; ``events``
-    follow it.
+    follow it. ``tol`` is the relative tolerance, and ``atol`` defaults to it.
     """
     if not 0.0 < p0 < math.inf:
         raise ValueError(f"p0 must be finite and positive, got {p0}")
@@ -148,8 +150,9 @@ def _solve(p0: float, dp0: float, span: float, tol: float, events=(), t_eval=Non
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if p0 <= P_FLOOR:
         raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
-    sol = solve_ivp(_ode_rhs, (0.0, span), (float(p0), float(dp0)), method="DOP853",
-                    rtol=tol, atol=tol, t_eval=t_eval, events=(_floor_event, *events))
+    sol = solve_ivp(_ode_rhs, (0.0, span), (float(p0), float(dp0)), method="DOP853", rtol=tol,
+                    atol=tol if atol is None else atol, t_eval=t_eval,
+                    events=(_floor_event, *events))
     if sol.t_events[0].size > 0:
         raise BlowUp(f"support reached the collapse floor at theta = {sol.t_events[0][0]:.6g}")
     return sol
@@ -173,32 +176,28 @@ def integrate_support_ode(
     return OdeTrajectory(theta=sol.t, p=p, dp=dp, energy=ode_energy(p, dp))
 
 
-def _maximum_event(_theta, y):
-    return y[1]
-
-
-_maximum_event.direction = -1
-# Stop at the third maximum (an integer terminal counts events, SciPy >= 1.12).
-# For p0 > 1 the rest start is detected as a maximum, since p' goes from 0 to
-# negative; it is dropped below and the next two give the period. For p0 < 1
-# the start is a minimum and is not detected, so the third is one spare.
-_maximum_event.terminal = 3
-
-
 def shoot_period(p0: float, tol: float = 1e-12) -> float:
-    """Angular distance between successive maxima of p from a rest start.
+    """Period from a rest start at (p0, 0): twice the angle to the first turning point.
 
-    Events are p' zero-crossings with p'' < 0, refined by root finding on the
-    dense output; the trajectory starts at (p0, 0). Integration stops at the
-    third detected maximum; the 16*pi span only bounds the search.
+    The ODE is reversible, so the orbit is symmetric about that point and the
+    angle is exactly half a period. The point (the minimum for p0 > 1, the
+    maximum for p0 < 1) is the first upward zero-crossing of (p0 - 1) * p',
+    which excludes the start, and ends the run; the 16*pi span only bounds the
+    search. atol is ``tol`` times the oscillation's size |p0 - 1|, capped at ``tol``.
     """
     if p0 == 1.0:
         raise ValueError("p0 = 1 is the constant (circle) solution; no oscillation")
-    maxima = _solve(p0, 0.0, 16.0 * np.pi, tol, events=(_maximum_event,)).t_events[1]
-    maxima = maxima[maxima > 1e-9]
-    if maxima.size < 2:
-        raise ToleranceNotMet("fewer than two maxima detected within the shooting span")
-    return float(maxima[1] - maxima[0])
+
+    def turning_point(_theta, y):
+        return (p0 - 1.0) * y[1]
+
+    turning_point.terminal = True
+    turning_point.direction = 1
+    turns = _solve(p0, 0.0, 16.0 * np.pi, tol, events=(turning_point,),
+                   atol=tol * min(1.0, abs(p0 - 1.0))).t_events[1]
+    if turns.size == 0:
+        raise ToleranceNotMet("no turning point detected within the shooting span")
+    return 2.0 * float(turns[0])
 
 
 def period_by_quadrature(p0: float) -> float:

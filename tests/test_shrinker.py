@@ -28,7 +28,6 @@ from curveflow import (
     verify_shrinker,
 )
 from curveflow import shapes
-from curveflow.shrinker import _floor_event, _ode_rhs
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
 
@@ -178,26 +177,45 @@ class TestShootPeriod:
         assert step_f < 0.6 * step_c
 
 
-class TestShootPeriodEarlyStop:
-    @pytest.mark.parametrize("p0", [0.3, 0.5, 0.98, 1.001, 1.02, 1.5, 2.0, 3.5, 5.0, 5.8])
-    def test_bit_identical_to_full_span(self, p0):
-        """Stopping at the third maximum leaves the period unchanged to the bit.
+HALF_PERIOD_AMPLITUDES = [0.3, 0.5, 0.98, 1.001, 1.02, 1.5, 2.0, 3.5, 5.0, 5.8]
 
-        The reference integrates the whole (0, 16*pi) span with a
-        non-terminal maximum event: DOP853's steps before a stop do not depend
-        on where the run ends, and each event is located on its own step.
-        """
 
-        def maximum(_theta, y):
-            return y[1]
+class TestShootPeriodHalfPeriod:
+    """The period is twice the angle from the rest start to the first turning
+    point, which is where the run ends."""
 
-        maximum.direction = -1
-        sol = solve_ivp(_ode_rhs, (0.0, 16.0 * np.pi), (p0, 0.0), method="DOP853",
-                        rtol=1e-12, atol=1e-12, events=(maximum, _floor_event))
-        assert sol.status == 0 and sol.t_events[1].size == 0
-        maxima = sol.t_events[0][sol.t_events[0] > 1e-9]
-        assert maxima.size >= 3
-        assert shoot_period(p0) == float(maxima[1] - maxima[0])
+    @pytest.mark.parametrize("p0", HALF_PERIOD_AMPLITUDES)
+    def test_agrees_with_quadrature(self, p0):
+        assert abs(shoot_period(p0) - period_by_quadrature(p0)) <= 1e-10
+
+    @pytest.mark.parametrize("p0", HALF_PERIOD_AMPLITUDES)
+    def test_orbit_closes_after_one_period(self, p0):
+        traj = integrate_support_ode(p0, 0.0, shoot_period(p0), tol=1e-12, samples=2)
+        assert abs(traj.p[-1] - p0) <= 1e-9
+        assert abs(traj.dp[-1]) <= 1e-9
+
+    @pytest.mark.parametrize("p0", HALF_PERIOD_AMPLITUDES)
+    def test_run_ends_at_half_period(self, p0, monkeypatch):
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(solve_ivp(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(curveflow.shrinker, "solve_ivp", recording)
+        period = shoot_period(p0)
+        assert len(runs) == 1
+        assert runs[0].t[-1] == period / 2
+
+    def test_no_turning_point_refused(self, monkeypatch):
+        """A run that ends before any turning point raises ToleranceNotMet."""
+
+        def short(fun, _t_span, *args, **kwargs):
+            return solve_ivp(fun, (0.0, 0.1), *args, **kwargs)
+
+        monkeypatch.setattr(curveflow.shrinker, "solve_ivp", short)
+        with pytest.raises(ToleranceNotMet, match="no turning point"):
+            shoot_period(1.5)
 
 
 NEAR_ONE = [1.0 + sign * d for d in (1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3) for sign in (-1, 1)]
@@ -216,8 +234,7 @@ class TestQuadratureNearOne:
                 return
         a = p0 - 1.0
         assert abs(period - SQRT2_PI * (1.0 - a * a / 12.0)) <= 1e-8
-        if abs(a) >= 1e-4:
-            assert abs(period - shoot_period(p0)) <= 1e-8
+        assert abs(period - shoot_period(p0)) <= 1e-8
 
 
 BESIDE_ONE = [*np.linspace(0.90, 0.98, 17), *np.linspace(1.02, 1.10, 17)]
