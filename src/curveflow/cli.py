@@ -250,6 +250,7 @@ def _cmd_symmetrize(args) -> int:
     cv.write_curve_csv(pair.curve2.translated(shift), out / "symmetrized_2.csv")
     sidecar = pair.sidecar()
     sidecar["omega0"] = [sidecar["omega0"][0] + shift[0], sidecar["omega0"][1] + shift[1]]
+    sidecar["evaluations"] = cut.evaluations
     _emit(config, sidecar, "symmetrize_report.json")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateSegment, InputError, TooFewPoints
+from .errors import DegenerateSegment, InputError, TooFewPoints, ToleranceNotMet
 
 FloatArray = NDArray[np.float64]
 
@@ -173,9 +173,14 @@ def resample_arclength(
     Samples stay on the input polygon: an initial placement at equal
     cumulative-chord positions is followed by smoothing passes that slide the
     parameters until the chords agree to ``rel_tol`` of their mean. The first
-    sample stays pinned at the first input point.
+    sample stays pinned at the first input point. Raises ToleranceNotMet when
+    ``max_passes`` passes do not meet ``rel_tol``.
     """
-    return ClosedCurve(_resample(curve.points, m, rel_tol, max_passes)[0])
+    pts, _chords, converged = _resample(curve.points, m, rel_tol, max_passes)
+    if not converged:
+        raise ToleranceNotMet(
+            f"arclength resample missed rel_tol {rel_tol:g} in {max_passes} passes")
+    return ClosedCurve(pts)
 
 
 def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):

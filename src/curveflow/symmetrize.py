@@ -11,14 +11,14 @@ general shrinker classification to the symmetric case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .bonnesen import bonnesen_chain
-from .curves import (ClosedCurve, _deferred, _shoelace, _vertex_turns, is_convex,
-                     length, signed_area)
+from .curves import ClosedCurve, _shoelace, _vertex_turns, is_convex, length, signed_area
 from .errors import (
     NotAShrinker,
     NotConvexAfterGluing,
@@ -29,17 +29,20 @@ from .support import SupportFunction, _oval_map, curve_from_support
 
 FloatArray = NDArray[np.float64]
 
-brentq = _deferred("scipy.optimize", "brentq")
-
 
 @dataclass(frozen=True)
 class ChordCut:
-    """An opposite-normal chord and the area on its [theta, theta+pi] side."""
+    """An opposite-normal chord and the area on its [theta, theta+pi] side.
+
+    ``evaluations`` counts the gap evaluations of the chord search that found
+    it: 0 when a grid node bisects, or when :func:`chord_cut` built it.
+    """
 
     theta: float
     endpoints: FloatArray  # (2, 2): boundary points at theta and theta + pi
     midpoint: FloatArray
     sigma: float
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -126,14 +129,79 @@ def node_cut_areas(p: SupportFunction) -> np.ndarray:
     return 0.5 * (arcs + closing)
 
 
+def _cell_gap(p: SupportFunction, vertices: FloatArray, j: int):
+    """g(theta) = sigma(theta) - sigma(theta + pi) for theta in [j*h, (j+1)*h].
+
+    Inside the cell the interior vertices of both arcs are fixed, nodes
+    j+1..j+half and j+half+1..j+count, so the two shoelaces differ by their
+    constant interior sums plus cross products with the spectral endpoints a =
+    P(theta) and b = P(theta + pi):
+
+        2g = S1 - S2 + a x (V_j + V_{j+1}) - b x (V_{j+half} + V_{j+half+1}) + 2 b x a.
+
+    The sums cost O(count) once; each evaluation then costs two ``p.eval``.
+    """
+    half = p.count // 2
+    v = np.roll(vertices, -j, axis=0)  # v[k] is node j + k
+    nxt = np.roll(v, -1, axis=0)
+    cross = v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]
+    fixed = float(cross[1:half].sum() - cross[half + 1:].sum())
+    u = v[0] + v[1]
+    w = v[half] + v[half + 1]
+
+    def gap(theta: float) -> float:
+        ends = np.array([theta, theta + math.pi])
+        (xa, xb), (ya, yb) = _oval_map(p.eval(ends), p.eval(ends, order=1),
+                                       np.cos(ends), np.sin(ends))
+        return 0.5 * float(fixed + xa * u[1] - ya * u[0] - xb * w[1] + yb * w[0]
+                           + 2.0 * (xb * ya - yb * xa))
+
+    return gap
+
+
+def _illinois(f, a: float, b: float, max_iter: int = 100) -> tuple[float, int, bool]:
+    """A root of f in [a, b] by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+
+    Each step takes the secant point and keeps the sub-bracket whose ends
+    differ in sign. When one end is retained twice in a row its stored f is
+    halved, which stops plain regula falsi's one-sided crawl on a convex f.
+    Stops at f(c) == 0 or |b - a| <= 2e-12 + 4*eps*|c|. Returns the root, the
+    evaluations of f and whether it stopped within ``max_iter`` steps; raises
+    ToleranceNotMet when f(a) and f(b) do not differ in sign.
+    """
+    fa, fb = f(a), f(b)
+    if not fa * fb < 0.0:
+        raise ToleranceNotMet(f"chord search bracket has gaps {fa:.3g} and {fb:.3g} of one sign")
+    kept = 0  # +1 after a step that retained a, -1 after one that retained b
+    for step in range(1, max_iter + 1):
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = f(c)
+        if fc == 0.0:
+            return c, step + 2, True
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+            fb = 0.5 * fb if kept == -1 else fb
+            kept = -1
+        else:
+            b, fb = c, fc
+            fa = 0.5 * fa if kept == 1 else fa
+            kept = 1
+        if abs(b - a) <= 2e-12 + 4.0 * sys.float_info.epsilon * abs(c):
+            return c, step + 2, True
+    return c, max_iter + 2, False
+
+
 def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     """The chord with sigma(theta) = sigma(theta + pi), bracketed on the grid.
 
     The gap g(theta) = sigma(theta) - sigma(theta + pi) is odd under theta ->
     theta + pi, so the node gaps change sign in [0, pi]. Unless a node already
-    meets ``tol``, brentq solves g = 0 in the first cell where they do; g is
-    smooth there, as the interior nodes of both arcs are fixed. ``tol`` bounds
-    |sigma - A/2| relative to the area A.
+    meets ``tol``, Illinois regula falsi solves g = 0 in the first cell where
+    they do. There g is smooth and costs O(1) per evaluation, as the interior
+    nodes of both arcs are fixed (``_cell_gap``). The returned theta is checked
+    with the full arc shoelaces: ``tol`` bounds |sigma - A/2| relative to the
+    area A, and a miss or a search that does not stop raises ToleranceNotMet.
+    The cut records the number of gap evaluations.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol}")
@@ -147,17 +215,15 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
         return chord_cut(p, hits[0] * p.step)
     j = int(np.flatnonzero(g[:half] * g[1 : half + 1] < 0.0)[0])
     vertices = curve_from_support(p).points
-
-    def gap(theta: float) -> float:
-        return (_shoelace(_arc_polygon(p, vertices, theta))
-                - _shoelace(_arc_polygon(p, vertices, theta + math.pi)))
-
-    theta, result = brentq(gap, j * p.step, (j + 1) * p.step, full_output=True, disp=False)
-    miss = abs(gap(theta))
-    if not result.converged or miss > bound:
+    theta, evaluations, converged = _illinois(_cell_gap(p, vertices, j),
+                                              j * p.step, (j + 1) * p.step)
+    cut = chord_cut(p, theta)
+    miss = abs(cut.sigma - _shoelace(_arc_polygon(p, vertices, theta + math.pi)))
+    if not converged or miss > bound:
         raise ToleranceNotMet(f"equal-area chord search ended at |sigma(t) - sigma(t+pi)| = "
-                              f"{miss:.3g} > {bound:.3g}")
-    return chord_cut(p, theta)
+                              f"{miss:.3g} against {bound:.3g}"
+                              + ("" if converged else ", without converging"))
+    return replace(cut, evaluations=evaluations)
 
 
 def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:

@@ -198,6 +198,17 @@ class TestSymmetrize:
         assert signed_area(c2) == pytest.approx(rep["areas"][1], rel=1e-12)
         assert (out / "symmetrize_report.json").exists()
 
+    def test_report_counts_gap_evaluations(self, egg_csv, ellipse_csv, tmp_path, capsys):
+        # no grid node bisects the egg, so the chord search runs; on the
+        # centred ellipse node 0 bisects and the search is skipped
+        counts = []
+        for path in (egg_csv, ellipse_csv):
+            assert main(["symmetrize", "--input", path, "--grid", "512",
+                         "--output", str(tmp_path / "sym")]) == 0
+            counts.append(json.loads(capsys.readouterr().out)["report"]["evaluations"])
+        assert counts[0] >= 3
+        assert counts[1] == 0
+
     def test_nonconvex_exit_four(self, lshape_csv):
         assert main(["symmetrize", "--input", lshape_csv]) == 4
 
@@ -510,7 +521,8 @@ class TestDeferredScipy:
 
     def test_only_solving_runs_load_scipy(self, tmp_path):
         files = {"circle": shapes.circle(64), "circle1024": shapes.circle(1024),
-                 "ellipse": shapes.ellipse(256), "lshape": shapes.l_hexagon()}
+                 "ellipse": shapes.ellipse(256), "lshape": shapes.l_hexagon(),
+                 "egg": curve_from_support(shapes.random_oval_support(1024, 5, offset=0.25))}
         for name, curve in files.items():
             write_curve_csv(curve, tmp_path / f"{name}.csv")
         path = {name: str(tmp_path / f"{name}.csv") for name in files}
@@ -522,6 +534,8 @@ class TestDeferredScipy:
             (["shrink-verify", "--input", path["circle1024"]], 0),
             (["bonnesen", "--input", path["lshape"]], 4),
             (["ode-shoot", "--amplitudes", "nan"], 1),
+            (["symmetrize", "--input", path["egg"], "--grid", "512",
+              "--output", str(tmp_path / "sym")], 0),
             (["bonnesen", "--input", path["ellipse"]], 0),
         ]
         steps = _fresh_python("""
@@ -536,6 +550,9 @@ print(json.dumps(steps))
         for name, _code, loaded in steps[:-1]:
             assert loaded == [], f"{name} loaded {loaded}"
         assert "scipy.optimize" in steps[-1][2]
+        # no grid node bisects the egg, so its run searched for the chord
+        report = json.loads((tmp_path / "sym" / "symmetrize_report.json").read_text())
+        assert report["report"]["evaluations"] > 0
 
     def test_first_solver_call_from_two_threads(self):
         before, threaded, serial = _fresh_python("""

@@ -16,6 +16,7 @@ from curveflow import (
     FlowState,
     FlowTrajectory,
     SupportFunction,
+    ToleranceNotMet,
     TooFewPoints,
     is_convex,
     is_simple,
@@ -95,6 +96,10 @@ class TestResample:
         c = shapes.circle(256)
         r = resample_arclength(c, 256)
         assert np.max(np.abs(r.points - c.points)) < 1e-9
+
+    def test_missed_tolerance_raises(self):
+        with pytest.raises(ToleranceNotMet, match="in 0 passes"):
+            resample_arclength(shapes.nonuniform_circle(1024, seed=1), 256, max_passes=0)
 
     def test_too_few_target_samples(self):
         with pytest.raises(TooFewPoints):

@@ -3,7 +3,6 @@
 import importlib
 import json
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +24,9 @@ from curveflow import (
     symmetrize,
 )
 from curveflow import shapes
+
+# the package exports the function symmetrize under the module's name
+symmod = importlib.import_module("curveflow.symmetrize")
 
 
 def oval(count, coeffs, mean=1.0):
@@ -112,28 +114,85 @@ class TestBisectingChord:
             find_bisecting_chord(oval(256, {1: (0.3, 0.0), 3: (0.02, 0.015)}), tol=tol)
 
     @pytest.mark.parametrize("root_finder", [
-        lambda f, a, b, **k: (a, SimpleNamespace(converged=True)),  # misses the tolerance
-        lambda f, a, b, **k: (brentq(f, a, b), SimpleNamespace(converged=False)),
+        lambda f, a, b, **k: (a, 1, True),  # misses the tolerance
+        lambda f, a, b, **k: (brentq(f, a, b), 1, False),
     ], ids=["bad-root", "not-converged"])
     def test_root_failure_is_tolerance_not_met(self, monkeypatch, root_finder):
         # the package exports the function symmetrize under the module's name
-        monkeypatch.setattr(importlib.import_module("curveflow.symmetrize"), "brentq",
+        monkeypatch.setattr(importlib.import_module("curveflow.symmetrize"), "_illinois",
                             root_finder)
         with pytest.raises(ToleranceNotMet):
             find_bisecting_chord(oval(1024, {1: (0.3, 0.0), 2: (0.05, 0.0), 3: (0.02, 0.015)}))
 
 
+class TestChordSearch:
+    """Illinois regula falsi on the constant-time cell gap."""
+
+    def test_halving_converges_where_plain_regula_falsi_stalls(self):
+        # convex on [0, 1]: plain regula falsi keeps b = 1 and crawls from the left
+        def f(x):
+            return np.exp(10.0 * x) - 2.0
+
+        a, b, fa, fb = 0.0, 1.0, f(0.0), f(1.0)
+        for _ in range(100):
+            c = (a * fb - b * fa) / (fb - fa)
+            fc = f(c)
+            if fc < 0.0:
+                a, fa = c, fc
+            else:
+                b, fb = c, fc
+        assert b == 1.0 and abs(c - np.log(2.0) / 10.0) > 1e-2
+        root, evaluations, converged = symmod._illinois(f, 0.0, 1.0)
+        assert converged
+        assert evaluations <= 25  # 21 at the time of writing
+        assert root == pytest.approx(np.log(2.0) / 10.0, abs=1e-12)
+
+    def test_same_sign_bracket_refused(self):
+        with pytest.raises(ToleranceNotMet, match="one sign"):
+            symmod._illinois(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_capped_search_is_tolerance_not_met(self, monkeypatch):
+        solve = symmod._illinois
+        monkeypatch.setattr(symmod, "_illinois", lambda f, a, b: solve(f, a, b, max_iter=1))
+        with pytest.raises(ToleranceNotMet, match="without converging"):
+            find_bisecting_chord(shapes.random_oval_support(1024, 0, offset=0.25))
+
+    @pytest.mark.parametrize("p", [
+        shapes.random_oval_support(1024, 0, offset=0.25),
+        shapes.random_oval_support(512, 5, offset=0.2),
+        oval(1024, {1: (0.3, 0.0), 2: (0.05, 0.0), 3: (0.02, 0.015)}),
+        oval(256, {1: (0.1, 0.2), 3: (0.03, 0.0)}),
+    ], ids=["random0", "random5", "three-mode", "coarse"])
+    def test_cell_gap_matches_arc_polygon_gap(self, p):
+        area = oval_area(p)
+        vertices = curve_from_support(p).points
+        h = p.step
+        for j in (0, 7, p.count // 3, p.count // 2 - 1):
+            gap = symmod._cell_gap(p, vertices, j)
+            for frac in (0.0, 0.25, 0.5, 0.9, 1.0):
+                theta = (j + frac) * h
+                full = chord_cut(p, theta).sigma - chord_cut(p, theta + np.pi).sigma
+                assert abs(gap(theta) - full) <= 1e-12 * area, (j, frac)
+
+    def test_evaluation_count(self):
+        p = shapes.random_oval_support(1024, 0, offset=0.25)
+        searched = find_bisecting_chord(p)
+        assert 3 <= searched.evaluations <= 102
+        assert chord_cut(p, searched.theta).evaluations == 0
+        assert find_bisecting_chord(oval(256, {})).evaluations == 0  # node 0 bisects
+
+
 class TestSymmetrize:
     def test_pair_builds_the_oval_once(self, monkeypatch):
-        # node_cut_areas, the brentq gap, chord_cut and symmetrize all walk the
+        # node_cut_areas, the cell gap, chord_cut and symmetrize all walk the
         # oval's vertices; the SupportFunction builds them for the first only
         support_module = importlib.import_module("curveflow.support")
         symmetrize_module = importlib.import_module("curveflow.symmetrize")
         builds, solves = [], []
-        build, solve = support_module._oval_curve, symmetrize_module.brentq
+        build, solve = support_module._oval_curve, symmetrize_module._illinois
         monkeypatch.setattr(support_module, "_oval_curve",
                             lambda p: builds.append(p) or build(p))
-        monkeypatch.setattr(symmetrize_module, "brentq",
+        monkeypatch.setattr(symmetrize_module, "_illinois",
                             lambda *a, **k: solves.append(a) or solve(*a, **k))
         p = shapes.random_oval_support(1024, 0, offset=0.25)
         symmetrize(p, find_bisecting_chord(p))
