@@ -25,8 +25,9 @@ _DEGENERATE_REL = 1e-12
 _CSV = {"fmt": "%.17g", "delimiter": ",", "comments": ""}
 
 
-def _edges(pts: FloatArray) -> FloatArray:
-    """Cyclic edge vectors: row i runs from sample i to sample i + 1."""
+def _edges(pts):
+    """Cyclic edge vectors: row i runs from sample i to sample i + 1, on (n, 2)
+    samples or on complex samples x + iy."""
     e = np.empty_like(pts)
     e[:-1] = pts[1:] - pts[:-1]
     e[-1] = pts[0] - pts[-1]
@@ -151,8 +152,11 @@ def centroid(curve: ClosedCurve) -> FloatArray:
 
 
 def _centroid(pts: FloatArray) -> FloatArray:
+    nxt = np.empty_like(pts)  # one shifted copy: row i holds sample i + 1
+    nxt[:-1] = pts[1:]
+    nxt[-1] = pts[0]
     x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = nxt[:, 0], nxt[:, 1]
     cross = x * yn - xn * y
     a = 0.5 * cross.sum()
     if abs(a) < 1e-300:
@@ -176,8 +180,8 @@ def resample_arclength(
     sample stays pinned at the first input point. Raises ToleranceNotMet when
     ``max_passes`` passes do not meet ``rel_tol``.
     """
-    pts, _chords, converged = _resample(curve.points, m, rel_tol, max_passes)
-    if not converged:
+    pts, _chords, passes = _resample(curve.points, m, rel_tol, max_passes)
+    if passes > max_passes:
         raise ToleranceNotMet(
             f"arclength resample missed rel_tol {rel_tol:g} in {max_passes} passes")
     return ClosedCurve(pts)
@@ -186,11 +190,20 @@ def resample_arclength(
 def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
     """:func:`resample_arclength` on a raw sample array, which gets the checks
     of a ClosedCurve first. Returns the new samples, their chord lengths and
-    whether the chords met ``rel_tol`` within ``max_passes``."""
+    the smoothing passes taken to meet ``rel_tol``: max_passes + 1 when
+    ``max_passes`` passes did not meet it.
+
+    The samples and edges are handled as complex numbers x + iy, viewed on
+    the (n, 2) array without a copy, so each pass places the points with one
+    gather per array; the result is returned as an (m, 2) view. Chords are
+    ``hypot`` of the real and imaginary parts, not complex ``abs``, which
+    rounds differently in the last bit and would move the samples.
+    """
     if m < 3:
         raise TooFewPoints(f"resampling needs m >= 3, got {m}")
-    edges = _edges(points)
-    seglen = _checked_chords(points, np.hypot(edges[:, 0], edges[:, 1]))
+    zp = np.ascontiguousarray(points).view(complex)[:, 0]
+    ze = _edges(zp)
+    seglen = _checked_chords(points, np.hypot(ze.real, ze.imag))
     cum = np.zeros(len(seglen) + 1)
     np.cumsum(seglen, out=cum[1:])
     seg = cum[1:] - cum[:-1]
@@ -208,13 +221,13 @@ def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
         idx -= 1
         np.minimum(idx, len(seglen) - 1, out=idx)
         frac = (s - cum[idx]) / seg[idx]
-        pts = points.take(idx, axis=0) + frac[:, None] * edges.take(idx, axis=0)
-        diff = _edges(pts)
-        chords = np.hypot(diff[:, 0], diff[:, 1])
+        z = zp[idx] + frac * ze[idx]
+        d = _edges(z)
+        chords = np.hypot(d.real, d.imag)
         mean = chords.sum() / m
-        converged = bool(np.max(np.abs(chords - mean)) <= rel_tol * mean)
+        converged = bool(abs(chords - mean).max() <= rel_tol * mean)
         if converged or npass == max_passes:
-            return pts, chords, converged
+            return z.view(float).reshape(m, 2), chords, npass if converged else npass + 1
         np.cumsum(chords, out=u[1:])
         t_knots[:m] = t
         t = np.interp(u[m] * fractions, u, t_knots)

@@ -25,6 +25,7 @@ grow with n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,6 +97,8 @@ class FlowTrajectory:
     final_state: FlowState
     stop_reason: str  # "collapsed" | "t_max" | "step_budget"
     snapshots: tuple[tuple[float, ClosedCurve], ...] = ()
+    # the arclength resample's smoothing passes, summed over every step
+    resample_passes: int = 0
 
     @property
     def extinction_time(self) -> float | None:
@@ -121,8 +124,13 @@ def suggested_dt(curve: ClosedCurve) -> float:
     return _DT_FACTOR * h * h
 
 
-def _xy(z) -> FloatArray:
-    return np.column_stack((z.real, z.imag))
+@functools.lru_cache(maxsize=32)
+def _sin2(m: int) -> FloatArray:
+    """sin^2(pi k/m) for k = 0..m-1, the step's symbol up to the factor
+    -4 dt / h^2. Read-only, as every step on m samples shares it."""
+    sin2 = np.sin(np.pi * np.arange(m) / m) ** 2
+    sin2.setflags(write=False)
+    return sin2
 
 
 def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
@@ -133,8 +141,13 @@ def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
     2 h^2 capped at ``dt_max`` for mean chord h, and are resampled to
     as many samples. The moved and resampled points get the checks of a
     ClosedCurve, and a resample that misses its tolerance raises
-    ToleranceNotMet. Returns the new points, their chord lengths, the dt taken
-    and the enclosed area.
+    ToleranceNotMet. Returns the new points, their chord lengths, the dt taken,
+    the enclosed area and the resample's smoothing passes.
+
+    The kernel works on the (n, 2) samples viewed as complex z = x + iy, with
+    no copy between layouts: the FFT reads the view, the predictor's chords
+    are ``hypot`` of its complex edges, and the corrector goes to the
+    resample, and back out, as an (m, 2) view of the inverse FFT.
     """
     m = points.shape[0]
     h = float(chords.sum()) / m
@@ -142,17 +155,17 @@ def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
         dt = min(_DT_FACTOR * h * h, dt_max)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    spectrum = np.fft.fft(points[:, 0] + 1j * points[:, 1])
-    s = -dt * 4.0 * np.sin(np.pi * np.arange(m) / m) ** 2
-    e = _edges(_xy(np.fft.ifft(spectrum * np.exp(s / (h * h)))))
-    h1 = float(np.hypot(e[:, 0], e[:, 1]).sum()) / m
-    moved = _xy(np.fft.ifft(spectrum * np.exp(s / (h * h1))))
-    pts, new_chords, converged = _resample(moved, m, rel_tol=1e-8, max_passes=_RESAMPLE_PASSES)
+    spectrum = np.fft.fft(np.ascontiguousarray(points).view(complex)[:, 0])
+    s = -dt * 4.0 * _sin2(m)
+    e = _edges(np.fft.ifft(spectrum * np.exp(s / (h * h))))
+    h1 = float(np.hypot(e.real, e.imag).sum()) / m
+    moved = np.fft.ifft(spectrum * np.exp(s / (h * h1))).view(float).reshape(m, 2)
+    pts, new_chords, passes = _resample(moved, m, rel_tol=1e-8, max_passes=_RESAMPLE_PASSES)
     new_chords = _checked_chords(pts, new_chords)
-    if not converged:
+    if passes > _RESAMPLE_PASSES:
         raise ToleranceNotMet(
             f"arclength resample missed rel_tol 1e-8 in {_RESAMPLE_PASSES} passes")
-    return pts, new_chords, dt, _shoelace(pts)
+    return pts, new_chords, dt, _shoelace(pts), passes
 
 
 def _entry_area(curve: ClosedCurve) -> float:
@@ -170,7 +183,7 @@ def _entry_area(curve: ClosedCurve) -> float:
 def csf_step(curve: ClosedCurve, dt: float) -> ClosedCurve:
     """One step of length ``dt``: flow by the spectral kernel, then
     redistribute arclength. Raises ValueError unless dt > 0."""
-    pts, _chords, _dt, _area = _step(curve.points, curve.chord_lengths(), dt)
+    pts, *_ = _step(curve.points, curve.chord_lengths(), dt)
     return ClosedCurve(pts)
 
 
@@ -203,6 +216,7 @@ def run_flow(
     area_floor = area_floor_rel * area
     time = 0.0
     step_count = 0
+    resample_passes = 0
 
     times = [time]
     lengths = [perim]
@@ -225,7 +239,8 @@ def run_flow(
         if m % 2 == 0 and m // 2 >= _MIN_SAMPLES and perim / target_spacing <= m / 2:
             pts = np.ascontiguousarray(pts[::2])
             chords = _checked_chords(pts)
-        pts, chords, dt, area = _step(pts, chords, dt_max=dt_max)
+        pts, chords, dt, area, passes = _step(pts, chords, dt_max=dt_max)
+        resample_passes += passes
         time += dt
         step_count += 1
         perim = float(chords.sum())
@@ -246,6 +261,7 @@ def run_flow(
         final_state=FlowState(ClosedCurve(pts), time, step_count),
         stop_reason=stop_reason,
         snapshots=tuple(snapshots),
+        resample_passes=resample_passes,
     )
 
 
@@ -290,7 +306,7 @@ def rescaled_flow(
     scales = [lam]
     rates = []
     for _ in range(_RESCALED_MAX_STEPS):
-        stepped, _chords, dt, area = _step(pts, chords, _RESCALED_DT)
+        stepped, _chords, dt, area, *_ = _step(pts, chords, _RESCALED_DT)
         if area <= 0.0:
             raise CurveCollapsed(f"normalized area {area:.3g} <= 0 after t = {tau:.6g}")
         factor = math.sqrt(math.pi / area)

@@ -74,22 +74,28 @@ def _oval_point(p: SupportFunction, theta: float) -> np.ndarray:
     return np.array(_oval_map(pv, dv, math.cos(theta), math.sin(theta)))
 
 
-def _arc_polygon(p: SupportFunction, vertices: FloatArray, theta: float) -> FloatArray:
-    """Vertices from theta to theta + pi: exact endpoints plus interior grid nodes."""
+def _arc_polygon(p: SupportFunction, vertices: FloatArray, theta: float,
+                 start: FloatArray, end: FloatArray) -> FloatArray:
+    """Vertices from theta to theta + pi: the exact endpoints ``start`` =
+    P(theta) and ``end`` = P(theta + pi) plus the interior grid nodes."""
     n = p.count
     h = p.step
     j0 = int(math.ceil(theta / h - 1e-12))
     j1 = int(math.floor((theta + math.pi) / h + 1e-12))
     idx = np.arange(j0, j1 + 1)
     inner = vertices[np.mod(idx, n)]
-    start = _oval_point(p, theta)
-    end = _oval_point(p, theta + math.pi)
     tiny = 1e-12 * float(np.mean(p.values))
     if inner.shape[0] and np.hypot(*(inner[0] - start)) < tiny:
         inner = inner[1:]
     if inner.shape[0] and np.hypot(*(inner[-1] - end)) < tiny:
         inner = inner[:-1]
     return np.vstack([start, inner, end])
+
+
+def _other_arc(p: SupportFunction, vertices: FloatArray, cut: ChordCut) -> FloatArray:
+    """The arc from theta + pi to theta + 2 pi, closed on the cut's own
+    endpoints, so that both arcs share them exactly."""
+    return _arc_polygon(p, vertices, cut.theta + math.pi, cut.endpoints[1], cut.endpoints[0])
 
 
 def chord_cut(p: SupportFunction, theta: float) -> ChordCut:
@@ -100,14 +106,12 @@ def chord_cut(p: SupportFunction, theta: float) -> ChordCut:
     """
     theta = float(np.mod(theta, 2.0 * np.pi))
     vertices = curve_from_support(p).points
-    arc = _arc_polygon(p, vertices, theta)
-    sigma = _shoelace(arc)
-    endpoints = np.vstack([arc[0], arc[-1]])
+    start, end = _oval_point(p, theta), _oval_point(p, theta + math.pi)
     return ChordCut(
         theta=theta,
-        endpoints=endpoints,
-        midpoint=0.5 * (arc[0] + arc[-1]),
-        sigma=sigma,
+        endpoints=np.vstack([start, end]),
+        midpoint=0.5 * (start + end),
+        sigma=_shoelace(_arc_polygon(p, vertices, theta, start, end)),
     )
 
 
@@ -218,7 +222,7 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     theta, evaluations, converged = _illinois(_cell_gap(p, vertices, j),
                                               j * p.step, (j + 1) * p.step)
     cut = chord_cut(p, theta)
-    miss = abs(cut.sigma - _shoelace(_arc_polygon(p, vertices, theta + math.pi)))
+    miss = abs(cut.sigma - _shoelace(_other_arc(p, vertices, cut)))
     if not converged or miss > bound:
         raise ToleranceNotMet(f"equal-area chord search ended at |sigma(t) - sigma(t+pi)| = "
                               f"{miss:.3g} against {bound:.3g}"
@@ -238,8 +242,8 @@ def symmetrize(p: SupportFunction, cut: ChordCut) -> SymmetrizedPair:
     omega = cut.midpoint
     curves = []
     gaps = []
-    for theta in (cut.theta, cut.theta + math.pi):
-        arc = _arc_polygon(p, vertices, theta)
+    for arc in (_arc_polygon(p, vertices, cut.theta, *cut.endpoints),
+                _other_arc(p, vertices, cut)):
         glued = np.vstack([arc, 2.0 * omega - arc[1:-1]])
         curve = ClosedCurve(glued)
         if not is_convex(curve):

@@ -4,6 +4,9 @@ Everything here is deliberately brute-force or quadrature-based so it shares
 no code path with the library implementations it checks. The one exception is
 ``reference_step``, a second flow scheme (explicit Euler) composed from the
 public curve primitives, against which the spectral flow kernel is compared.
+``resample_reference`` is the arclength resample written out on (n, 2)
+arrays, the layout the library's complex-view resample replaced; the
+bit-identity tests of the flow use it in place of ``resample_arclength``.
 ``random_convex_polygon`` draws the test polygons that several modules share.
 """
 
@@ -176,3 +179,33 @@ def reference_step(curve, dt_factor=0.25, dt_max=np.inf):
     dt = min(dt_factor * h_mean * h_mean / max(1.0, k_max), 0.98 * bound, dt_max)
     moved = frame.points + dt * frame.curvature[:, None] * frame.normal
     return resample_arclength(ClosedCurve(moved), curve.n, rel_tol=1e-8, max_passes=20), dt
+
+
+def resample_reference(points: np.ndarray, m: int, rel_tol: float, max_passes: int):
+    """The arclength resample on (n, 2) arrays: place m samples at equal
+    cumulative-chord positions on the polygon, then slide their parameters by
+    monotone interpolation of the cumulative chords until every chord is
+    within rel_tol of the mean. Each pass gathers points and edges by row and
+    adds frac times the edge; chords are hypot of the two columns. Returns the
+    samples, their chords and the passes taken (max_passes + 1 on a miss).
+    """
+    points = np.asarray(points, dtype=float)
+    edges = np.roll(points, -1, axis=0) - points
+    seglen = np.hypot(edges[:, 0], edges[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seglen)])
+    total = cum[-1]
+    fractions = np.arange(m) / m
+    t = total * fractions
+    for npass in range(max_passes + 1):
+        s = np.mod(t, total)
+        idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seglen) - 1)
+        frac = (s - cum[idx]) / (cum[idx + 1] - cum[idx])
+        pts = points.take(idx, axis=0) + frac[:, None] * edges.take(idx, axis=0)
+        diff = np.roll(pts, -1, axis=0) - pts
+        chords = np.hypot(diff[:, 0], diff[:, 1])
+        mean = chords.sum() / m
+        if np.max(np.abs(chords - mean)) <= rel_tol * mean:
+            return pts, chords, npass
+        u = np.concatenate([[0.0], np.cumsum(chords)])
+        t = np.interp(u[m] * fractions, u, np.append(t, total))
+    return pts, chords, max_passes + 1

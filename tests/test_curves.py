@@ -30,7 +30,8 @@ from curveflow import (
     write_curve_csv,
     write_support_csv,
 )
-from curveflow import shapes
+from curveflow import curve_from_support, shapes
+from curveflow.curves import _resample
 from curveflow.errors import InputError
 from curveflow.shrinker import PeriodEntry
 
@@ -110,6 +111,50 @@ class TestResample:
         c = shapes.nonuniform_circle(4096, seed=7)
         r = resample_arclength(c, m)
         assert length(r) == pytest.approx(length(c), rel=1e-6)
+
+
+def _read_only(points):
+    copy = np.array(points)
+    copy.setflags(write=False)
+    return copy
+
+
+# (samples, target count): the flow's two test shapes at their own count, and
+# criterion 6's 512 -> 2048 oval resample
+_RESAMPLE_CASES = {
+    "ellipse": (shapes.ellipse(128).points, 128),
+    "rounded_square": (shapes.rounded_square(128).points, 128),
+    "oval": (curve_from_support(shapes.random_oval_support(512, 3, offset=0.1)).points, 2048),
+}
+
+
+class TestResampleOracle:
+    """The complex-view resample equals the (n, 2) oracle bit for bit, also on
+    input it must copy before viewing: reversed, strided or read-only."""
+
+    @pytest.mark.parametrize("layout", [
+        lambda pts: pts,
+        lambda pts: pts[::-1],
+        lambda pts: pts[::2],
+        _read_only,
+    ], ids=["contiguous", "reversed", "strided", "read_only"])
+    @pytest.mark.parametrize("case", list(_RESAMPLE_CASES))
+    @pytest.mark.parametrize("rel_tol, max_passes", [(1e-10, 200), (1e-8, 20)])
+    def test_equals_oracle(self, case, layout, rel_tol, max_passes):
+        source, m = _RESAMPLE_CASES[case]
+        points = layout(source)
+        pts, chords, passes = _resample(points, m, rel_tol, max_passes)
+        ref_pts, ref_chords, ref_passes = oracles.resample_reference(points, m, rel_tol, max_passes)
+        assert pts.shape == (m, 2)
+        assert np.array_equal(pts, ref_pts)
+        assert np.array_equal(chords, ref_chords)
+        assert passes == ref_passes <= max_passes
+        assert np.array_equal(points, layout(source))  # the input is left as it was
+
+    def test_miss_counts_one_pass_over_the_budget(self):
+        points = shapes.nonuniform_circle(1024, seed=1).points
+        assert _resample(points, 256, 1e-10, 0)[2] == 1
+        assert oracles.resample_reference(points, 256, 1e-10, 0)[2] == 1
 
 
 class TestLengthArea:

@@ -277,6 +277,18 @@ class TestRescaledFlow:
             assert length(half) / 2 == pytest.approx(math.pi, abs=1e-2)
 
 
+class TestResamplePasses:
+    def test_circle_takes_none(self):
+        # equal chords already: every step's first placement meets the tolerance
+        traj = run_flow(shapes.circle(96))
+        assert traj.stop_reason == "collapsed"
+        assert traj.resample_passes == 0
+
+    def test_ellipse_total(self):
+        traj = run_flow(shapes.ellipse(128), t_max=0.1)
+        assert 0 < traj.resample_passes <= 20 * traj.final_state.step_count
+
+
 @pytest.mark.parametrize("flow", [
     lambda curve: run_flow(curve, t_max=0.1),
     rescaled_flow,
@@ -303,11 +315,11 @@ class TestRejectedFlags:
 
 
 def spectral_step(curve, dt_factor=2.0, dt_max=math.inf):
-    """One step of the flow kernel composed from numpy.fft and the public
-    primitives: dt = dt_factor * h^2 for mean chord h, capped at dt_max; the
-    predictor multiplies the spectrum of x + iy by exp(-dt * 4 sin^2(pi k/m) / h^2),
-    the corrector by the same with h^2 replaced by h * h1 (h1 the predictor's
-    mean chord); then resample."""
+    """One step of the flow kernel composed from numpy.fft, the public
+    primitives and the (n, 2) resample oracle: dt = dt_factor * h^2 for mean
+    chord h, capped at dt_max; the predictor multiplies the spectrum of x + iy
+    by exp(-dt * 4 sin^2(pi k/m) / h^2), the corrector by the same with h^2
+    replaced by h * h1 (h1 the predictor's mean chord); then resample."""
     m = curve.n
     h = float(curve.chord_lengths().sum()) / m
     dt = min(dt_factor * h * h, dt_max)
@@ -319,7 +331,18 @@ def spectral_step(curve, dt_factor=2.0, dt_max=math.inf):
         return ClosedCurve(np.column_stack((z.real, z.imag)))
 
     h1 = float(curve_of(h * h).chord_lengths().sum()) / m
-    return resample_arclength(curve_of(h * h1), m, rel_tol=1e-8, max_passes=20), dt
+    pts, _chords, passes = oracles.resample_reference(curve_of(h * h1).points, m, 1e-8, 20)
+    assert passes <= 20
+    return ClosedCurve(pts), dt
+
+
+def roll_centroid(curve):
+    """The area centroid by the shoelace formula on np.roll neighbours."""
+    x, y = curve.points[:, 0], curve.points[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a = 0.5 * cross.sum()
+    return np.array([np.sum((x + xn) * cross) / (6.0 * a), np.sum((y + yn) * cross) / (6.0 * a)])
 
 
 def reference_flow(curve, t_max, step):
@@ -341,9 +364,10 @@ def reference_flow(curve, t_max, step):
 
 
 class TestBitIdentity:
-    """The fused flow kernel reproduces the step composed from numpy.fft and
-    the public primitives exactly, not merely to a tolerance; and it keeps the
-    area law at least as well as the explicit scheme it replaced."""
+    """The fused flow kernel reproduces the step composed from numpy.fft, the
+    public primitives and the (n, 2) resample and np.roll centroid formulas
+    exactly, not merely to a tolerance; and it keeps the area law at least as
+    well as the explicit scheme it replaced."""
 
     def test_run_flow_matches_reference_loop(self):
         curve = shapes.ellipse(128)
@@ -366,12 +390,12 @@ class TestBitIdentity:
 
         area = signed_area(curve)
         lam = math.sqrt(area / math.pi)
-        ref = ClosedCurve((curve.points - centroid(curve)) * math.sqrt(math.pi / area))
+        ref = ClosedCurve((curve.points - roll_centroid(curve)) * math.sqrt(math.pi / area))
         tau, times, scales = 0.0, [0.0], [lam]
         while tau < t_max:
             stepped, dt = spectral_step(ref, dt_factor=math.inf, dt_max=8e-3)
             factor = math.sqrt(math.pi / signed_area(stepped))
-            ref = ClosedCurve((stepped.points - centroid(stepped)) * factor)
+            ref = ClosedCurve((stepped.points - roll_centroid(stepped)) * factor)
             tau += lam * lam * dt
             lam /= factor
             times.append(tau)

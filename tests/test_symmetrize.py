@@ -199,6 +199,21 @@ class TestSymmetrize:
         assert len(solves) == 1  # no grid node bisects, so every builder call is reached
         assert len(builds) == 1
 
+    def test_arcs_close_on_the_cut_endpoints(self, monkeypatch):
+        # both arcs end on the cut's own endpoints, so symmetrize evaluates no
+        # support series and each half holds both endpoints exactly
+        p = shapes.random_oval_support(1024, 0, offset=0.25)
+        cut = find_bisecting_chord(p)
+        support_cls = importlib.import_module("curveflow.support").SupportFunction
+        calls, evaluate = [], support_cls.eval
+        monkeypatch.setattr(support_cls, "eval",
+                            lambda self, *a, **k: calls.append(a) or evaluate(self, *a, **k))
+        pair = symmetrize(p, cut)
+        assert calls == []
+        for c in (pair.curve1, pair.curve2):
+            for end in cut.endpoints:
+                assert np.any(np.all(c.points == end, axis=1))
+
     def test_disk_reproduces_circles(self):
         p = oval(512, {})
         base = curve_from_support(p)
