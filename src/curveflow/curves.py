@@ -193,9 +193,10 @@ def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
     the smoothing passes taken to meet ``rel_tol``: max_passes + 1 when
     ``max_passes`` passes did not meet it.
 
-    The samples and edges are handled as complex numbers x + iy, viewed on
-    the (n, 2) array without a copy, so each pass places the points with one
-    gather per array; the result is returned as an (m, 2) view. Chords are
+    The samples and edges are handled as complex numbers x + iy, a view of
+    the (n, 2) array (copied first only when it is not contiguous), so each
+    pass places the points with one gather per array; the result is returned
+    as an (m, 2) view. Chords are
     ``hypot`` of the real and imaginary parts, not complex ``abs``, which
     rounds differently in the last bit and would move the samples.
     """
