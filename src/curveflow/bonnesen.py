@@ -32,11 +32,96 @@ class BonnesenReport:
     equality_gap: float
 
 
-# Constraint generation for the inradius LP: the edges the first solve sees,
-# the edges each further round adds, and the rounds before a solve on every edge.
-_START_EDGES = 128
+# Constraint generation for the inradius LP: the edges each round adds to
+# those solved, and the rounds before a solve on every edge. The rounds also
+# cap the pivot that seeds it.
 _BATCH_EDGES = 16
 _MAX_ROUNDS = 64
+# The pivot's start: the edges whose outward normals lie closest to these.
+_THIRDS = np.array([[1.0, 0.0], [-0.5, math.sqrt(0.75)], [-0.5, -math.sqrt(0.75)]])
+
+
+def _incircle_from_three(o, b, basis):
+    """Centre and radius held by three edges, or None unless they are a basis.
+
+    Solves o_i . (x, y) + r = b_i for the three edges by Cramer's rule. The
+    dual weights are the cofactors of the column of ones over the
+    determinant. They sum to 1, and the three edges are a basis of the LP
+    when the determinant is nonzero and no weight is below -1e-12.
+    """
+    (ax, ay), (bx, by), (cx, cy) = o[basis].tolist()
+    ba, bb, bc = b[basis].tolist()
+    wa, wb, wc = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
+    d = wa + wb + wc
+    if d == 0.0 or min(wa / d, wb / d, wc / d) < -1e-12:
+        return None
+    x = (ba * (by - cy) + bb * (cy - ay) + bc * (ay - by)) / d
+    y = (ba * (cx - bx) + bb * (ax - cx) + bc * (bx - ax)) / d
+    return x, y, (wa * ba + wb * bb + wc * bc) / d
+
+
+def _segment_end(o, gap, basis):
+    """The edge that ends a degenerate basis's segment of optima, in a list.
+
+    When two basis edges are antiparallel, the third has no dual weight, and
+    the LP on the three alone is optimal all along the pair's midline, from
+    the centre away from the third edge up to the bounding box. HiGHS may
+    return that far end. The first edge the centre meets on the way, the
+    least gap = slack - r over its rate of closing, ends the segment. Edges
+    that close at no more than 1e-12 run along the midline. A basis whose
+    weights all exceed 1e-12 has one optimum and needs no such edge.
+    """
+    u = o[basis]
+    w = u[[1, 2, 0], 0] * u[[2, 0, 1], 1] - u[[1, 2, 0], 1] * u[[2, 0, 1], 0]
+    w = w / w.sum()
+    k = int(np.argmin(w))
+    if w[k] > 1e-12:
+        return []
+    along = np.array([-u[k - 1, 1], u[k - 1, 0]])
+    if u[k] @ along > 0.0:
+        along = -along
+    rate = o @ along
+    step = np.full(len(o), np.inf)
+    np.divide(np.maximum(gap, 0.0), rate, out=step, where=rate > 1e-12)
+    return [int(np.argmin(step))]
+
+
+def _incircle_basis(o, b):
+    """Edges that hold the Chebyshev centre of o_i . x + r <= b_i, and its circle.
+
+    The active-set dual of the Elzinga-Hearn iteration that
+    ``minimal_enclosing_circle`` runs. It starts from the edges whose
+    outward normals o_i lie closest to three directions 120 degrees apart.
+    Each round takes the edge q closest to the centre. Once q is at least
+    r * (1 - 1e-12) away the circle is optimal, and the pivot returns the
+    basis, plus the edge from ``_segment_end``, and the circle (x, y, r).
+    Otherwise, of the bases that swap q in for one edge, it keeps the one
+    with the smallest r. Two antiparallel basis edges pin r, so a swap may
+    only tie it, up to 1e-14 relative of rounding. The pivot gives up,
+    returning the last basis and circle, when no swap is a basis, when r
+    would grow by more, or after 64 rounds. The circle is None when the
+    start edges are no basis.
+    """
+    basis = [int(np.argmax(o @ d)) for d in _THIRDS]
+    circle = _incircle_from_three(o, b, basis)
+    for _ in range(_MAX_ROUNDS):
+        if circle is None:
+            break
+        x, y, r = circle
+        slack = b - o @ (x, y)
+        q = int(np.argmin(slack))
+        if slack[q] >= r * (1.0 - 1e-12):
+            return basis + _segment_end(o, slack - r, basis), circle
+        best = None
+        for k in range(3):
+            swapped = basis[:k] + [q] + basis[k + 1:]
+            c = _incircle_from_three(o, b, swapped)
+            if c is not None and (best is None or c[2] < best[0][2]):
+                best = c, swapped
+        if best is None or best[0][2] > r * (1.0 + 1e-14):
+            break
+        circle, basis = best
+    return basis, circle
 
 
 def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
@@ -48,11 +133,13 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
     tolerances are absolute, so the LP is solved with the bounding box
     centred on the origin and scaled by a power of two to an extent below 1.
     It is solved by constraint generation (Elzinga & Hearn, Management
-    Science 19, 1972): the first solve takes up to 128 evenly spaced edges,
-    so it takes every edge of a smaller polygon, and while some edge not yet
-    taken lies closer to the centre than r * (1 - 1e-12), the 16 closest of
-    them join and the LP is solved again. After 64 such rounds the last
-    solve takes every edge. Raises ``SolverFailed`` when a solve fails.
+    Science 19, 1972). The first solve takes the three edges that
+    ``_incircle_basis`` finds to hold the centre, so it is usually the only
+    one. While some edge not yet taken lies closer to the centre than
+    r * (1 - 1e-12), the 16 closest of them join and the LP is solved again.
+    After 64 such rounds the last solve takes every edge. A start that is no
+    basis therefore costs rounds, not accuracy. Raises ``SolverFailed`` when
+    a solve fails.
     """
     if not is_convex(curve):
         raise NotConvex("inradius requires a convex curve")
@@ -72,8 +159,7 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
     # held to 1e-10 feasibility, not HiGHS's 1e-7: a centre up to 1e-7 of the
     # extent inside a solved edge inflates r, and the test of the other edges.
     box = [(lo[0], hi[0]), (lo[1], hi[1]), (0.0, None)]
-    first = min(n, _START_EDGES)
-    active = np.arange(first) * n // first
+    active = np.unique(_incircle_basis(a_ub[:, :2], b_ub)[0])
     for rounds in count(1):
         res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub[active], b_ub=b_ub[active], bounds=box,
                       method="highs", options={"primal_feasibility_tolerance": 1e-10})

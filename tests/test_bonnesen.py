@@ -76,8 +76,8 @@ class TestInradius:
 
         monkeypatch.setattr(curveflow.bonnesen, "linprog", too_far)
         r, center = inradius(shapes.circle(4096))
-        # 64 rounds from 128 edges, 16 more each, then all 4096
-        assert rows == [128 + 16 * k for k in range(64)] + [4096]
+        # 64 rounds from the pivot's three edges, 16 more each, then all 4096
+        assert rows == [3 + 16 * k for k in range(64)] + [4096]
         assert r == 2.0 * 4.0  # the unit circle is solved at a quarter scale
         assert np.array_equal(center, [0.0, 0.0])
 
@@ -156,13 +156,86 @@ class TestConstraintGeneration:
             slack = np.sum(inward * (center_moved - moved), axis=1)
             assert slack.min() >= r_moved * (1.0 - 1e-12) - resolution
 
+    def test_start_that_is_no_basis(self):
+        # two start directions pick the same edge of this triangle, so the
+        # pivot finds no circle and the LP rounds add the third edge
+        self._check(oracles.random_convex_polygon(3, 4))
+
     def test_clustered_vertices(self):
-        # the first 128 edges all lie on the bottom side: only the bounding
-        # box keeps that first LP bounded
+        # the 2000 bottom edges all touch the incircle: the pivot's basis
+        # holds one of them, and with the top side it leaves the centre
+        # free along a segment that the side it does not hold closes
         bottom = np.column_stack([np.linspace(-1.0, 1.0, 2001)[:-1], np.full(2000, -1.0)])
         points = np.vstack([bottom, [[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]])
         self._check(points)
         assert inradius(ClosedCurve(points))[0] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestPivot:
+    """The exact active-set pivot that seeds the inradius LP."""
+
+    @staticmethod
+    def _run(monkeypatch, curve):
+        """inradius's r, and the pivot's constraints, edges and circle."""
+        seen = []
+        pivot = curveflow.bonnesen._incircle_basis
+
+        def spy(o, b):
+            seen.append((o, b, pivot(o, b)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(curveflow.bonnesen, "_incircle_basis", spy)
+        r, _ = inradius(curve)
+        (o, b, (edges, circle)), = seen
+        return r, o, b, edges, circle
+
+    _OVALS = [resample_arclength(curve_from_support(
+        shapes.random_oval_support(512, s, offset=0.1)), 2048) for s in range(20)]
+
+    @pytest.mark.parametrize("curve", _OVALS + [
+        shapes.circle(65536), shapes.ellipse(2048, a=1.0, b=0.01), shapes.square(1.0),
+        shapes.rounded_square(256)],
+        ids=[f"oval{s}" for s in range(20)] + ["circle65536", "thin_ellipse", "square",
+                                               "rounded_square"])
+    def test_one_solve_per_curve(self, monkeypatch, curve):
+        calls = []
+        real = curveflow.bonnesen.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(len(kwargs["A_ub"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", counting)
+        inradius(curve)
+        assert len(calls) == 1, calls
+
+    @staticmethod
+    def _certify(monkeypatch, points):
+        r, o, b, edges, circle = TestPivot._run(monkeypatch, ClosedCurve(points))
+        x, y, r_exact = circle
+        # primal: the circle fits inside every edge line
+        assert (b - o @ (x, y)).min() >= r_exact * (1.0 - 1e-12)
+        # dual: the basis weights, cofactors of the column of ones, are not negative
+        u = o[edges[:3]]
+        w = u[[1, 2, 0], 0] * u[[2, 0, 1], 1] - u[[1, 2, 0], 1] * u[[2, 0, 1], 0]
+        assert (w / w.sum()).min() >= -1e-12
+        # so r_exact is the optimum, and HiGHS's r in the same frame matches it
+        scale = 2.0 ** math.frexp(float(np.ptp(points, axis=0).max()))[1]
+        assert r / scale == pytest.approx(r_exact, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [64, 129, 2048])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_certifies_the_lp(self, monkeypatch, n, seed):
+        self._certify(monkeypatch, oracles.random_convex_polygon(n, seed))
+
+    def test_certifies_where_the_full_lp_is_not(self, monkeypatch):
+        p = shapes.random_oval_support(512, 1179821995, offset=0.1)
+        self._certify(monkeypatch, resample_arclength(curve_from_support(p), 2048).points)
+
+    def test_start_that_is_no_basis(self, monkeypatch):
+        _, _, _, edges, circle = self._run(
+            monkeypatch, ClosedCurve(oracles.random_convex_polygon(3, 4)))
+        assert circle is None and sorted(set(edges)) == [0, 2]
 
 
 class TestCircumradius:
