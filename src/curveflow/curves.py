@@ -23,6 +23,10 @@ _DEGENERATE_REL = 1e-12
 # The np.savetxt arguments of every CSV the package writes: 17 significant
 # digits round-trip a float64, so np.loadtxt reads back the same values.
 _CSV = {"fmt": "%.17g", "delimiter": ",", "comments": ""}
+# resample_arclength's tolerance on the chords' spread about their mean, and
+# the smoothing passes it may take to meet it.
+_ARCLENGTH_REL_TOL = 1e-10
+_ARCLENGTH_PASSES = 200
 
 
 def _edges(pts):
@@ -166,32 +170,24 @@ def _centroid(pts: FloatArray) -> FloatArray:
     return np.array([cx, cy])
 
 
-def resample_arclength(
-    curve: ClosedCurve,
-    m: int,
-    rel_tol: float = 1e-10,
-    max_passes: int = 200,
-) -> ClosedCurve:
+def resample_arclength(curve: ClosedCurve, m: int) -> ClosedCurve:
     """Redistribute to ``m`` samples with equal consecutive chord lengths.
 
     Samples stay on the input polygon: an initial placement at equal
     cumulative-chord positions is followed by smoothing passes that slide the
-    parameters until the chords agree to ``rel_tol`` of their mean. The first
+    parameters until the chords agree to 1e-10 of their mean. The first
     sample stays pinned at the first input point. Raises ToleranceNotMet when
-    ``max_passes`` passes do not meet ``rel_tol``.
+    200 passes do not meet that tolerance.
     """
-    pts, _chords, passes = _resample(curve.points, m, rel_tol, max_passes)
-    if passes > max_passes:
-        raise ToleranceNotMet(
-            f"arclength resample missed rel_tol {rel_tol:g} in {max_passes} passes")
-    return ClosedCurve(pts)
+    return ClosedCurve(_resample(curve.points, m, _ARCLENGTH_REL_TOL, _ARCLENGTH_PASSES)[0])
 
 
 def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
     """:func:`resample_arclength` on a raw sample array, which gets the checks
-    of a ClosedCurve first. Returns the new samples, their chord lengths and
-    the smoothing passes taken to meet ``rel_tol``: max_passes + 1 when
-    ``max_passes`` passes did not meet it.
+    of a ClosedCurve first, to ``rel_tol`` in at most ``max_passes`` smoothing
+    passes. Returns the new samples, their chord lengths and the passes
+    taken. Raises ToleranceNotMet when ``max_passes`` passes do not meet
+    ``rel_tol``.
 
     The samples and edges are handled as complex numbers x + iy, a view of
     the (n, 2) array (copied first only when it is not contiguous), so each
@@ -226,12 +222,12 @@ def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
         d = _edges(z)
         chords = np.hypot(d.real, d.imag)
         mean = chords.sum() / m
-        converged = bool(abs(chords - mean).max() <= rel_tol * mean)
-        if converged or npass == max_passes:
-            return z.view(float).reshape(m, 2), chords, npass if converged else npass + 1
+        if abs(chords - mean).max() <= rel_tol * mean:
+            return z.view(float).reshape(m, 2), chords, npass
         np.cumsum(chords, out=u[1:])
         t_knots[:m] = t
         t = np.interp(u[m] * fractions, u, t_knots)
+    raise ToleranceNotMet(f"arclength resample missed rel_tol {rel_tol:g} in {max_passes} passes")
 
 
 def _cyclic_prev(a: FloatArray) -> FloatArray:
@@ -254,9 +250,16 @@ def _winding(turns: FloatArray) -> int:
     return int(round(float(turns.sum()) / (2.0 * np.pi)))
 
 
-def _curvature_frame(e: FloatArray, chords: FloatArray):
-    """Signed curvature, unit tangent and left unit normal at each vertex, from
-    the cyclic edge vectors and their lengths (see :func:`signed_curvature`)."""
+def signed_curvature(curve: ClosedCurve) -> FrenetData:
+    """Moving frame with curvature from tangent-angle differences.
+
+    Curvature at vertex i is the turn between the adjacent edges divided by
+    the average adjacent chord length; second-order accurate on near-uniform
+    arclength grids (use :func:`resample_arclength` first when spacing is
+    uneven). The normal is the tangent rotated by +pi/2.
+    """
+    e = curve.edges()
+    chords = np.hypot(e[:, 0], e[:, 1])
     ds = 0.5 * (chords + _cyclic_prev(chords))
     kappa = _vertex_turns(e) / ds
     unit = e / chords[:, None]
@@ -268,19 +271,7 @@ def _curvature_frame(e: FloatArray, chords: FloatArray):
         tangent[degenerate] = unit[degenerate]
         norms[degenerate] = 1.0
     tangent /= norms[:, None]
-    return kappa, tangent, np.column_stack([-tangent[:, 1], tangent[:, 0]])
-
-
-def signed_curvature(curve: ClosedCurve) -> FrenetData:
-    """Moving frame with curvature from tangent-angle differences.
-
-    Curvature at vertex i is the turn between the adjacent edges divided by
-    the average adjacent chord length; second-order accurate on near-uniform
-    arclength grids (use :func:`resample_arclength` first when spacing is
-    uneven). The normal is the tangent rotated by +pi/2.
-    """
-    e = curve.edges()
-    kappa, tangent, normal = _curvature_frame(e, np.hypot(e[:, 0], e[:, 1]))
+    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
     return FrenetData(points=curve.points, tangent=tangent, normal=normal, curvature=kappa)
 
 
@@ -290,12 +281,14 @@ def turning_number(curve: ClosedCurve) -> int:
 
 
 def is_convex(curve: ClosedCurve) -> bool:
-    """True iff all consecutive-edge cross products share one sign and the
-    turning number is +-1.
+    """True iff all consecutive-edge cross products share one sign, no vertex
+    turns by pi and the turning number is +-1.
 
     Cross products within 1e-12 of zero (relative to the squared diameter)
     count as collinear and do not break convexity. A pentagram or a doubly
-    covered circle turns one way at every vertex but winds twice.
+    covered circle turns one way at every vertex but winds twice. A spike
+    that doubles back along an edge has a zero cross product; its turn, within
+    1e-12 of pi, fails the bound that ``is_simple``'s convex exit also uses.
     """
     e = curve.edges()
     en = np.roll(e, -1, axis=0)
@@ -303,7 +296,8 @@ def is_convex(curve: ClosedCurve) -> bool:
     tol = 1e-12 * curve.diameter ** 2
     if np.any(cross > tol) and np.any(cross < -tol):
         return False
-    return abs(_winding(_vertex_turns(e))) == 1
+    turns = _vertex_turns(e)
+    return abs(_winding(turns)) == 1 and bool(np.all(np.abs(turns) < np.pi - 1e-12))
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:

@@ -138,11 +138,11 @@ def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
     run_flow and rescaled_flow.
 
     ``points`` (whose cyclic chord lengths are ``chords``) move by ``dt``, or by
-    2 h^2 capped at ``dt_max`` for mean chord h, and are resampled to
-    as many samples. The moved and resampled points get the checks of a
-    ClosedCurve, and a resample that misses its tolerance raises
-    ToleranceNotMet. Returns the new points, their chord lengths, the dt taken,
-    the enclosed area and the resample's smoothing passes.
+    2 h^2 capped at ``dt_max`` for mean chord h, and are resampled to as many
+    samples with equal chords to 1e-8. The resample checks the moved points
+    as a ClosedCurve does, and raises ToleranceNotMet if it misses. Returns
+    the new points, their chord lengths, the dt taken, the enclosed area and
+    the resample's smoothing passes.
 
     The kernel works on the (n, 2) samples viewed as complex z = x + iy, with
     no copy between layouts: the FFT reads the view, the predictor's chords
@@ -160,11 +160,8 @@ def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
     e = _edges(np.fft.ifft(spectrum * np.exp(s / (h * h))))
     h1 = float(np.hypot(e.real, e.imag).sum()) / m
     moved = np.fft.ifft(spectrum * np.exp(s / (h * h1))).view(float).reshape(m, 2)
-    pts, new_chords, passes = _resample(moved, m, rel_tol=1e-8, max_passes=_RESAMPLE_PASSES)
-    new_chords = _checked_chords(pts, new_chords)
-    if passes > _RESAMPLE_PASSES:
-        raise ToleranceNotMet(
-            f"arclength resample missed rel_tol 1e-8 in {_RESAMPLE_PASSES} passes")
+    pts, new_chords, passes = _resample(moved, m, 1e-8, _RESAMPLE_PASSES)
+    # no recheck: convex blends of checked points; chords ~L/m (1e-8) >= 2 extent/m >> 1e-12 extent
     return pts, new_chords, dt, _shoelace(pts), passes
 
 

@@ -6,7 +6,8 @@ no code path with the library implementations it checks. The one exception is
 public curve primitives, against which the spectral flow kernel is compared.
 ``resample_reference`` is the arclength resample written out on (n, 2)
 arrays, the layout the library's complex-view resample replaced; the
-bit-identity tests of the flow use it in place of ``resample_arclength``.
+bit-identity tests of the flow and ``reference_step`` use it in place of
+``resample_arclength``.
 ``random_convex_polygon`` draws the test polygons that several modules share.
 """
 
@@ -167,9 +168,10 @@ def reference_step(curve, dt_factor=0.25, dt_max=np.inf):
     spectral step replaced it, composed from the public primitives: dt is
     dt_factor * (mean chord)^2 / max(1, max |kappa|) held under the stability
     bound 0.4 * (min chord)^2 / max |kappa|, then the samples move by
-    kappa * n * dt and are resampled. Returns the new curve and the dt taken.
+    kappa * n * dt and are resampled by ``resample_reference`` to 1e-8 in 20
+    passes. Returns the new curve and the dt taken.
     """
-    from curveflow import ClosedCurve, resample_arclength, signed_curvature
+    from curveflow import ClosedCurve, signed_curvature
 
     frame = signed_curvature(curve)
     chords = curve.chord_lengths()
@@ -178,7 +180,9 @@ def reference_step(curve, dt_factor=0.25, dt_max=np.inf):
     bound = 0.4 * h_min * h_min / max(k_max, 1e-300)
     dt = min(dt_factor * h_mean * h_mean / max(1.0, k_max), 0.98 * bound, dt_max)
     moved = frame.points + dt * frame.curvature[:, None] * frame.normal
-    return resample_arclength(ClosedCurve(moved), curve.n, rel_tol=1e-8, max_passes=20), dt
+    pts, _chords, passes = resample_reference(moved, curve.n, 1e-8, 20)
+    assert passes <= 20
+    return ClosedCurve(pts), dt
 
 
 def resample_reference(points: np.ndarray, m: int, rel_tol: float, max_passes: int):

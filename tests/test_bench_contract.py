@@ -62,6 +62,11 @@ def test_curve_from_support_call_binds():
     inspect.signature(cf.curve_from_support).bind(p, mode="spectral")
 
 
+def test_resample_arclength_call_binds():
+    """workloads.py calls resample_arclength(curve, count) at 2 sites."""
+    inspect.signature(cf.resample_arclength).bind(cf.shapes.circle(64), 2048)
+
+
 def test_bonnesen_chain_call_binds():
     """workloads.py passes seed= to bonnesen_chain for each oval item."""
     inspect.signature(cf.bonnesen_chain).bind(cf.shapes.circle(64), seed=1)

@@ -127,6 +127,24 @@ class TestConstraintGeneration:
     def test_thin_ellipse(self):
         self._check(shapes.ellipse(2048, a=1.0, b=0.01).points)
 
+    @pytest.mark.parametrize("curve", [
+        shapes.ellipse(1024).rotated(4 * math.pi / 199),
+        shapes.ellipse(1024, a=100.0).rotated(0.5),
+    ], ids=["ellipse", "ellipse_100_to_1"])
+    def test_rounds_on_a_rotated_ellipse(self, monkeypatch, curve):
+        # a centrally symmetric basis pairs antiparallel edges: these take 7
+        # and 8 HiGHS solves, so the LP rounds run on real input
+        solves = []
+        real = curveflow.bonnesen.linprog
+
+        def counting(*args, **kwargs):
+            solves.append(len(kwargs["A_ub"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", counting)
+        self._check(curve.points)
+        assert len(solves) > 1, solves
+
     def test_circle_65536(self):
         self._check(shapes.circle(65536).points, resolution=21)
 

@@ -61,6 +61,14 @@ def winding_twice_csv(tmp_path, request):
     return str(path)
 
 
+@pytest.fixture()
+def spike_csv(tmp_path):
+    """A unit square with a spike that doubles back along its bottom edge."""
+    path = tmp_path / "spike.csv"
+    write_curve_csv(ClosedCurve([(0, 0), (1, 0), (0.5, 0.5), (1, 0), (1, 1), (0, 1)]), path)
+    return str(path)
+
+
 class TestShrinkVerify:
     def test_circle_exit_zero(self, circle_csv, capsys):
         assert main(["shrink-verify", "--input", circle_csv]) == 0
@@ -144,6 +152,9 @@ class TestBonnesen:
     def test_winding_twice_exit_four(self, winding_twice_csv):
         assert main(["bonnesen", "--input", winding_twice_csv]) == 4
 
+    def test_spike_exit_four(self, spike_csv):
+        assert main(["bonnesen", "--input", spike_csv]) == 4
+
     def test_lp_failure_exit_two(self, ellipse_csv, monkeypatch):
         failed = SimpleNamespace(success=False, message="iteration limit reached")
         monkeypatch.setattr(curveflow.bonnesen, "linprog", lambda *a, **k: failed)
@@ -176,6 +187,9 @@ class TestSupport:
 
     def test_winding_twice_exit_four(self, winding_twice_csv):
         assert main(["support", "--input", winding_twice_csv]) == 4
+
+    def test_spike_exit_four(self, spike_csv):
+        assert main(["support", "--input", spike_csv]) == 4
 
     def test_odd_grid_exit_one(self, ellipse_csv):
         assert main(["support", "--input", ellipse_csv, "--grid", "33"]) == 1
@@ -211,6 +225,16 @@ class TestSymmetrize:
 
     def test_nonconvex_exit_four(self, lshape_csv):
         assert main(["symmetrize", "--input", lshape_csv]) == 4
+
+    def test_grid_below_the_sample_count(self, tmp_path, capsys):
+        # at a grid as fine as the polygon, its corners read as p + p'' < 0
+        path = tmp_path / "ellipse256.csv"
+        write_curve_csv(shapes.ellipse(256), path)
+        argv = ["symmetrize", "--input", str(path), "--output", str(tmp_path / "sym")]
+        assert main(argv + ["--grid", "128"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--grid", "256"]) == 4
+        assert "not a strictly convex oval" in capsys.readouterr().err
 
     def test_not_convex_after_gluing_exit_four(self, egg_csv, tmp_path, capsys, monkeypatch):
         # the package's ``symmetrize`` attribute is the function, not the module

@@ -98,9 +98,10 @@ class TestResample:
         r = resample_arclength(c, 256)
         assert np.max(np.abs(r.points - c.points)) < 1e-9
 
-    def test_missed_tolerance_raises(self):
+    def test_missed_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr("curveflow.curves._ARCLENGTH_PASSES", 0)
         with pytest.raises(ToleranceNotMet, match="in 0 passes"):
-            resample_arclength(shapes.nonuniform_circle(1024, seed=1), 256, max_passes=0)
+            resample_arclength(shapes.nonuniform_circle(1024, seed=1), 256)
 
     def test_too_few_target_samples(self):
         with pytest.raises(TooFewPoints):
@@ -153,7 +154,8 @@ class TestResampleOracle:
 
     def test_miss_counts_one_pass_over_the_budget(self):
         points = shapes.nonuniform_circle(1024, seed=1).points
-        assert _resample(points, 256, 1e-10, 0)[2] == 1
+        with pytest.raises(ToleranceNotMet, match="missed rel_tol 1e-10 in 0 passes"):
+            _resample(points, 256, 1e-10, 0)
         assert oracles.resample_reference(points, 256, 1e-10, 0)[2] == 1
 
 
@@ -226,6 +228,14 @@ class TestTopology:
         # every vertex turns left, but the tangent turns twice: not embedded
         assert turning_number(curve) == 2
         assert not is_convex(curve)
+
+    def test_spike_doubling_back_not_convex(self):
+        # the spike's cross product is 0, within the collinear tolerance, and its
+        # turn of pi wraps to -pi, so the turns still add up to one winding
+        spike = ClosedCurve([(0, 0), (1, 0), (0.5, 0.5), (1, 0), (1, 1), (0, 1)])
+        assert turning_number(spike) == 1
+        assert not is_simple(spike)
+        assert not is_convex(spike)
 
     def test_dented_circle_not_convex(self):
         pts = shapes.circle(256).points.copy()

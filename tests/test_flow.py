@@ -295,7 +295,7 @@ class TestResamplePasses:
 ], ids=["run_flow", "rescaled_flow"])
 def test_missed_resample_raises(flow, monkeypatch):
     monkeypatch.setattr(curveflow.flow, "_RESAMPLE_PASSES", 0)
-    with pytest.raises(ToleranceNotMet, match="resample missed rel_tol 1e-8 in 0 passes"):
+    with pytest.raises(ToleranceNotMet, match="resample missed rel_tol 1e-08 in 0 passes"):
         flow(shapes.ellipse(128))
 
 
