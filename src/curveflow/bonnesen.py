@@ -213,11 +213,13 @@ def minimal_enclosing_circle(points) -> tuple[float, float, float]:
     of the rim points and that point, keeps the smallest that holds them all
     (Elzinga & Hearn, Management Science 19, 1972). The radius grows every
     round, so the iteration ends. The circle is unique, so nothing is
-    randomized.
+    randomized. Raises ValueError on no points or a non-finite one.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("no points given")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     first = tuple(pts[0].tolist())
     far = np.argmax(np.hypot(pts[:, 0] - first[0], pts[:, 1] - first[1]))
     rim = [first, tuple(pts[far].tolist())]
@@ -248,9 +250,10 @@ def circumradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
 
 
 def bonnesen_roots(area: float, length_value: float) -> tuple[float, float]:
-    """Roots of pi*t^2 - L*t + A, clamped to the double root near equality."""
-    if area <= 0.0 or length_value <= 0.0:
-        raise ValueError("area and length must be positive")
+    """Roots of pi*t^2 - L*t + A, clamped to the double root near equality.
+    Raises ValueError unless A and L are finite and positive."""
+    if not (0.0 < area < math.inf and 0.0 < length_value < math.inf):
+        raise ValueError(f"area and length must be finite and positive, got {area}, {length_value}")
     disc = length_value * length_value - 4.0 * math.pi * area
     if disc < -1e-9 * length_value * length_value:
         raise IsoperimetricViolation(

@@ -8,12 +8,14 @@ z_t = z_ss exactly for that symbol on z = x + iy: a predictor with the metric
 h and a corrector with the midpoint metric h*h1, h1 the predictor's mean
 chord, followed by a resample that raises ToleranceNotMet if it misses. The
 step is unconditionally stable, and on a regular polygon the k = 1 symbol is
-exactly 1/R^2, so the circle law holds exactly in space. run_flow steps by
-dt = 2 h^2 and shrinks the sample count with the curve so that step stays
-bounded below until the area floor; its final state is its last recorded
-step. That step size is fixed: at 4 h^2 the circle law on a 96-sample circle
-misses 1e-3. run_flow and rescaled_flow refuse clockwise curves and curves of
-fewer than 32 samples, on which one step of 2 h^2 swallows the whole curve.
+exactly 1/R^2, so the circle law holds exactly in space. The kernel takes h
+and dt from its callers. csf_step takes the caller's dt, finite and > 0.
+run_flow steps by dt = 2 h^2, cut to end on its horizon, and shrinks the
+sample count with the curve so that step stays bounded below until the area
+floor; its final state is its last recorded step. That step size is fixed:
+at 4 h^2 the circle law on a 96-sample circle misses 1e-3. run_flow and
+rescaled_flow refuse clockwise curves and curves of fewer than 32 samples,
+on which one step of 2 h^2 swallows the whole curve.
 
 The renormalized variant rescales to enclosed area pi after every step and
 advances physical time by the squared scale factor, so the recorded scale of
@@ -41,6 +43,7 @@ from .curves import (
     _resample,
     _shoelace,
     is_convex,
+    length,
     signed_area,
 )
 from .errors import (
@@ -120,7 +123,7 @@ class FlowTrajectory:
 
 def suggested_dt(curve: ClosedCurve) -> float:
     """The step policy: 2 * (mean spacing)^2."""
-    h = float(curve.chord_lengths().sum()) / curve.n
+    h = length(curve) / curve.n
     return _DT_FACTOR * h * h
 
 
@@ -133,16 +136,14 @@ def _sin2(m: int) -> FloatArray:
     return sin2
 
 
-def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
-    """One exponential spectral step on raw arrays: the kernel of csf_step,
-    run_flow and rescaled_flow.
+def _step(points, h: float, dt: float):
+    """One exponential spectral step of ``dt`` on ``points`` of mean chord
+    ``h``, both chosen by the caller: csf_step, run_flow or rescaled_flow.
 
-    ``points`` (whose cyclic chord lengths are ``chords``) move by ``dt``, or by
-    2 h^2 capped at ``dt_max`` for mean chord h, and are resampled to as many
-    samples with equal chords to 1e-8. The resample checks the moved points
-    as a ClosedCurve does, and raises ToleranceNotMet if it misses. Returns
-    the new points, their chord lengths, the dt taken, the enclosed area and
-    the resample's smoothing passes.
+    The moved points are resampled to as many samples with equal chords to
+    1e-8; the resample checks them as a ClosedCurve does, and raises
+    ToleranceNotMet if it misses. Returns the new points, their chord
+    lengths, the enclosed area and the resample's smoothing passes.
 
     The kernel works on the (n, 2) samples viewed as complex z = x + iy, with
     no copy between layouts: the FFT reads the view, the predictor's chords
@@ -150,11 +151,6 @@ def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
     resample, and back out, as an (m, 2) view of the inverse FFT.
     """
     m = points.shape[0]
-    h = float(chords.sum()) / m
-    if dt is None:
-        dt = min(_DT_FACTOR * h * h, dt_max)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     spectrum = np.fft.fft(np.ascontiguousarray(points).view(complex)[:, 0])
     s = -dt * 4.0 * _sin2(m)
     e = _edges(np.fft.ifft(spectrum * np.exp(s / (h * h))))
@@ -162,7 +158,7 @@ def _step(points, chords, dt: float | None = None, *, dt_max: float = math.inf):
     moved = np.fft.ifft(spectrum * np.exp(s / (h * h1))).view(float).reshape(m, 2)
     pts, new_chords, passes = _resample(moved, m, 1e-8, _RESAMPLE_PASSES)
     # no recheck: convex blends of checked points; chords ~L/m (1e-8) >= 2 extent/m >> 1e-12 extent
-    return pts, new_chords, dt, _shoelace(pts), passes
+    return pts, new_chords, _shoelace(pts), passes
 
 
 def _entry_area(curve: ClosedCurve) -> float:
@@ -178,9 +174,11 @@ def _entry_area(curve: ClosedCurve) -> float:
 
 
 def csf_step(curve: ClosedCurve, dt: float) -> ClosedCurve:
-    """One step of length ``dt``: flow by the spectral kernel, then
-    redistribute arclength. Raises ValueError unless dt > 0."""
-    pts, *_ = _step(curve.points, curve.chord_lengths(), dt)
+    """One step of ``dt``: flow by the spectral kernel at the curve's mean
+    chord, then redistribute arclength. Raises ValueError unless 0 < dt < inf."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    pts, *_ = _step(curve.points, length(curve) / curve.n, dt)
     return ClosedCurve(pts)
 
 
@@ -207,8 +205,7 @@ def run_flow(
         raise ValueError(f"snapshot_stride must be >= 0, got {snapshot_stride}")
     area = _entry_area(curve)
     pts = curve.points
-    chords = curve.chord_lengths()
-    perim = float(chords.sum())
+    perim = length(curve)
     target_spacing = perim / curve.n
     area_floor = area_floor_rel * area
     time = 0.0
@@ -223,20 +220,19 @@ def run_flow(
     stop_reason = "step_budget"
     for _ in range(_MAX_STEPS):
         # stop before the decimation, so the final state is the last record
-        dt_max = math.inf
-        if math.isfinite(t_max):
-            dt_max = t_max - time
-            if dt_max <= 1e-12 * max(1.0, abs(t_max)):
-                stop_reason = "t_max"
-                break
+        if math.isfinite(t_max) and t_max - time <= 1e-12 * max(1.0, t_max):
+            stop_reason = "t_max"
+            break
         # halve the sample count by exact subsampling once the spacing has
         # shrunk to half its target; sliding points onto a coarser polygon
         # would cut corners and bleed area instead
         m = pts.shape[0]
         if m % 2 == 0 and m // 2 >= _MIN_SAMPLES and perim / target_spacing <= m / 2:
             pts = np.ascontiguousarray(pts[::2])
-            chords = _checked_chords(pts)
-        pts, chords, dt, area, passes = _step(pts, chords, dt_max=dt_max)
+            perim = float(_checked_chords(pts).sum())
+        h = perim / pts.shape[0]
+        dt = min(_DT_FACTOR * h * h, t_max - time)
+        pts, chords, area, passes = _step(pts, h, dt)
         resample_passes += passes
         time += dt
         step_count += 1
@@ -289,31 +285,32 @@ def rescaled_flow(
     profile per unit normalized time (the recorded rate) falling below 3e-4;
     reaching the physical horizon ``t_max`` also stops the run normally.
     Returns the scale history and the shrinker verification (tol 1e-2) of the
-    limit. Raises NotConvex, then ValueError on fewer than 32 samples or a
-    clockwise curve.
+    limit. Raises ValueError unless t_max >= 0, then NotConvex, then
+    ValueError on fewer than 32 samples or a clockwise curve.
     """
+    if not t_max >= 0.0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     if not is_convex(curve):
         raise NotConvex("the renormalized flow driver expects a convex curve")
     area0 = _entry_area(curve)
     lam = math.sqrt(area0 / math.pi)
     pts = (curve.points - _centroid(curve.points)) * math.sqrt(math.pi / area0)
-    chords = _checked_chords(pts)
     tau = 0.0
     times = [tau]
     scales = [lam]
     rates = []
     for _ in range(_RESCALED_MAX_STEPS):
-        stepped, _chords, dt, area, *_ = _step(pts, chords, _RESCALED_DT)
+        h = float(_checked_chords(pts).sum()) / curve.n
+        stepped, _chords, area, _passes = _step(pts, h, _RESCALED_DT)
         if area <= 0.0:
             raise CurveCollapsed(f"normalized area {area:.3g} <= 0 after t = {tau:.6g}")
         factor = math.sqrt(math.pi / area)
         rescaled = (stepped - _centroid(stepped)) * factor
-        chords = _checked_chords(rescaled)
-        tau += lam * lam * dt
+        tau += lam * lam * _RESCALED_DT
         lam /= factor
         times.append(tau)
         scales.append(lam)
-        rates.append(float(np.max(np.hypot(*(rescaled - pts).T))) / dt)
+        rates.append(float(np.max(np.hypot(*(rescaled - pts).T))) / _RESCALED_DT)
         pts = rescaled
         if rates[-1] < _STATIONARY_TOL or tau >= t_max:
             profile = ClosedCurve(pts)

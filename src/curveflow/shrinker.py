@@ -164,10 +164,13 @@ def integrate_support_ode(
     """Integrate p'' = 1/p - p with an adaptive embedded Runge-Kutta pair.
 
     Records the accepted integrator steps, or ``samples`` evenly spaced
-    angles when given. Raises BlowUp when p reaches the collapse floor within
-    the span and ToleranceNotMet when the step controller gives up.
+    angles when given. Raises ValueError unless ``theta_span`` is finite (a
+    negative span integrates backward), BlowUp when p reaches the collapse
+    floor within the span and ToleranceNotMet when the step controller gives up.
     """
     span = float(theta_span)
+    if not math.isfinite(span):
+        raise ValueError(f"theta_span must be finite, got {theta_span}")
     sol = _solve(p0, dp0, span, tol,
                  t_eval=None if samples is None else np.linspace(0.0, span, samples))
     if not sol.success:

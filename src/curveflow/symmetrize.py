@@ -68,10 +68,12 @@ class SymmetrizedPair:
         }
 
 
-def _oval_point(p: SupportFunction, theta: float) -> np.ndarray:
-    pv = float(p.eval(theta, order=0))
-    dv = float(p.eval(theta, order=1))
-    return np.array(_oval_map(pv, dv, math.cos(theta), math.sin(theta)))
+def _chord_ends(p: SupportFunction, theta: float) -> FloatArray:
+    """The (2, 2) boundary points P(theta) and P(theta + pi), from one
+    vectorized ``p.eval`` per order."""
+    ends = np.array([theta, theta + math.pi])
+    return np.column_stack(_oval_map(p.eval(ends), p.eval(ends, order=1),
+                                     np.cos(ends), np.sin(ends)))
 
 
 def _arc_polygon(p: SupportFunction, vertices: FloatArray, theta: float,
@@ -106,10 +108,10 @@ def chord_cut(p: SupportFunction, theta: float) -> ChordCut:
     """
     theta = float(np.mod(theta, 2.0 * np.pi))
     vertices = curve_from_support(p).points
-    start, end = _oval_point(p, theta), _oval_point(p, theta + math.pi)
+    start, end = endpoints = _chord_ends(p, theta)
     return ChordCut(
         theta=theta,
-        endpoints=np.vstack([start, end]),
+        endpoints=endpoints,
         midpoint=0.5 * (start + end),
         sigma=_shoelace(_arc_polygon(p, vertices, theta, start, end)),
     )
@@ -154,9 +156,7 @@ def _cell_gap(p: SupportFunction, vertices: FloatArray, j: int):
     w = v[half] + v[half + 1]
 
     def gap(theta: float) -> float:
-        ends = np.array([theta, theta + math.pi])
-        (xa, xb), (ya, yb) = _oval_map(p.eval(ends), p.eval(ends, order=1),
-                                       np.cos(ends), np.sin(ends))
+        (xa, ya), (xb, yb) = _chord_ends(p, theta)
         return 0.5 * float(fixed + xa * u[1] - ya * u[0] - xb * w[1] + yb * w[0]
                            + 2.0 * (xb * ya - yb * xa))
 
@@ -293,7 +293,10 @@ def symmetric_shrinker_check(p: SupportFunction, tol: float = 1e-2) -> Symmetric
     ``tol`` (relative to the mean support) and NotAShrinker when the relation
     kappa = p fails at the same tolerance. The verdict is whether p is
     constant within ``tol``, which every symmetric numerical shrinker must be.
+    Raises ValueError unless 0 < tol < inf.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     scale = float(np.mean(p.values))
     half = p.count // 2
     sym_dev = float(np.max(np.abs(p.values - np.roll(p.values, half))))

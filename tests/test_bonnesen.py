@@ -294,6 +294,13 @@ class TestCircumradius:
         assert r == pytest.approx(oracles.brute_enclosing_radius(pts), rel=1e-12)
         assert np.all(np.hypot(pts[:, 0] - x, pts[:, 1] - y) <= r * (1 + 1e-12))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        pts = shapes.circle(16).points.copy()
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            minimal_enclosing_circle(pts)
+
     def test_one_point_and_none(self):
         assert minimal_enclosing_circle([[0.2, -0.7]]) == (0.2, -0.7, 0.0)
         with pytest.raises(ValueError, match="no points"):
@@ -313,6 +320,13 @@ class TestRoots:
         assert t2 == pytest.approx(2.1565002569782687, rel=1e-12)
         assert t1 == pytest.approx(0.92742, abs=1e-5)
         assert t2 == pytest.approx(2.15650, abs=1e-5)
+
+    @pytest.mark.parametrize("area, perim", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, area, perim):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            bonnesen_roots(area, perim)
 
     def test_isoperimetric_violation(self):
         with pytest.raises(IsoperimetricViolation):

@@ -50,6 +50,12 @@ class TestSingleStep:
         with pytest.raises(ValueError):
             csf_step(shapes.circle(128), 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_dt_named(self, dt):
+        # a NaN or infinite dt once surfaced as non-finite coordinates
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            csf_step(shapes.circle(128), dt)
+
     @pytest.mark.parametrize("multiple", [100, 1000])
     def test_stable_far_beyond_the_explicit_bound(self, multiple):
         # the explicit step's limit 0.4 * (min chord)^2 / max |kappa| is 1.30e-4
@@ -253,7 +259,7 @@ class TestRescaledFlow:
 
     def test_collapsed_step_raises(self, monkeypatch):
         monkeypatch.setattr(curveflow.flow, "_step",
-                            lambda pts, chords, dt=None: (pts, chords, 1e-3, 0.0))
+                            lambda pts, h, dt: (pts, None, 0.0, 0))
         with pytest.raises(CurveCollapsed, match="normalized area 0 <= 0"):
             rescaled_flow(shapes.ellipse(64))
 
@@ -312,6 +318,12 @@ class TestRejectedFlags:
     def test_run_flow(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             run_flow(shapes.circle(64), **{"t_max": 1e-3, **kwargs})
+
+    @pytest.mark.parametrize("t_max", [-1.0, math.nan])
+    def test_rescaled_flow(self, t_max):
+        # a negative horizon took one step, and NaN ran on to stationarity
+        with pytest.raises(ValueError, match="t_max must be >= 0"):
+            rescaled_flow(shapes.ellipse(64), t_max=t_max)
 
 
 def spectral_step(curve, dt_factor=2.0, dt_max=math.inf):

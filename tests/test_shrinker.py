@@ -446,6 +446,13 @@ class TestRejectedInput:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             call(tol)
 
+    @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf])
+    def test_non_finite_span(self, span):
+        # a non-finite span kept the solver running without end; a negative
+        # finite span integrates backward (TestSupportOde)
+        with pytest.raises(ValueError, match="theta_span must be finite"):
+            integrate_support_ode(1.5, 0.0, span)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_verify_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):

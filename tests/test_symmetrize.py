@@ -76,6 +76,18 @@ class TestChordCut:
         )
         assert np.max(np.abs(cut.endpoints[0] - expected)) < 1e-12
 
+    def test_one_eval_per_order(self, monkeypatch):
+        # both endpoints come from one vectorized p.eval of p and one of p'
+        p = shapes.random_oval_support(1024, 3, offset=0.25)
+        curve_from_support(p)
+        calls = []
+        real = type(p).eval
+        monkeypatch.setattr(type(p), "eval",
+                            lambda self, *args, **kw: calls.append(kw) or real(self, *args, **kw))
+        cut = chord_cut(p, 1.0)
+        assert calls == [{}, {"order": 1}]
+        assert np.array_equal(cut.midpoint, 0.5 * (cut.endpoints[0] + cut.endpoints[1]))
+
     def test_not_an_oval(self):
         with pytest.raises(NotAnOval):
             chord_cut(oval(256, {3: (0.2, 0.0)}), 0.0)
