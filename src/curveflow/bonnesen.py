@@ -14,7 +14,7 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .curves import ClosedCurve, _deferred, _edges, is_convex, length, signed_area
+from .curves import ClosedCurve, _deferred, _edges, _positive, is_convex, length, signed_area
 from .errors import IsoperimetricViolation, NotConvex, SolverFailed
 
 linprog = _deferred("scipy.optimize", "linprog")
@@ -252,8 +252,8 @@ def circumradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
 def bonnesen_roots(area: float, length_value: float) -> tuple[float, float]:
     """Roots of pi*t^2 - L*t + A, clamped to the double root near equality.
     Raises ValueError unless A and L are finite and positive."""
-    if not (0.0 < area < math.inf and 0.0 < length_value < math.inf):
-        raise ValueError(f"area and length must be finite and positive, got {area}, {length_value}")
+    _positive("area", area)
+    _positive("length", length_value)
     disc = length_value * length_value - 4.0 * math.pi * area
     if disc < -1e-9 * length_value * length_value:
         raise IsoperimetricViolation(
@@ -272,8 +272,8 @@ def bonnesen_chain(curve: ClosedCurve, tol: float | None = None, seed: int = 0) 
     ``seed`` has no effect: the enclosing circle is deterministic. It stays
     because the benchmark in ``perfbench/`` passes it.
     """
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if tol is not None:
+        _positive("tol", tol)
     r, _ = inradius(curve)  # raises NotConvex first: the quadratic needs a convex domain
     big_r, _ = circumradius(curve)
     area = abs(signed_area(curve))

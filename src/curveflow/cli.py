@@ -154,7 +154,9 @@ def _read_curve(path) -> cv.ClosedCurve:
 def _emit(config: dict, payload: dict, name: str | None = None) -> None:
     """Print the JSON report; with --output set, also write it to ``name`` there."""
     text = json.dumps({"config": config, "report": payload, "version": __version__,
-                       "elapsed_s": time.perf_counter() - _started}, indent=2)
+                       "elapsed_s": time.perf_counter() - _started})
+    # RFC 8259 has no NaN or Infinity (a NaN period, --t-max inf): read them back as null
+    text = json.dumps(json.loads(text, parse_constant=lambda _: None), indent=2)
     print(text)
     if name and config["output"]:
         out = Path(config["output"])

@@ -72,6 +72,12 @@ def _deferred(module: str, name: str):
     return call
 
 
+def _positive(name: str, value) -> None:
+    """The package's one rule for a tolerance, step, amplitude or size: 0 < value < inf."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ClosedCurve:
     """Ordered 2D sample loop; the closing point is not duplicated."""

@@ -20,9 +20,9 @@ on which one step of 2 h^2 swallows the whole curve.
 The renormalized variant rescales to enclosed area pi after every step and
 advances physical time by the squared scale factor, so the recorded scale of
 an exact circle follows sqrt(1 - 2t). It steps by a fixed normalized dt of
-8e-3, not 2 h^2: the regular polygon is a fixed point of every step size, so
-the limit does not depend on dt, and the step count to stationarity does not
-grow with n.
+8e-3, cut to end on its horizon, not 2 h^2: the regular polygon is a fixed
+point of every step size, so the limit does not depend on dt, and the step
+count to stationarity does not grow with n.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .curves import (
     _centroid,
     _checked_chords,
     _edges,
+    _positive,
     _resample,
     _shoelace,
     is_convex,
@@ -161,6 +162,10 @@ def _step(points, h: float, dt: float):
     return pts, new_chords, _shoelace(pts), passes
 
 
+def _at_horizon(time: float, t_max: float) -> bool:
+    return math.isfinite(t_max) and t_max - time <= 1e-12 * max(1.0, t_max)
+
+
 def _entry_area(curve: ClosedCurve) -> float:
     """The enclosed area of a curve that run_flow and rescaled_flow accept:
     >= 32 samples, counter-clockwise. Raises ValueError otherwise."""
@@ -176,8 +181,7 @@ def _entry_area(curve: ClosedCurve) -> float:
 def csf_step(curve: ClosedCurve, dt: float) -> ClosedCurve:
     """One step of ``dt``: flow by the spectral kernel at the curve's mean
     chord, then redistribute arclength. Raises ValueError unless 0 < dt < inf."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    _positive("dt", dt)
     pts, *_ = _step(curve.points, length(curve) / curve.n, dt)
     return ClosedCurve(pts)
 
@@ -220,7 +224,7 @@ def run_flow(
     stop_reason = "step_budget"
     for _ in range(_MAX_STEPS):
         # stop before the decimation, so the final state is the last record
-        if math.isfinite(t_max) and t_max - time <= 1e-12 * max(1.0, t_max):
+        if _at_horizon(time, t_max):
             stop_reason = "t_max"
             break
         # halve the sample count by exact subsampling once the spacing has
@@ -283,7 +287,8 @@ def rescaled_flow(
     recorded (time, scale) pairs trace the homothety factor of the raw flow.
     Stationarity is the largest per-sample displacement of the normalized
     profile per unit normalized time (the recorded rate) falling below 3e-4;
-    reaching the physical horizon ``t_max`` also stops the run normally.
+    the physical horizon ``t_max`` also stops the run normally, and the last
+    step is cut to land on it, so t_max = 0 returns the normalized input.
     Returns the scale history and the shrinker verification (tol 1e-2) of the
     limit. Raises ValueError unless t_max >= 0, then NotConvex, then
     ValueError on fewer than 32 samples or a clockwise curve.
@@ -299,33 +304,27 @@ def rescaled_flow(
     times = [tau]
     scales = [lam]
     rates = []
-    for _ in range(_RESCALED_MAX_STEPS):
+    while not (rates and rates[-1] < _STATIONARY_TOL or _at_horizon(tau, t_max)):
+        if len(rates) == _RESCALED_MAX_STEPS:
+            raise ToleranceNotMet(f"renormalized flow did not reach displacement rate < "
+                                  f"{_STATIONARY_TOL:.3g} within {_RESCALED_MAX_STEPS} steps")
+        dt = min(_RESCALED_DT, (t_max - tau) / (lam * lam))
         h = float(_checked_chords(pts).sum()) / curve.n
-        stepped, _chords, area, _passes = _step(pts, h, _RESCALED_DT)
+        stepped, _chords, area, _passes = _step(pts, h, dt)
         if area <= 0.0:
             raise CurveCollapsed(f"normalized area {area:.3g} <= 0 after t = {tau:.6g}")
         factor = math.sqrt(math.pi / area)
         rescaled = (stepped - _centroid(stepped)) * factor
-        tau += lam * lam * _RESCALED_DT
+        tau += lam * lam * dt
         lam /= factor
         times.append(tau)
         scales.append(lam)
-        rates.append(float(np.max(np.hypot(*(rescaled - pts).T))) / _RESCALED_DT)
+        rates.append(float(np.max(np.hypot(*(rescaled - pts).T))) / dt)
         pts = rescaled
-        if rates[-1] < _STATIONARY_TOL or tau >= t_max:
-            profile = ClosedCurve(pts)
-            report = verify_shrinker(profile, 1e-2)
-            return (
-                SimilarityProfile(
-                    times=np.asarray(times), scales=np.asarray(scales),
-                    rates=np.asarray(rates), reference_curve=profile,
-                ),
-                report,
-            )
-    raise ToleranceNotMet(
-        f"renormalized flow did not reach displacement rate < {_STATIONARY_TOL:.3g} "
-        f"within {_RESCALED_MAX_STEPS} steps"
-    )
+    profile = ClosedCurve(pts)
+    return (SimilarityProfile(times=np.asarray(times), scales=np.asarray(scales),
+                              rates=np.asarray(rates), reference_curve=profile),
+            verify_shrinker(profile, 1e-2))
 
 
 def _viewbox(pts: FloatArray) -> tuple[float, float, float, float]:

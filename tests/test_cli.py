@@ -17,6 +17,7 @@ import pytest
 import curveflow
 import curveflow.bonnesen
 import curveflow.flow
+import curveflow.shrinker
 from curveflow import ClosedCurve, curve_from_support, read_curve_csv, write_curve_csv
 from curveflow import shapes
 from curveflow.cli import _build_parser, main
@@ -131,6 +132,15 @@ class TestOdeShoot:
 
     def test_blowup_exit_two(self):
         assert main(["ode-shoot", "--amplitudes", "1e-9"]) == 2
+
+    def test_too_near_one_exit_two(self, monkeypatch, capsys):
+        # the shot ran 35 s to a period 3.4e-5 off; it is now refused unrun
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("solve_ivp ran within 5e-7 of p0 = 1")
+
+        monkeypatch.setattr(curveflow.shrinker, "solve_ivp", refuse)
+        assert main(["ode-shoot", "--amplitudes", "1.000000001"]) == 2
+        assert capsys.readouterr().err.startswith("error: |p0 - 1| = 1e-09")
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -265,6 +275,35 @@ class TestReportFiles:
         printed = capsys.readouterr().out
         assert printed.endswith("\n")
         assert (out / name).read_text() == printed
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 does not have."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Non-finite floats reach a JSON report as null, never as NaN or Infinity."""
+
+    def test_constant_entry_period_is_null(self, capsys):
+        assert main(["ode-shoot", "--amplitudes", "1,1.5", "--format", "json"]) == 0
+        entries = strict_json(capsys.readouterr().out)["report"]["entries"]
+        assert entries[0]["is_constant"] is True
+        assert entries[0]["period"] is None
+        assert entries[0]["ratio_to_2pi"] is None
+        assert entries[1]["period"] == pytest.approx(4.3621244652, abs=1e-9)
+
+    def test_infinite_horizon_is_null(self, tmp_path, capsys):
+        small = tmp_path / "c.csv"
+        write_curve_csv(shapes.circle(64), small)
+        assert main(["flow", "--input", str(small), "--output", str(tmp_path / "out"),
+                     "--t-max", "inf"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["config"]["t_max"] is None
+        assert payload["report"]["stop_reason"] == "collapsed"
 
 
 class TestReportMetadata:

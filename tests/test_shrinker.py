@@ -218,7 +218,9 @@ class TestShootPeriodHalfPeriod:
             shoot_period(1.5)
 
 
-NEAR_ONE = [1.0 + sign * d for d in (1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3) for sign in (-1, 1)]
+# the first pair is the nearest to 1 that shoot_period accepts
+NEAR_ONE = [1.0 + sign * d for d in (1.001 * curveflow.shrinker._MIN_AMPLITUDE,
+                                     1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3) for sign in (-1, 1)]
 
 
 class TestQuadratureNearOne:
@@ -411,7 +413,8 @@ def log_derivative_residual(curve):
 
 
 class TestRejectedInput:
-    """Non-finite amplitudes and bad tolerances are refused before SciPy runs."""
+    """Non-finite amplitudes and spans, and shots too near 1, are refused
+    before SciPy runs; the tolerances are rows of tests/test_tol_contract.py."""
 
     @pytest.fixture(autouse=True)
     def no_solver(self, monkeypatch):
@@ -432,19 +435,12 @@ class TestRejectedInput:
         with pytest.raises(ValueError, match="must be finite"):
             call(p0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_survey_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            classify_closed_solutions([1.5], tol=tol)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("call", [
-        lambda tol: shoot_period(1.5, tol=tol),
-        lambda tol: integrate_support_ode(1.5, 0.0, 1.0, tol=tol),
-    ], ids=["shoot", "integrate"])
-    def test_ode_tol(self, call, tol):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            call(tol)
+    @pytest.mark.parametrize("p0", [1 + 1e-9, 1 - 1e-9, 1 + 1e-12])
+    def test_shot_too_near_one(self, p0):
+        # the shot drifted from quadrature (1.1e-6 at 1 + 1e-8), and at
+        # 1 + 1e-12 it never returned
+        with pytest.raises(ToleranceNotMet, match="below 5e-07"):
+            shoot_period(p0)
 
     @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf])
     def test_non_finite_span(self, span):
@@ -452,8 +448,3 @@ class TestRejectedInput:
         # finite span integrates backward (TestSupportOde)
         with pytest.raises(ValueError, match="theta_span must be finite"):
             integrate_support_ode(1.5, 0.0, span)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_verify_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            verify_shrinker(shapes.circle(64), tol=tol)
