@@ -338,6 +338,15 @@ class TestRoots:
 
 
 class TestChain:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_rejected_before_the_lp(self, monkeypatch, tol):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the LP ran on a rejected tolerance")
+
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", refuse)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            bonnesen_chain(shapes.ellipse(256), tol=tol)
+
     def test_ellipse_chain(self):
         rep = bonnesen_chain(shapes.ellipse(2048))
         assert rep.chain_ok

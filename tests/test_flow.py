@@ -46,6 +46,16 @@ class TestSingleStep:
         new = csf_step(shapes.circle(512, radius=2.0), 1e-4)
         assert mean_radius(new) == pytest.approx(math.sqrt(4 - 2e-4), abs=1e-6)
 
+    def test_zero_dt_rejected(self):
+        with pytest.raises(ValueError):
+            csf_step(shapes.circle(128), 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_dt_named(self, dt):
+        # a NaN or infinite dt once surfaced as non-finite coordinates
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            csf_step(shapes.circle(128), dt)
+
     @pytest.mark.parametrize("multiple", [100, 1000])
     def test_stable_far_beyond_the_explicit_bound(self, multiple):
         # the explicit step's limit 0.4 * (min chord)^2 / max |kappa| is 1.30e-4

@@ -413,8 +413,8 @@ def log_derivative_residual(curve):
 
 
 class TestRejectedInput:
-    """Non-finite amplitudes and spans, and shots too near 1, are refused
-    before SciPy runs; the tolerances are rows of tests/test_tol_contract.py."""
+    """Non-finite amplitudes and spans, bad tolerances and shots too near 1
+    are refused before SciPy runs."""
 
     @pytest.fixture(autouse=True)
     def no_solver(self, monkeypatch):
@@ -435,6 +435,20 @@ class TestRejectedInput:
         with pytest.raises(ValueError, match="must be finite"):
             call(p0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_survey_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            classify_closed_solutions([1.5], tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda tol: shoot_period(1.5, tol=tol),
+        lambda tol: integrate_support_ode(1.5, 0.0, 1.0, tol=tol),
+    ], ids=["shoot", "integrate"])
+    def test_ode_tol(self, call, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            call(tol)
+
     @pytest.mark.parametrize("p0", [1 + 1e-9, 1 - 1e-9, 1 + 1e-12])
     def test_shot_too_near_one(self, p0):
         # the shot drifted from quadrature (1.1e-6 at 1 + 1e-8), and at
@@ -448,3 +462,8 @@ class TestRejectedInput:
         # finite span integrates backward (TestSupportOde)
         with pytest.raises(ValueError, match="theta_span must be finite"):
             integrate_support_ode(1.5, 0.0, span)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_verify_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            verify_shrinker(shapes.circle(64), tol=tol)

@@ -120,6 +120,11 @@ class TestBisectingChord:
         area = oval_area(p)
         assert abs(cut.sigma - area / 2) <= 1e-6 * area
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            find_bisecting_chord(oval(256, {1: (0.3, 0.0), 3: (0.02, 0.015)}), tol=tol)
+
     @pytest.mark.parametrize("root_finder", [
         lambda f, a, b, **k: (a, 1, True),  # misses the tolerance
         lambda f, a, b, **k: (brentq(f, a, b), 1, False),
