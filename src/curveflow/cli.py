@@ -193,7 +193,6 @@ def _cmd_flow(args) -> int:
         "stop_reason": traj.stop_reason,
         "final_time": traj.final_state.time,
         "steps": traj.final_state.step_count,
-        "resample_passes": traj.resample_passes,
         "final_area": traj.areas[-1],
         "final_length": traj.lengths[-1],
     })

@@ -67,7 +67,8 @@ class SolverFailed(NumericalError):
 
 
 class CurveCollapsed(NumericalError):
-    """The renormalized flow's area fell to zero within one step."""
+    """A flow step would take the curve's length, or the renormalized flow's
+    area, to zero."""
 
 
 class IsoperimetricViolation(InputError):

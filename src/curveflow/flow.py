@@ -1,33 +1,56 @@
-"""Exponential spectral time-stepping of the curve shortening flow.
+"""The curve shortening flow in the tangent-angle gauge.
 
-Every step leaves the samples equidistributed in arclength (the discrete
-stand-in for the tangential reparametrization that turns normal-speed motion
-into the full flow), so the second difference along the curve is circulant
-with symbol 4 sin^2(pi k/m) / h^2 for mean chord h. One step integrates
-z_t = z_ss exactly for that symbol on z = x + iy: a predictor with the metric
-h and a corrector with the midpoint metric h*h1, h1 the predictor's mean
-chord, followed by a resample that raises ToleranceNotMet if it misses. The
-step is unconditionally stable, and on a regular polygon the k = 1 symbol is
-exactly 1/R^2, so the circle law holds exactly in space. The kernel takes h
-and dt from its callers. csf_step takes the caller's dt, finite and > 0.
-run_flow steps by dt = 2 h^2, cut to end on its horizon, and shrinks the
-sample count with the curve so that step stays bounded below until the area
-floor; its final state is its last recorded step. That step size is fixed:
-at 4 h^2 the circle law on a 96-sample circle misses 1e-3. run_flow and
-rescaled_flow refuse clockwise curves and curves of fewer than 32 samples,
-on which one step of 2 h^2 swallows the whole curve.
+The flowing curve is an equilateral n-gon, held as its edge angles
+theta_j = 2 pi q j/n + phi_j (q the turning number, phi periodic), the square
+Lam = L^2 of its length and the position z0 of vertex 0. Its vertices are
+z0 + cumsum((L/n) exp(i theta) - mean edge): equal chords hold by
+construction, and subtracting the mean edge, zero up to rounding, closes the
+polygon; on curves without symmetry the discrete flow opens that gap a
+little each step, and a Newton step in phi closes it again. A tangential
+velocity keeps the edges equal while the vertices move inward at their
+curvature (Hou, Lowengrub and Shelley, J. Comput. Phys. 114, 1994). With
+c = 2 pi/L and a = 2 pi j/n the flow reads
+
+    phi_t = c^2 phi_aa + c T theta_a,      Lam_t = -8 pi^2 <theta_a^2>,
+    T_a = c (theta_a^2 - <theta_a^2>),     <T> = 0.
+
+Here theta_a is the polygon's own vertex curvature w_j = (n/pi) sin(dtheta_j/2)
+(c w_j is the curvature of the circle through vertex j and its neighbours),
+averaged onto the edges. T is a cumulative sum at the vertices. On a regular
+n-gon w is constant and T = 0, so Lam falls at a constant rate and the circle
+law R^2 = R0^2 - 2t holds to rounding at every step.
+
+One step is IF-RK2 (Heun). The stiff term c^2 phi_aa is linear, with a
+coefficient constant along the curve, so the integrating factor
+exp(-(2 pi k)^2 int dt/Lam), with Lam linear over the step, takes it exactly:
+four real FFTs a step. z0 moves by the Heun average of vertex 0's velocity,
+c w along the inward normal plus T along the tangent. A step that would take
+Lam to 0 or below raises CurveCollapsed.
+
+The step policy is dt = min(0.1 Lam/(8 pi^2 q^2), 0.5/(max|T| c n/2)): a tenth
+of the remaining life of a circle of the same length, capped so that the
+tangential term carries the top mode at most half a radian. csf_step takes
+the caller's dt, finite and > 0, in as many equal steps as the policy asks.
+run_flow steps by the policy, cut to end on its horizon; its final state is
+its last record. Both drivers resample their input once with
+resample_arclength and refuse clockwise curves and curves of fewer than 32
+samples: a regular n-gon's area falls at n sin(2 pi/n), 0.994 of 2 pi at
+n = 32, and below 26 samples that misses the area law's 1%.
 
 The renormalized variant rescales to enclosed area pi after every step and
 advances physical time by the squared scale factor, so the recorded scale of
 an exact circle follows sqrt(1 - 2t). It steps by a fixed normalized dt of
-8e-3, cut to end on its horizon, not 2 h^2: the regular polygon is a fixed
-point of every step size, so the limit does not depend on dt, and the step
-count to stationarity does not grow with n.
+8e-3, cut to end on its horizon: the regular polygon is a fixed point of
+every step size, so the limit does not depend on dt, and the step count to
+stationarity does not grow with n. It does not take the policy: at area pi,
+L^2 >= 4 pi^2 puts the life bound above 0.05, and the tangential cap, which
+shrinks as 1/n, made the 2:1 ellipse take 843 steps at n = 1024 against 512
+at n = 256, where the fixed step takes 486 and 485.
 """
 
 from __future__ import annotations
 
-import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -39,12 +62,15 @@ from .curves import (
     _CSV,
     _centroid,
     _checked_chords,
+    _cyclic_prev,
     _edges,
     _positive,
-    _resample,
     _shoelace,
+    _vertex_turns,
+    _winding,
     is_convex,
     length,
+    resample_arclength,
     signed_area,
 )
 from .errors import (
@@ -57,11 +83,17 @@ from .shrinker import ShrinkerReport, verify_shrinker
 
 FloatArray = NDArray[np.float64]
 
-# The fewest samples run_flow and rescaled_flow take; run_flow's decimation floor.
+log = logging.getLogger(__name__)
+
+_TWO_PI = 2.0 * math.pi
+# The fewest samples run_flow and rescaled_flow take.
 _MIN_SAMPLES = 32
-# The step policy: dt = _DT_FACTOR * (mean chord)^2.
-_DT_FACTOR = 2.0
-# run_flow stops with "step_budget", and rescaled_flow gives up, after these many steps.
+# The step policy: this fraction of a same-length circle's remaining life, and
+# the tangential term's top-mode phase per step.
+_LIFE_FRACTION = 0.1
+_TOP_MODE_PHASE = 0.5
+# run_flow stops with "step_budget" and rescaled_flow gives up after these
+# many steps; csf_step splits its dt into at most _MAX_STEPS steps.
 _MAX_STEPS = 2_000_000
 _RESCALED_MAX_STEPS = 500_000
 # rescaled_flow's step in normalized time; at 1.6e-2 its clock misses the
@@ -69,8 +101,10 @@ _RESCALED_MAX_STEPS = 500_000
 _RESCALED_DT = 8e-3
 # rescaled_flow stops once its displacement rate falls below this.
 _STATIONARY_TOL = 3e-4
-# Smoothing passes the flow's arclength resample may take to meet rel_tol 1e-8.
-_RESAMPLE_PASSES = 20
+# The polygon's closing gap |sum exp(i theta)| / n left after a step, and the
+# Newton steps that may take to meet it.
+_CLOSURE_TOL = 1e-14
+_CLOSING_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -97,12 +131,9 @@ class FlowTrajectory:
     times: FloatArray
     lengths: FloatArray
     areas: FloatArray
-    sample_counts: NDArray[np.int64]
     final_state: FlowState
     stop_reason: str  # "collapsed" | "t_max" | "step_budget"
     snapshots: tuple[tuple[float, ClosedCurve], ...] = ()
-    # the arclength resample's smoothing passes, summed over every step
-    resample_passes: int = 0
 
     @property
     def extinction_time(self) -> float | None:
@@ -122,44 +153,130 @@ class FlowTrajectory:
         np.savetxt(path, rows[::stride], header="t,L,A,ratio", **_CSV)
 
 
+def _rhs(phi: FloatArray, lam: float, q: int):
+    """The flow's explicit part at (phi, Lam): c T_e w_e on the edges, Lam_t,
+    T at the vertices and vertex 0's velocity. Entry j of a vertex array
+    belongs to the vertex that edge j ends at, so edge j's average is
+    (a_j + a_{j-1})/2 and vertex 0's entry is the last."""
+    n = phi.size
+    c = _TWO_PI / math.sqrt(lam)
+    turns = _edges(phi) + _TWO_PI * q / n
+    w = (n / math.pi) * np.sin(0.5 * turns)
+    w2 = w * w
+    mean_w2 = float(w2.sum()) / n
+    tangential = np.cumsum(0.5 * (w2 + _cyclic_prev(w2)) - mean_w2)
+    tangential -= float(tangential.sum()) / n
+    tangential *= c * _TWO_PI / n
+    nonlinear = (tangential + _cyclic_prev(tangential)) * (w + _cyclic_prev(w))
+    nonlinear *= 0.25 * c
+    # vertex 0's tangent bisects the turn from edge n - 1 to edge 0
+    bisector = phi[0] - 0.5 * turns[-1]
+    velocity0 = (tangential[-1] + 1j * c * w[-1]) * complex(math.cos(bisector),
+                                                            math.sin(bisector))
+    return nonlinear, -8.0 * math.pi ** 2 * mean_w2, tangential, velocity0
+
+
+class _Gauge:
+    """One flowing equilateral n-gon in the tangent-angle gauge: q, phi and
+    its real spectrum, the unit edges exp(i theta), Lam, z0 and the
+    right-hand side at the current state."""
+
+    def __init__(self, curve: ClosedCurve):
+        """The gauge of ``curve`` resampled once to equal chords: q from the
+        vertex turns, theta unwrapped from edge 0's angle."""
+        pts = resample_arclength(curve, curve.n).points
+        e = _edges(pts)
+        turns = _vertex_turns(e)
+        n = pts.shape[0]
+        self.q = _winding(turns)
+        self.base = _TWO_PI * self.q * np.arange(n) / n
+        self.k2 = (_TWO_PI * np.arange(n // 2 + 1)) ** 2
+        self.z0 = complex(pts[0, 0], pts[0, 1])
+        theta = math.atan2(e[0, 1], e[0, 0]) + np.concatenate(([0.0], np.cumsum(turns[1:])))
+        self._set(theta - self.base, float(np.hypot(e[:, 0], e[:, 1]).sum()) ** 2)
+
+    def _set(self, phi: FloatArray, lam: float, spectrum=None) -> None:
+        """Take phi, moved to close the polygon, Lam and phi's spectrum (if
+        known) as the state.
+
+        The flow keeps the gap sum exp(i theta) at zero, but its
+        discretization does not quite on curves without symmetry, and the
+        renormalized flow amplifies the gap as e^tau: on a random oval it
+        reached 1e-3 and the run never became stationary. Each Newton step
+        moves phi by Re(beta exp(i theta)), least squares, and squares the
+        gap; two take it to rounding.
+        """
+        n = phi.size
+        u = np.exp(1j * (self.base + phi))
+        for _ in range(_CLOSING_STEPS):
+            gap = u.sum()
+            if abs(gap) <= _CLOSURE_TOL * n:
+                break
+            s2 = np.dot(u, u)
+            beta = -2j * (gap * s2.conjugate() + n * gap.conjugate()) / (n * n - abs(s2) ** 2)
+            phi = phi + (beta * u).real
+            u = np.exp(1j * (self.base + phi))
+            spectrum = None
+        self.phi, self.unit_edges, self.lam = phi, u, lam
+        self.spectrum = np.fft.rfft(phi) if spectrum is None else spectrum
+        self.rhs = _rhs(phi, lam, self.q)
+
+    def policy(self) -> float:
+        """The step policy (module docstring) at the current state."""
+        n = self.phi.size
+        dt = _LIFE_FRACTION * self.lam / (8.0 * math.pi ** 2 * max(self.q * self.q, 1))
+        speed = float(np.abs(self.rhs[2]).max()) * _TWO_PI / math.sqrt(self.lam) * n / 2
+        return dt if speed * dt <= _TOP_MODE_PHASE else _TOP_MODE_PHASE / speed
+
+    def points(self) -> FloatArray:
+        """The (n, 2) vertices: z0 + cumsum of the equal edges less their mean."""
+        n = self.phi.size
+        e = (math.sqrt(self.lam) / n) * self.unit_edges
+        e -= e.mean()
+        z = self.z0 + np.concatenate(([0j], np.cumsum(e[:-1])))
+        return z.view(float).reshape(n, 2)
+
+    def rescale(self, factor: float, centre: FloatArray) -> None:
+        """Scale the polygon by ``factor`` about ``centre``. c = 2 pi/L, and
+        with it T and vertex 0's velocity, scales by 1/factor; c T w by its
+        square."""
+        self.z0 = (self.z0 - complex(centre[0], centre[1])) * factor
+        self.lam *= factor * factor
+        nonlinear, lam_t, tangential, velocity0 = self.rhs
+        self.rhs = (nonlinear / (factor * factor), lam_t, tangential / factor,
+                    velocity0 / factor)
+
+    def decay(self, lam1: float, dt: float) -> FloatArray:
+        """The integrating factor exp(-(2 pi k)^2 int dt/Lam), Lam linear from
+        the current Lam to ``lam1`` over ``dt``. Raises CurveCollapsed unless
+        lam1 > 0."""
+        if not lam1 > 0.0:
+            raise CurveCollapsed(f"a flow step of {dt:.6g} takes the length to zero")
+        x = (lam1 - self.lam) / self.lam
+        per_lam = math.log1p(x) / x if x != 0.0 else 1.0
+        return np.exp(-self.k2 * (dt * per_lam / self.lam))
+
+
+def _step(g: _Gauge, dt: float) -> None:
+    """One IF-RK2 (Heun) step of ``dt`` on ``g``, in place."""
+    n = g.phi.size
+    nonlinear0, lam_t0, _, velocity0 = g.rhs
+    lam_p = g.lam + dt * lam_t0
+    forced = np.fft.rfft(nonlinear0)
+    phi_p = np.fft.irfft(g.decay(lam_p, dt) * (g.spectrum + dt * forced), n)
+    nonlinear1, lam_t1, _, velocity1 = _rhs(phi_p, lam_p, g.q)
+    lam1 = g.lam + 0.5 * dt * (lam_t0 + lam_t1)
+    spectrum = (g.decay(lam1, dt) * (g.spectrum + (0.5 * dt) * forced)
+                + (0.5 * dt) * np.fft.rfft(nonlinear1))
+    g.z0 += 0.5 * dt * (velocity0 + velocity1)
+    g._set(np.fft.irfft(spectrum, n), lam1, spectrum)
+
+
 def suggested_dt(curve: ClosedCurve) -> float:
-    """The step policy: 2 * (mean spacing)^2."""
-    h = length(curve) / curve.n
-    return _DT_FACTOR * h * h
-
-
-@functools.lru_cache(maxsize=32)
-def _sin2(m: int) -> FloatArray:
-    """sin^2(pi k/m) for k = 0..m-1, the step's symbol up to the factor
-    -4 dt / h^2. Read-only, as every step on m samples shares it."""
-    sin2 = np.sin(np.pi * np.arange(m) / m) ** 2
-    sin2.setflags(write=False)
-    return sin2
-
-
-def _step(points, h: float, dt: float):
-    """One exponential spectral step of ``dt`` on ``points`` of mean chord
-    ``h``, both chosen by the caller: csf_step, run_flow or rescaled_flow.
-
-    The moved points are resampled to as many samples with equal chords to
-    1e-8; the resample checks them as a ClosedCurve does, and raises
-    ToleranceNotMet if it misses. Returns the new points, their chord
-    lengths, the enclosed area and the resample's smoothing passes.
-
-    The kernel works on the (n, 2) samples viewed as complex z = x + iy, with
-    no copy between layouts: the FFT reads the view, the predictor's chords
-    are ``hypot`` of its complex edges, and the corrector goes to the
-    resample, and back out, as an (m, 2) view of the inverse FFT.
-    """
-    m = points.shape[0]
-    spectrum = np.fft.fft(np.ascontiguousarray(points).view(complex)[:, 0])
-    s = -dt * 4.0 * _sin2(m)
-    e = _edges(np.fft.ifft(spectrum * np.exp(s / (h * h))))
-    h1 = float(np.hypot(e.real, e.imag).sum()) / m
-    moved = np.fft.ifft(spectrum * np.exp(s / (h * h1))).view(float).reshape(m, 2)
-    pts, new_chords, passes = _resample(moved, m, 1e-8, _RESAMPLE_PASSES)
-    # no recheck: convex blends of checked points; chords ~L/m (1e-8) >= 2 extent/m >> 1e-12 extent
-    return pts, new_chords, _shoelace(pts), passes
+    """The step policy at ``curve`` resampled to equal chords:
+    min(0.1 L^2/(8 pi^2 q^2), 0.5/(max|T| (2 pi/L) n/2)), a tenth of a
+    same-length circle's remaining life, capped by the tangential term."""
+    return _Gauge(curve).policy()
 
 
 def _at_horizon(time: float, t_max: float) -> bool:
@@ -179,11 +296,16 @@ def _entry_area(curve: ClosedCurve) -> float:
 
 
 def csf_step(curve: ClosedCurve, dt: float) -> ClosedCurve:
-    """One step of ``dt``: flow by the spectral kernel at the curve's mean
-    chord, then redistribute arclength. Raises ValueError unless 0 < dt < inf."""
+    """The flow of ``curve``, resampled once to equal chords, after exactly
+    ``dt``, in ceil(dt / suggested_dt) equal kernel steps (at most 2,000,000).
+    Raises ValueError unless 0 < dt < inf, and CurveCollapsed when the length
+    would reach zero within ``dt``."""
     _positive("dt", dt)
-    pts, *_ = _step(curve.points, length(curve) / curve.n, dt)
-    return ClosedCurve(pts)
+    g = _Gauge(curve)
+    count = math.ceil(min(dt / g.policy(), _MAX_STEPS))
+    for _ in range(count):
+        _step(g, dt / count)
+    return ClosedCurve(g.points())
 
 
 def run_flow(
@@ -195,11 +317,12 @@ def run_flow(
 ) -> FlowTrajectory:
     """Flow until the area floor, the time horizon, or the step budget.
 
-    The sample count is decimated as the length shrinks so the spacing (and
-    with it the step size 2 * spacing^2) stays near its initial value; collapse
-    is a normal stop reason, not an error. A ``snapshot_stride`` of 0 takes no
-    snapshots. Raises ValueError on fewer than 32 samples or a clockwise
-    curve.
+    The input is resampled once to equal chords; the t = 0 record keeps the
+    input's own length and area, and the final state is the last record. Each
+    step takes the policy dt of suggested_dt, the last one cut to land on
+    ``t_max``. Collapse is a normal stop reason, not an error. A
+    ``snapshot_stride`` of 0 takes no snapshots. Raises ValueError on fewer
+    than 32 samples or a clockwise curve.
     """
     if not t_max >= 0.0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
@@ -208,57 +331,44 @@ def run_flow(
     if snapshot_stride < 0:
         raise ValueError(f"snapshot_stride must be >= 0, got {snapshot_stride}")
     area = _entry_area(curve)
-    pts = curve.points
-    perim = length(curve)
-    target_spacing = perim / curve.n
+    g = _Gauge(curve)
     area_floor = area_floor_rel * area
     time = 0.0
     step_count = 0
-    resample_passes = 0
 
     times = [time]
-    lengths = [perim]
+    lengths = [length(curve)]
     areas = [area]
-    sample_counts = [curve.n]
     snapshots = [(time, curve)] if snapshot_stride else []
     stop_reason = "step_budget"
     for _ in range(_MAX_STEPS):
-        # stop before the decimation, so the final state is the last record
         if _at_horizon(time, t_max):
             stop_reason = "t_max"
             break
-        # halve the sample count by exact subsampling once the spacing has
-        # shrunk to half its target; sliding points onto a coarser polygon
-        # would cut corners and bleed area instead
-        m = pts.shape[0]
-        if m % 2 == 0 and m // 2 >= _MIN_SAMPLES and perim / target_spacing <= m / 2:
-            pts = np.ascontiguousarray(pts[::2])
-            perim = float(_checked_chords(pts).sum())
-        h = perim / pts.shape[0]
-        dt = min(_DT_FACTOR * h * h, t_max - time)
-        pts, chords, area, passes = _step(pts, h, dt)
-        resample_passes += passes
+        dt = min(g.policy(), t_max - time)
+        _step(g, dt)
+        pts = g.points()
         time += dt
         step_count += 1
-        perim = float(chords.sum())
         times.append(time)
-        lengths.append(perim)
-        areas.append(area)
-        sample_counts.append(pts.shape[0])
-        if area <= area_floor:
+        lengths.append(float(_checked_chords(pts).sum()))
+        areas.append(_shoelace(pts))
+        if areas[-1] <= area_floor:
             stop_reason = "collapsed"
             break
         if snapshot_stride and step_count % snapshot_stride == 0:
             snapshots.append((time, ClosedCurve(pts)))
+    final = ClosedCurve(pts) if step_count else curve
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("run_flow stopped (%s) after %d steps at t = %.6g on %d samples",
+                  stop_reason, step_count, time, curve.n)
     return FlowTrajectory(
         times=np.asarray(times),
         lengths=np.asarray(lengths),
         areas=np.asarray(areas),
-        sample_counts=np.asarray(sample_counts, dtype=np.int64),
-        final_state=FlowState(ClosedCurve(pts), time, step_count),
+        final_state=FlowState(final, time, step_count),
         stop_reason=stop_reason,
         snapshots=tuple(snapshots),
-        resample_passes=resample_passes,
     )
 
 
@@ -282,9 +392,11 @@ def rescaled_flow(
 ) -> tuple[SimilarityProfile, ShrinkerReport]:
     """Renormalized flow: recenter, rescale to area pi, stop when stationary.
 
-    Each step takes the fixed normalized dt = 8e-3, whatever the sample count.
-    The physical time advances by lambda^2 * dt per normalized step, so the
-    recorded (time, scale) pairs trace the homothety factor of the raw flow.
+    Each step takes the fixed normalized dt = 8e-3, whatever the sample
+    count; after it the polygon is recentred and its length rescaled to area
+    pi. The physical time advances by lambda^2 * dt per normalized step, so
+    the recorded (time, scale) pairs trace the homothety factor of the raw
+    flow.
     Stationarity is the largest per-sample displacement of the normalized
     profile per unit normalized time (the recorded rate) falling below 3e-4;
     the physical horizon ``t_max`` also stops the run normally, and the last
@@ -300,27 +412,38 @@ def rescaled_flow(
     area0 = _entry_area(curve)
     lam = math.sqrt(area0 / math.pi)
     pts = (curve.points - _centroid(curve.points)) * math.sqrt(math.pi / area0)
+    g = _Gauge(ClosedCurve(pts))
     tau = 0.0
     times = [tau]
     scales = [lam]
     rates = []
-    while not (rates and rates[-1] < _STATIONARY_TOL or _at_horizon(tau, t_max)):
+    stop_reason = "stationary"
+    while not (rates and rates[-1] < _STATIONARY_TOL):
+        if _at_horizon(tau, t_max):
+            stop_reason = "t_max"
+            break
         if len(rates) == _RESCALED_MAX_STEPS:
             raise ToleranceNotMet(f"renormalized flow did not reach displacement rate < "
                                   f"{_STATIONARY_TOL:.3g} within {_RESCALED_MAX_STEPS} steps")
         dt = min(_RESCALED_DT, (t_max - tau) / (lam * lam))
-        h = float(_checked_chords(pts).sum()) / curve.n
-        stepped, _chords, area, _passes = _step(pts, h, dt)
+        _step(g, dt)
+        stepped = g.points()
+        area = _shoelace(stepped)
         if area <= 0.0:
             raise CurveCollapsed(f"normalized area {area:.3g} <= 0 after t = {tau:.6g}")
         factor = math.sqrt(math.pi / area)
-        rescaled = (stepped - _centroid(stepped)) * factor
+        centre = _centroid(stepped)
+        rescaled = (stepped - centre) * factor
+        g.rescale(factor, centre)
         tau += lam * lam * dt
         lam /= factor
         times.append(tau)
         scales.append(lam)
         rates.append(float(np.max(np.hypot(*(rescaled - pts).T))) / dt)
         pts = rescaled
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("rescaled_flow stopped (%s) after %d steps at t = %.6g on %d samples",
+                  stop_reason, len(rates), tau, curve.n)
     profile = ClosedCurve(pts)
     return (SimilarityProfile(times=np.asarray(times), scales=np.asarray(scales),
                               rates=np.asarray(rates), reference_curve=profile),

@@ -35,6 +35,12 @@ def _differentiate(coef: np.ndarray, order: int) -> np.ndarray:
     return coef
 
 
+def _check_grid(count: int) -> None:
+    """The grid-count rule of every support grid: even and >= MIN_GRID."""
+    if count < MIN_GRID or count % 2 != 0:
+        raise ValueError(f"grid count must be even and >= {MIN_GRID}, got {count}")
+
+
 @dataclass(frozen=True)
 class SupportFunction:
     """Positive support samples on the uniform grid theta_k = 2*pi*k/count."""
@@ -45,8 +51,7 @@ class SupportFunction:
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if v.ndim != 1:
             raise ValueError("support samples must be a 1-D array")
-        if v.size < MIN_GRID or v.size % 2 != 0:
-            raise ValueError(f"grid count must be even and >= {MIN_GRID}, got {v.size}")
+        _check_grid(v.size)
         if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
             raise ValueError("support samples must be finite and strictly positive")
         v.setflags(write=False)
@@ -115,8 +120,7 @@ def support_from_curve(curve: ClosedCurve, count: int) -> SupportFunction:
     tolerates a near-duplicate sample whose tiny edge points anywhere; such
     a polygon takes the max over every vertex instead.
     """
-    if count < MIN_GRID or count % 2 != 0:
-        raise ValueError(f"grid count must be even and >= {MIN_GRID}, got {count}")
+    _check_grid(count)
     if not is_convex(curve):
         raise NotConvex("support function requires a convex curve")
     if winding_number(curve, (0.0, 0.0)) == 0:

@@ -1,13 +1,14 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately brute-force or quadrature-based so it shares
-no code path with the library implementations it checks. The one exception is
-``reference_step``, a second flow scheme (explicit Euler) composed from the
-public curve primitives, against which the spectral flow kernel is compared.
+no code path with the library implementations it checks. The exceptions are
+two flow schemes composed from the public curve primitives, against which the
+tangent-angle flow kernel is compared: ``reference_step`` (explicit Euler)
+and ``spectral_step``, the exponential spectral step with a resample after
+every step that the tangent-angle kernel replaced. ``reference_flow`` is the
+driver loop both ran under, with its sample-count decimation.
 ``resample_reference`` is the arclength resample written out on (n, 2)
-arrays, the layout the library's complex-view resample replaced; the
-bit-identity tests of the flow and ``reference_step`` use it in place of
-``resample_arclength``.
+arrays; both steps use it in place of ``resample_arclength``.
 ``random_convex_polygon`` draws the test polygons that several modules share.
 """
 
@@ -213,3 +214,56 @@ def resample_reference(points: np.ndarray, m: int, rel_tol: float, max_passes: i
         u = np.concatenate([[0.0], np.cumsum(chords)])
         t = np.interp(u[m] * fractions, u, np.append(t, total))
     return pts, chords, max_passes + 1
+
+
+def spectral_step(curve, dt_factor=2.0, dt_max=np.inf):
+    """One exponential spectral step of the flow, the library's kernel before
+    the tangent-angle kernel replaced it, composed from numpy.fft, the public
+    primitives and ``resample_reference``: dt = dt_factor * h^2 for mean
+    chord h, capped at dt_max; the predictor multiplies the spectrum of
+    x + iy by exp(-dt * 4 sin^2(pi k/m) / h^2), the corrector by the same
+    with h^2 replaced by h * h1 (h1 the predictor's mean chord); then the
+    samples are resampled to equal chords to 1e-8 in 20 passes. Returns the
+    new curve and the dt taken.
+    """
+    from curveflow import ClosedCurve
+
+    m = curve.n
+    h = float(curve.chord_lengths().sum()) / m
+    dt = min(dt_factor * h * h, dt_max)
+    spectrum = np.fft.fft(curve.points[:, 0] + 1j * curve.points[:, 1])
+    s = -dt * 4.0 * np.sin(np.pi * np.arange(m) / m) ** 2
+
+    def curve_of(factor):
+        z = np.fft.ifft(spectrum * np.exp(s / factor))
+        return ClosedCurve(np.column_stack((z.real, z.imag)))
+
+    h1 = float(curve_of(h * h).chord_lengths().sum()) / m
+    pts, _chords, passes = resample_reference(curve_of(h * h1).points, m, 1e-8, 20)
+    assert passes <= 20
+    return ClosedCurve(pts), dt
+
+
+def reference_flow(curve, t_max, step, area_floor_rel=0.0):
+    """The driver loop of the two reference steps, to t_max or until the area
+    falls to ``area_floor_rel`` of its start: before each step the sample
+    count halves, by taking every other sample, once the length has shrunk to
+    half the count at the starting spacing (and the count stays >= 32).
+    Returns the times, areas, lengths, sample counts and the final curve.
+    """
+    from curveflow import ClosedCurve, length, signed_area
+
+    target_spacing = length(curve) / curve.n
+    area_floor = area_floor_rel * signed_area(curve)
+    t, times, areas, lengths, counts = 0.0, [0.0], [signed_area(curve)], [length(curve)], [curve.n]
+    while (np.isinf(t_max) or t_max - t > 1e-12 * t_max) and areas[-1] > area_floor:
+        m = curve.n
+        if m % 2 == 0 and m // 2 >= 32 and lengths[-1] / target_spacing <= m / 2:
+            curve = ClosedCurve(curve.points[::2])
+        curve, dt = step(curve, dt_max=t_max - t)
+        t += dt
+        times.append(t)
+        areas.append(signed_area(curve))
+        lengths.append(length(curve))
+        counts.append(curve.n)
+    return times, areas, lengths, counts, curve

@@ -345,15 +345,15 @@ class TestFlowCommand:
         assert final.n >= 32
         assert any(f.name.startswith("snapshot_") for f in out.iterdir())
 
-    def test_report_counts_resample_passes(self, tmp_path, capsys):
+    def test_report_counts_steps(self, tmp_path, capsys):
         path = tmp_path / "e.csv"
         write_curve_csv(shapes.ellipse(128), path)
         assert main(["flow", "--input", str(path), "--output", str(tmp_path / "out"),
                      "--t-max", "0.05"]) == 0
         report = json.loads(capsys.readouterr().out)["report"]
         traj = curveflow.flow.run_flow(shapes.ellipse(128), t_max=0.05)
-        assert report["steps"] == traj.final_state.step_count
-        assert report["resample_passes"] == traj.resample_passes > 0
+        assert report["steps"] == traj.final_state.step_count > 0
+        assert "resample_passes" not in report
 
     def test_missing_input_exit_one(self, tmp_path):
         assert main(["flow", "--input", str(tmp_path / "none.csv")]) == 1

@@ -430,7 +430,6 @@ class TestCsvFormat:
             times=np.array([0.0, 0.1, 0.2, 0.3, 0.4]),
             lengths=np.array([2 * math.pi, 6.0, 5.5, 5.0, 4.5]),
             areas=np.full(5, math.pi),
-            sample_counts=np.full(5, 32),
             final_state=FlowState(ClosedCurve([(0, 0), (1, 0), (0, 1)])),
             stop_reason="t_max",
         )

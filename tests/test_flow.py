@@ -1,17 +1,22 @@
-"""Tests for spectral curve-shortening-flow stepping and the renormalized flow."""
+"""Tests for the tangent-angle flow kernel, its drivers and the renormalized flow."""
 
+import logging
 import math
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import curveflow.curves
 import curveflow.flow
 import oracles
+from oracles import reference_flow
 from curveflow import (
     ClosedCurve,
     CurveCollapsed,
+    curve_from_support,
     resample_arclength,
     NotConvex,
     ToleranceNotMet,
@@ -72,9 +77,27 @@ class TestSingleStep:
         assert lost == pytest.approx(2 * math.pi * dt, rel=0.1)
 
     def test_suggested_dt_policy(self):
-        curve = shapes.ellipse(256)
-        h = float(np.mean(curve.chord_lengths()))
-        assert suggested_dt(curve) == pytest.approx(2.0 * h * h, rel=1e-14)
+        # a tenth of a same-length circle's remaining life, L^2 / (8 pi^2 q^2)
+        for curve, q in [(shapes.circle(256), 1), (shapes.doubled_circle(256), 2)]:
+            life = length(curve) ** 2 / (8 * math.pi ** 2 * q * q)
+            assert suggested_dt(curve) == pytest.approx(0.1 * life, rel=1e-12)
+        # on a 2:1 ellipse the tangential term's cap binds
+        ellipse = shapes.ellipse(256)
+        assert suggested_dt(ellipse) < 0.1 * length(ellipse) ** 2 / (8 * math.pi ** 2)
+
+    def test_long_step_lands_on_dt(self):
+        # 0.3 is six policy steps of the unit circle, taken as equal steps
+        new = csf_step(shapes.circle(128), 0.3)
+        assert mean_radius(new) == pytest.approx(math.sqrt(1 - 0.6), abs=1e-12)
+
+    @pytest.mark.parametrize("dt", [10.0, 1e300])
+    def test_step_past_extinction_raises_collapsed(self, dt):
+        # the circle dies at t = 0.5; these raised DegenerateSegment, and 1e300
+        # leaked numpy RuntimeWarnings first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CurveCollapsed):
+                csf_step(shapes.circle(64), dt)
 
 
 class TestRunFlow:
@@ -85,7 +108,7 @@ class TestRunFlow:
         assert area_decay_check(traj) == pytest.approx(-2 * math.pi, rel=1e-2)
 
     def test_circle_stays_circular(self):
-        traj = run_flow(shapes.circle(128), t_max=0.3, snapshot_stride=10)
+        traj = run_flow(shapes.circle(128), t_max=0.3, snapshot_stride=1)
         assert len(traj.snapshots) >= 9
         for _t, snap in traj.snapshots:
             c = centroid(snap)
@@ -106,9 +129,7 @@ class TestRunFlow:
         traj = run_flow(square, area_floor_rel=5e-3)
         assert np.min(traj.ratios) >= 1.0 - 1e-6
         assert traj.ratios[-1] < traj.ratios[0]
-        same_m = np.diff(traj.sample_counts) == 0
-        increments = np.diff(traj.ratios)[same_m]
-        assert np.all(increments <= 1e-9)
+        assert np.all(np.diff(traj.ratios) <= 1e-9)
 
     def test_square_rounds_toward_circle(self):
         square = resample_arclength(shapes.square(2.0), 256)
@@ -126,17 +147,46 @@ class TestRunFlow:
     @pytest.mark.parametrize("n", [96, 192])
     def test_circle_law_at_every_step(self, n):
         # a snapshot at every step: a sparse stride can see only t = 0 once a
-        # flow takes fewer steps than the stride
+        # flow takes fewer steps than the stride. A regular polygon stays
+        # regular and its squared length falls at a constant rate, which
+        # Heun's step integrates exactly
         traj = run_flow(shapes.circle(n), area_floor_rel=1e-3, snapshot_stride=1)
         assert traj.stop_reason == "collapsed"
         assert len(traj.snapshots) == traj.final_state.step_count
         worst = max(abs(mean_radius(snap) - math.sqrt(1.0 - 2.0 * t))
-                    for t, snap in traj.snapshots if t <= 0.45)
-        assert worst < 1e-3
+                    for t, snap in traj.snapshots)
+        assert worst < 1e-12
         assert traj.extinction_time == pytest.approx(0.5, abs=0.02)
 
+    @pytest.mark.parametrize("curve", [
+        shapes.ellipse(128),
+        curve_from_support(shapes.random_oval_support(256, seed=3, offset=0.1)),
+        resample_arclength(shapes.l_hexagon(), 128),
+    ], ids=["ellipse128", "oval256", "lshape128"])
+    def test_equal_chords_and_closed_at_every_snapshot(self, curve):
+        # without symmetry the step opens a gap that the kernel closes again;
+        # left alone it reached 1e-3 in the renormalized flow of the oval
+        traj = run_flow(curve, area_floor_rel=1e-2, snapshot_stride=1)
+        for _t, snap in traj.snapshots[1:]:
+            chords = snap.chord_lengths()  # the closing chord included
+            assert np.max(np.abs(chords - chords.mean())) <= 1e-12 * chords.mean()
+
+    def test_rigid_motion_moves_the_flow_alike(self):
+        curve = curve_from_support(shapes.random_oval_support(128, seed=5, offset=0.1))
+        angle, shift = 0.7, np.array([1.5, -2.0])
+        moved = run_flow(curve.rotated(angle).translated(shift), t_max=0.2).final_state.curve
+        expected = run_flow(curve, t_max=0.2).final_state.curve.rotated(angle).translated(shift)
+        assert np.max(np.abs(moved.points - expected.points)) < 1e-9
+
+    def test_circle_centroid_stays(self):
+        centre = np.array([0.3, -0.2])
+        traj = run_flow(shapes.circle(96, center=centre), snapshot_stride=1)
+        assert traj.stop_reason == "collapsed"
+        drift = max(float(np.hypot(*(centroid(snap) - centre))) for _t, snap in traj.snapshots)
+        assert drift < 1e-3
+
     def test_dt_max_honoured_exactly(self):
-        # one full step here is 2 * (2*pi/64)^2 = 0.019, past the horizon
+        # one policy step here is 0.05, past the horizon
         traj = run_flow(shapes.circle(64), t_max=0.01)
         assert traj.stop_reason == "t_max"
         assert traj.final_state.step_count == 1
@@ -178,8 +228,8 @@ class TestRunFlow:
     @pytest.mark.parametrize("curve", [shapes.square(1.0), shapes.l_hexagon(), shapes.circle(31)],
                              ids=["square4", "lshape6", "circle31"])
     def test_fewer_than_32_samples_rejected(self, curve):
-        # one step of 2 h^2 on so coarse a polygon swallows it: the 4-sample
-        # square "collapsed" at t = 2.0 against A0/2pi = 0.159
+        # a regular n-gon's area falls at n sin(2 pi/n): below 26 samples that
+        # misses the area law's 1%
         with pytest.raises(ValueError, match=rf"flow needs >= 32 samples, got {curve.n}"):
             run_flow(curve)
 
@@ -193,15 +243,13 @@ class TestRunFlow:
                              ids=["circle128", "ellipse192", "rounded_square96", "doubled256"])
     def test_final_state_is_the_last_record(self, curve):
         full = run_flow(curve)
-        # each count change is a halving made after the step before it; a
-        # horizon a hair past that step stops there, before the halving
-        halvings = np.flatnonzero(np.diff(full.sample_counts))
-        horizons = [0.0, 1e-3, 0.05, 0.2, *(full.times[k] * (1 + 1e-13) for k in halvings)]
+        # a horizon a hair past a step stops there
+        horizons = [0.0, 1e-3, 0.05, 0.2, full.times[3] * (1 + 1e-13)]
         for traj in [full] + [run_flow(curve, t_max=t) for t in horizons]:
             final = traj.final_state
             assert signed_area(final.curve) == traj.areas[-1]
             assert length(final.curve) == traj.lengths[-1]
-            assert final.curve.n == traj.sample_counts[-1]
+            assert final.curve.n == curve.n
             assert final.time == traj.times[-1]
             assert final.step_count == len(traj.times) - 1
 
@@ -258,8 +306,8 @@ class TestRescaledFlow:
             rescaled_flow(shapes.doubled_circle(512))
 
     def test_collapsed_step_raises(self, monkeypatch):
-        monkeypatch.setattr(curveflow.flow, "_step",
-                            lambda pts, h, dt: (pts, None, 0.0, 0))
+        # the entry check reads signed_area; each step's area is _shoelace's
+        monkeypatch.setattr(curveflow.flow, "_shoelace", lambda pts: 0.0)
         with pytest.raises(CurveCollapsed, match="normalized area 0 <= 0"):
             rescaled_flow(shapes.ellipse(64))
 
@@ -283,26 +331,37 @@ class TestRescaledFlow:
             assert length(half) / 2 == pytest.approx(math.pi, abs=1e-2)
 
 
-class TestResamplePasses:
-    def test_circle_takes_none(self):
-        # equal chords already: every step's first placement meets the tolerance
-        traj = run_flow(shapes.circle(96))
-        assert traj.stop_reason == "collapsed"
-        assert traj.resample_passes == 0
-
-    def test_ellipse_total(self):
-        traj = run_flow(shapes.ellipse(128), t_max=0.1)
-        assert 0 < traj.resample_passes <= 20 * traj.final_state.step_count
-
-
 @pytest.mark.parametrize("flow", [
     lambda curve: run_flow(curve, t_max=0.1),
     rescaled_flow,
 ], ids=["run_flow", "rescaled_flow"])
 def test_missed_resample_raises(flow, monkeypatch):
-    monkeypatch.setattr(curveflow.flow, "_RESAMPLE_PASSES", 0)
-    with pytest.raises(ToleranceNotMet, match="resample missed rel_tol 1e-08 in 0 passes"):
+    # the one resample at entry raises its own miss
+    monkeypatch.setattr(curveflow.curves, "_ARCLENGTH_PASSES", 0)
+    with pytest.raises(ToleranceNotMet, match="resample missed rel_tol 1e-10 in 0 passes"):
         flow(shapes.ellipse(128))
+
+
+class TestDebugLog:
+    """Each driver logs one debug record per call, not one per step."""
+
+    def test_one_record_per_call(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="curveflow.flow")
+        traj = run_flow(shapes.circle(64))
+        profile, _ = rescaled_flow(shapes.ellipse(64), t_max=0.05)
+        records = [r.getMessage() for r in caplog.records if r.name == "curveflow.flow"]
+        assert records == [
+            f"run_flow stopped (collapsed) after {traj.final_state.step_count} steps"
+            f" at t = {traj.final_state.time:.6g} on 64 samples",
+            f"rescaled_flow stopped (t_max) after {profile.rates.size} steps"
+            f" at t = {profile.times[-1]:.6g} on 64 samples",
+        ]
+
+    def test_silent_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="curveflow.flow")
+        run_flow(shapes.circle(64))
+        rescaled_flow(shapes.ellipse(64))
+        assert not [r for r in caplog.records if r.name == "curveflow.flow"]
 
 
 class TestRejectedFlags:
@@ -349,98 +408,46 @@ class TestRescaledHorizon:
         assert profile.times[-1] == pytest.approx(t_max, rel=1e-14)
 
 
-def spectral_step(curve, dt_factor=2.0, dt_max=math.inf):
-    """One step of the flow kernel composed from numpy.fft, the public
-    primitives and the (n, 2) resample oracle: dt = dt_factor * h^2 for mean
-    chord h, capped at dt_max; the predictor multiplies the spectrum of x + iy
-    by exp(-dt * 4 sin^2(pi k/m) / h^2), the corrector by the same with h^2
-    replaced by h * h1 (h1 the predictor's mean chord); then resample."""
-    m = curve.n
-    h = float(curve.chord_lengths().sum()) / m
-    dt = min(dt_factor * h * h, dt_max)
-    spectrum = np.fft.fft(curve.points[:, 0] + 1j * curve.points[:, 1])
-    s = -dt * 4.0 * np.sin(np.pi * np.arange(m) / m) ** 2
-
-    def curve_of(factor):
-        z = np.fft.ifft(spectrum * np.exp(s / factor))
-        return ClosedCurve(np.column_stack((z.real, z.imag)))
-
-    h1 = float(curve_of(h * h).chord_lengths().sum()) / m
-    pts, _chords, passes = oracles.resample_reference(curve_of(h * h1).points, m, 1e-8, 20)
-    assert passes <= 20
-    return ClosedCurve(pts), dt
-
-
-def roll_centroid(curve):
-    """The area centroid by the shoelace formula on np.roll neighbours."""
-    x, y = curve.points[:, 0], curve.points[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    a = 0.5 * cross.sum()
-    return np.array([np.sum((x + xn) * cross) / (6.0 * a), np.sum((y + yn) * cross) / (6.0 * a)])
-
-
-def reference_flow(curve, t_max, step):
-    """run_flow's loop to t_max (decimation included) around ``step``.
-    Returns the times, areas, lengths, sample counts and the final curve."""
-    target_spacing = length(curve) / curve.n
-    t, times, areas, lengths, counts = 0.0, [0.0], [signed_area(curve)], [length(curve)], [curve.n]
-    while t < t_max and t_max - t > 1e-12 * t_max:
-        m = curve.n
-        if m % 2 == 0 and m // 2 >= 32 and lengths[-1] / target_spacing <= m / 2:
-            curve = ClosedCurve(curve.points[::2])
-        curve, dt = step(curve, dt_max=t_max - t)
-        t += dt
-        times.append(t)
-        areas.append(signed_area(curve))
-        lengths.append(length(curve))
-        counts.append(curve.n)
-    return times, areas, lengths, counts, curve
-
-
 class TestBitIdentity:
-    """The fused flow kernel reproduces the step composed from numpy.fft, the
-    public primitives and the (n, 2) resample and np.roll centroid formulas
-    exactly, not merely to a tolerance; and it keeps the area law at least as
-    well as the explicit scheme it replaced."""
+    """No bit identity holds against the exponential spectral kernel that
+    the tangent-angle kernel replaced (oracles.spectral_step): the two agree
+    within the acceptance tolerances instead, and the new kernel keeps the
+    area law at least as well as the explicit scheme before both."""
 
     def test_run_flow_matches_reference_loop(self):
-        curve = shapes.ellipse(128)
-        t_max = 0.8
-        traj = run_flow(curve, t_max=t_max)
-        times, areas, lengths, counts, final = reference_flow(curve, t_max, spectral_step)
-
-        assert traj.stop_reason == "t_max"
-        assert 64 in counts  # decimated at least once
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.areas, areas)
-        assert np.array_equal(traj.lengths, lengths)
-        assert np.array_equal(traj.sample_counts, counts)
-        assert np.array_equal(traj.final_state.curve.points, final.points)
+        # criterion 3's tolerances: the area slope within 1% of 2 pi, the
+        # extinction time within 5%
+        for curve in (shapes.ellipse(128), shapes.rounded_square(128)):
+            traj = run_flow(curve, area_floor_rel=1e-3)
+            times, areas, *_ = reference_flow(curve, math.inf, oracles.spectral_step, 1e-3)
+            assert traj.stop_reason == "collapsed"
+            slope = np.polyfit(times, areas, 1)[0]
+            assert abs(area_decay_check(traj) - slope) < 0.01 * 2 * math.pi
+            assert traj.extinction_time == pytest.approx(times[-1], rel=0.05)
 
     def test_rescaled_flow_matches_reference_loop(self):
+        # the scale history within criterion 4's 1e-2
         curve = shapes.ellipse(96)
         t_max = 0.5
         profile, _ = rescaled_flow(curve, t_max=t_max)
 
         area = signed_area(curve)
         lam = math.sqrt(area / math.pi)
-        ref = ClosedCurve((curve.points - roll_centroid(curve)) * math.sqrt(math.pi / area))
+        ref = ClosedCurve((curve.points - centroid(curve)) * math.sqrt(math.pi / area))
         tau, times, scales = 0.0, [0.0], [lam]
         while t_max - tau > 1e-12 * max(1.0, t_max):  # the last step lands on t_max
-            stepped, dt = spectral_step(ref, dt_factor=math.inf,
-                                        dt_max=min(8e-3, (t_max - tau) / (lam * lam)))
+            stepped, dt = oracles.spectral_step(ref, dt_factor=math.inf,
+                                                dt_max=min(8e-3, (t_max - tau) / (lam * lam)))
             factor = math.sqrt(math.pi / signed_area(stepped))
-            ref = ClosedCurve((stepped.points - roll_centroid(stepped)) * factor)
+            ref = ClosedCurve((stepped.points - centroid(stepped)) * factor)
             tau += lam * lam * dt
             lam /= factor
             times.append(tau)
             scales.append(lam)
 
-        assert 20 <= len(times) <= 60
-        assert np.array_equal(profile.times, times)
-        assert np.array_equal(profile.scales, scales)
-        assert np.array_equal(profile.reference_curve.points, ref.points)
+        assert 20 <= len(profile.times) <= 60
+        assert profile.times[-1] == pytest.approx(times[-1], rel=1e-12)
+        assert np.max(np.abs(profile.scales - np.interp(profile.times, times, scales))) < 1e-2
 
     @pytest.mark.parametrize("curve, t_max", [
         (shapes.ellipse(128), 0.8),

@@ -294,6 +294,14 @@ class TestValidationAndIO:
         with pytest.raises(ValueError):
             SupportFunction(np.ones(65))
 
+    @pytest.mark.parametrize("count", [8, 14, 15, 65])
+    def test_one_grid_rule_for_samples_and_extraction(self, count):
+        message = f"^grid count must be even and >= 16, got {count}$"
+        with pytest.raises(ValueError, match=message):
+            SupportFunction(np.ones(count))
+        with pytest.raises(ValueError, match=message):
+            support_from_curve(shapes.circle(256), count)
+
     def test_csv_roundtrip(self, tmp_path):
         p = shapes.random_oval_support(128, 2)
         path = tmp_path / "support.csv"

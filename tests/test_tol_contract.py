@@ -65,7 +65,7 @@ def no_solver(monkeypatch):
         raise AssertionError("a solver ran on a rejected value")
 
     for module, name in [(curveflow.shrinker, "solve_ivp"), (curveflow.shrinker, "quad"),
-                         (curveflow.bonnesen, "linprog"), (curveflow.flow, "_step"),
+                         (curveflow.bonnesen, "linprog"), (curveflow.flow, "_Gauge"),
                          (symmod, "node_cut_areas"), (symmod, "curve_from_support")]:
         monkeypatch.setattr(module, name, refuse)
 
