@@ -27,25 +27,31 @@ four real FFTs a step. z0 moves by the Heun average of vertex 0's velocity,
 c w along the inward normal plus T along the tangent. A step that would take
 Lam to 0 or below raises CurveCollapsed.
 
-The step policy is dt = min(0.1 Lam/(8 pi^2 q^2), 0.5/(max|T| c n/2)): a tenth
-of the remaining life of a circle of the same length, capped so that the
-tangential term carries the top mode at most half a radian. csf_step takes
-the caller's dt, finite and > 0, in as many equal steps as the policy asks.
-run_flow steps by the policy, cut to end on its horizon; its final state is
-its last record. Both drivers resample their input once with
-resample_arclength and refuse clockwise curves and curves of fewer than 32
-samples: a regular n-gon's area falls at n sin(2 pi/n), 0.994 of 2 pi at
-n = 32, and below 26 samples that misses the area law's 1%.
+The step policy is dt = min(0.1 Lam/|Lam_t|, 0.5/(max|T| c n/2)): a tenth of
+the remaining life at the current rate of length loss (on a circle, of its
+life), capped so that the tangential term carries the top mode at most half a
+radian. csf_step takes the caller's dt, finite and > 0, in as many equal steps
+as the policy asks. run_flow steps by the policy, the last step cut or
+stretched to end on its horizon; its final state is its last record. Both
+drivers resample their input once with resample_arclength and refuse
+clockwise curves and curves of fewer than 32 samples: a regular n-gon's area
+falls at n sin(2 pi/n), 0.994 of 2 pi at n = 32, and below 26 samples that
+misses the area law's 1%.
 
-The renormalized variant rescales to enclosed area pi after every step and
-advances physical time by the squared scale factor, so the recorded scale of
-an exact circle follows sqrt(1 - 2t). It steps by a fixed normalized dt of
-8e-3, cut to end on its horizon: the regular polygon is a fixed point of
-every step size, so the limit does not depend on dt, and the step count to
-stationarity does not grow with n. It does not take the policy: at area pi,
-L^2 >= 4 pi^2 puts the life bound above 0.05, and the tangential cap, which
-shrinks as 1/n, made the 2:1 ellipse take 843 steps at n = 1024 against 512
-at n = 256, where the fixed step takes 486 and 485.
+The renormalized variant rescales to enclosed area pi about the centroid
+after every step and advances physical time by the squared scale factor, so
+the recorded scale of an exact circle follows sqrt(1 - 2t). It steps by a
+fixed normalized dt of 8e-3, or a tenth of the remaining life where that is
+shorter, the last step cut to end on its horizon: the regular polygon is a
+fixed point of every step size, so the limit does not depend on dt. On
+smooth ovals the life bound does not bind (at area pi it is 0.036 on the 2:1
+ellipse and 0.019 on the 4:1 ellipse), so the step count to stationarity
+does not grow with n. A corner makes <w^2> grow as n: on the square
+resampled to 512 samples the bound is 6.1e-4, a step of 8e-3 would take
+Lam below 0, and the bound takes the first two steps before the corners
+round off. The tangential cap is not taken: it shrinks as 1/n, and made the
+2:1 ellipse take 843 steps at n = 1024 against 512 at n = 256, where this
+step takes 486 and 485.
 """
 
 from __future__ import annotations
@@ -88,8 +94,8 @@ log = logging.getLogger(__name__)
 _TWO_PI = 2.0 * math.pi
 # The fewest samples run_flow and rescaled_flow take.
 _MIN_SAMPLES = 32
-# The step policy: this fraction of a same-length circle's remaining life, and
-# the tangential term's top-mode phase per step.
+# The step policy: this fraction of the remaining life Lam/|Lam_t|, and the
+# tangential term's top-mode phase per step.
 _LIFE_FRACTION = 0.1
 _TOP_MODE_PHASE = 0.5
 # run_flow stops with "step_budget" and rescaled_flow gives up after these
@@ -221,30 +227,47 @@ class _Gauge:
         self.spectrum = np.fft.rfft(phi) if spectrum is None else spectrum
         self.rhs = _rhs(phi, lam, self.q)
 
+    def life_step(self) -> float:
+        """A tenth of the remaining life Lam/|Lam_t| at the current state."""
+        return _LIFE_FRACTION * self.lam / -self.rhs[1]
+
     def policy(self) -> float:
         """The step policy (module docstring) at the current state."""
         n = self.phi.size
-        dt = _LIFE_FRACTION * self.lam / (8.0 * math.pi ** 2 * max(self.q * self.q, 1))
+        dt = self.life_step()
         speed = float(np.abs(self.rhs[2]).max()) * _TWO_PI / math.sqrt(self.lam) * n / 2
         return dt if speed * dt <= _TOP_MODE_PHASE else _TOP_MODE_PHASE / speed
 
-    def points(self) -> FloatArray:
-        """The (n, 2) vertices: z0 + cumsum of the equal edges less their mean."""
-        n = self.phi.size
-        e = (math.sqrt(self.lam) / n) * self.unit_edges
+    def _vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The complex vertices z0 + cumsum of the equal edges less their
+        mean, and those edges."""
+        e = (math.sqrt(self.lam) / self.phi.size) * self.unit_edges
         e -= e.mean()
-        z = self.z0 + np.concatenate(([0j], np.cumsum(e[:-1])))
-        return z.view(float).reshape(n, 2)
+        return self.z0 + np.concatenate(([0j], np.cumsum(e[:-1]))), e
 
-    def rescale(self, factor: float, centre: FloatArray) -> None:
-        """Scale the polygon by ``factor`` about ``centre``. c = 2 pi/L, and
-        with it T and vertex 0's velocity, scales by 1/factor; c T w by its
-        square."""
-        self.z0 = (self.z0 - complex(centre[0], centre[1])) * factor
+    def points(self) -> FloatArray:
+        """The (n, 2) vertices."""
+        return self._vertices()[0].view(float).reshape(-1, 2)
+
+    def normalize(self) -> tuple[FloatArray, float]:
+        """Move the polygon's centroid to 0 and scale it to area pi. Returns
+        its (n, 2) vertices and the scale factor. c = 2 pi/L, and with it T
+        and vertex 0's velocity, scales by 1/factor; c T w by its square.
+        Raises CurveCollapsed unless the area is > 0."""
+        z, e = self._vertices()
+        cross = (z.conjugate() * e).imag  # x_j y_{j+1} - x_{j+1} y_j
+        area = 0.5 * float(cross.sum())
+        if not area > 0.0:
+            raise CurveCollapsed(f"normalized area {area:.3g} <= 0")
+        factor = math.sqrt(math.pi / area)
+        z -= np.dot(2.0 * z + e, cross) / (6.0 * area)
+        z *= factor
+        self.z0 = complex(z[0])
         self.lam *= factor * factor
         nonlinear, lam_t, tangential, velocity0 = self.rhs
         self.rhs = (nonlinear / (factor * factor), lam_t, tangential / factor,
                     velocity0 / factor)
+        return z.view(float).reshape(-1, 2), factor
 
     def decay(self, lam1: float, dt: float) -> FloatArray:
         """The integrating factor exp(-(2 pi k)^2 int dt/Lam), Lam linear from
@@ -274,8 +297,8 @@ def _step(g: _Gauge, dt: float) -> None:
 
 def suggested_dt(curve: ClosedCurve) -> float:
     """The step policy at ``curve`` resampled to equal chords:
-    min(0.1 L^2/(8 pi^2 q^2), 0.5/(max|T| (2 pi/L) n/2)), a tenth of a
-    same-length circle's remaining life, capped by the tangential term."""
+    min(0.1 L^2/|Lam_t|, 0.5/(max|T| (2 pi/L) n/2)), a tenth of the remaining
+    life at the current rate, capped by the tangential term."""
     return _Gauge(curve).policy()
 
 
@@ -319,8 +342,9 @@ def run_flow(
 
     The input is resampled once to equal chords; the t = 0 record keeps the
     input's own length and area, and the final state is the last record. Each
-    step takes the policy dt of suggested_dt, the last one cut to land on
-    ``t_max``. Collapse is a normal stop reason, not an error. A
+    step takes the policy dt of suggested_dt; the last one is cut, or
+    stretched by at most the horizon's rounding slack, to land on ``t_max``.
+    Collapse is a normal stop reason, not an error. A
     ``snapshot_stride`` of 0 takes no snapshots. Raises ValueError on fewer
     than 32 samples or a clockwise curve.
     """
@@ -345,7 +369,9 @@ def run_flow(
         if _at_horizon(time, t_max):
             stop_reason = "t_max"
             break
-        dt = min(g.policy(), t_max - time)
+        dt = g.policy()
+        if _at_horizon(time + dt, t_max):
+            dt = t_max - time
         _step(g, dt)
         pts = g.points()
         time += dt
@@ -392,11 +418,12 @@ def rescaled_flow(
 ) -> tuple[SimilarityProfile, ShrinkerReport]:
     """Renormalized flow: recenter, rescale to area pi, stop when stationary.
 
-    Each step takes the fixed normalized dt = 8e-3, whatever the sample
-    count; after it the polygon is recentred and its length rescaled to area
-    pi. The physical time advances by lambda^2 * dt per normalized step, so
-    the recorded (time, scale) pairs trace the homothety factor of the raw
-    flow.
+    The input is resampled once to equal chords; the t = 0 record keeps the
+    input's own scale. Each step takes the normalized dt = 8e-3, or a tenth
+    of the remaining life where that is shorter; after it the polygon is
+    recentred and rescaled to area pi. The physical time advances by
+    lambda^2 * dt per normalized step, so the recorded (time, scale) pairs
+    trace the homothety factor of the raw flow.
     Stationarity is the largest per-sample displacement of the normalized
     profile per unit normalized time (the recorded rate) falling below 3e-4;
     the physical horizon ``t_max`` also stops the run normally, and the last
@@ -410,12 +437,12 @@ def rescaled_flow(
     if not is_convex(curve):
         raise NotConvex("the renormalized flow driver expects a convex curve")
     area0 = _entry_area(curve)
-    lam = math.sqrt(area0 / math.pi)
-    pts = (curve.points - _centroid(curve.points)) * math.sqrt(math.pi / area0)
-    g = _Gauge(ClosedCurve(pts))
+    g = _Gauge(curve)
+    pts, factor = g.normalize()
+    lam = 1.0 / factor
     tau = 0.0
     times = [tau]
-    scales = [lam]
+    scales = [math.sqrt(area0 / math.pi)]
     rates = []
     stop_reason = "stationary"
     while not (rates and rates[-1] < _STATIONARY_TOL):
@@ -425,16 +452,9 @@ def rescaled_flow(
         if len(rates) == _RESCALED_MAX_STEPS:
             raise ToleranceNotMet(f"renormalized flow did not reach displacement rate < "
                                   f"{_STATIONARY_TOL:.3g} within {_RESCALED_MAX_STEPS} steps")
-        dt = min(_RESCALED_DT, (t_max - tau) / (lam * lam))
+        dt = min(_RESCALED_DT, g.life_step(), (t_max - tau) / (lam * lam))
         _step(g, dt)
-        stepped = g.points()
-        area = _shoelace(stepped)
-        if area <= 0.0:
-            raise CurveCollapsed(f"normalized area {area:.3g} <= 0 after t = {tau:.6g}")
-        factor = math.sqrt(math.pi / area)
-        centre = _centroid(stepped)
-        rescaled = (stepped - centre) * factor
-        g.rescale(factor, centre)
+        rescaled, factor = g.normalize()
         tau += lam * lam * dt
         lam /= factor
         times.append(tau)
@@ -444,6 +464,8 @@ def rescaled_flow(
     if log.isEnabledFor(logging.DEBUG):
         log.debug("rescaled_flow stopped (%s) after %d steps at t = %.6g on %d samples",
                   stop_reason, len(rates), tau, curve.n)
+    if not rates:
+        pts = (curve.points - _centroid(curve.points)) * math.sqrt(math.pi / area0)
     profile = ClosedCurve(pts)
     return (SimilarityProfile(times=np.asarray(times), scales=np.asarray(scales),
                               rates=np.asarray(rates), reference_curve=profile),

@@ -77,9 +77,11 @@ class TestSingleStep:
         assert lost == pytest.approx(2 * math.pi * dt, rel=0.1)
 
     def test_suggested_dt_policy(self):
-        # a tenth of a same-length circle's remaining life, L^2 / (8 pi^2 q^2)
+        # a tenth of the remaining life L^2 / (8 pi^2 w^2) of a regular n-gon
+        # of turning number q, whose vertex curvature is w = (n/pi) sin(pi q/n)
         for curve, q in [(shapes.circle(256), 1), (shapes.doubled_circle(256), 2)]:
-            life = length(curve) ** 2 / (8 * math.pi ** 2 * q * q)
+            w = curve.n / math.pi * math.sin(math.pi * q / curve.n)
+            life = length(curve) ** 2 / (8 * math.pi ** 2 * w * w)
             assert suggested_dt(curve) == pytest.approx(0.1 * life, rel=1e-12)
         # on a 2:1 ellipse the tangential term's cap binds
         ellipse = shapes.ellipse(256)
@@ -286,6 +288,20 @@ class TestRescaledFlow:
         assert profile.rates[-1] < curveflow.flow._STATIONARY_TOL
         assert np.all(profile.rates[:-1] >= curveflow.flow._STATIONARY_TOL)
 
+    def test_first_rate_is_the_flows(self):
+        # it read the entry resample's offset: 22.2 against 1.2 one step later
+        rates = rescaled_flow(shapes.ellipse(256))[0].rates
+        assert 0.1 < rates[0] / rates[1] < 10
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_cornered_square_reaches_the_circle(self, n):
+        # a corner every n/4 samples: a fixed step of 8e-3 is several times
+        # the remaining life at n = 512 and raised CurveCollapsed from n = 400
+        profile, report = rescaled_flow(resample_arclength(shapes.square(2.0), n))
+        assert report.verdict
+        radii = np.hypot(*profile.reference_curve.points.T)
+        assert radii.max() - radii.min() < 1e-2
+
     def test_step_count_independent_of_n(self):
         steps = [len(rescaled_flow(shapes.ellipse(n))[0].times) - 1 for n in (256, 1024)]
         assert max(steps) <= 600
@@ -306,8 +322,8 @@ class TestRescaledFlow:
             rescaled_flow(shapes.doubled_circle(512))
 
     def test_collapsed_step_raises(self, monkeypatch):
-        # the entry check reads signed_area; each step's area is _shoelace's
-        monkeypatch.setattr(curveflow.flow, "_shoelace", lambda pts: 0.0)
+        # a step that takes the length, and with it the area, to zero
+        monkeypatch.setattr(curveflow.flow, "_step", lambda g, dt: setattr(g, "lam", 0.0))
         with pytest.raises(CurveCollapsed, match="normalized area 0 <= 0"):
             rescaled_flow(shapes.ellipse(64))
 
