@@ -14,7 +14,7 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .curves import ClosedCurve, _deferred, _edges, _positive, is_convex, length, signed_area
+from .curves import ClosedCurve, _box, _deferred, _edges, _positive, is_convex, length, signed_area
 from .errors import IsoperimetricViolation, NotConvex, SolverFailed
 
 linprog = _deferred("scipy.optimize", "linprog")
@@ -145,7 +145,7 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
         raise NotConvex("inradius requires a convex curve")
     pts = curve.points
     n = len(pts)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = np.reshape(_box(pts), (2, 2))
     shift, scale = 0.5 * (lo + hi), 2.0 ** math.frexp(float(np.max(hi - lo)))[1]
     pts, lo, hi = (pts - shift) / scale, (lo - shift) / scale, (hi - shift) / scale
     e = _edges(pts)

@@ -66,6 +66,7 @@ from numpy.typing import NDArray
 from .curves import (
     ClosedCurve,
     _CSV,
+    _box,
     _centroid,
     _checked_chords,
     _cyclic_prev,
@@ -475,10 +476,9 @@ def rescaled_flow(
 def _viewbox(pts: FloatArray) -> tuple[float, float, float, float]:
     """SVG viewBox (x0, y0, width, height): the bounding box of ``pts`` plus a
     margin of 5% of its larger side."""
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    margin = 0.05 * float(np.max(hi - lo))
-    return (lo[0] - margin, lo[1] - margin,
-            hi[0] - lo[0] + 2 * margin, hi[1] - lo[1] + 2 * margin)
+    x0, y0, x1, y1 = _box(pts)
+    margin = 0.05 * float(max(x1 - x0, y1 - y0))
+    return x0 - margin, y0 - margin, x1 - x0 + 2 * margin, y1 - y0 + 2 * margin
 
 
 def write_curve_svg(curve: ClosedCurve, path, viewbox=None) -> None:

@@ -8,6 +8,7 @@ checks only import and run perfbench/ code; they write nothing there.
 
 import importlib
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ sys.path.insert(0, _PERFBENCH)
 sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
 try:
     import spans
+    import speed
     import workloads
 finally:
     sys.path.remove(_PERFBENCH)
@@ -50,6 +52,30 @@ def test_result_hooks_count_the_probe(tmp_path):
     assert rec.counters["flow.steps"] > 0
     assert rec.counters["shrinker.solve_ivp.nfev"] > 0
     assert rec.counters["bonnesen.linprog.nit"] > 0
+
+
+@pytest.mark.parametrize("missing, expected", [(False, 0), (True, 1)],
+                         ids=["exit_0", "exit_1"])
+def test_cli_child_reports_its_kernel(tmp_path, missing, expected):
+    """The cli workload runs each call as a fresh process through
+    speed.run_child, which raises unless the child's atexit hook reports the
+    calibration kernel on the way out."""
+    curve = tmp_path / "circle.csv"
+    if not missing:
+        cf.write_curve_csv(cf.shapes.circle(64), curve)
+    src = str(Path(cf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, _PERFBENCH, os.environ.get("PYTHONPATH")])))
+    code, stdout, stderr, raw, ref = speed.run_child(
+        workloads.CLI_MAIN, ["support", "--input", str(curve), "--grid", "64"],
+        cwd=tmp_path, env=env)
+    assert code == expected
+    if missing:
+        assert stdout == "" and "error: input file not found" in stderr
+    else:
+        assert len(stdout.splitlines()) == 64 and stderr == ""
+    assert speed.CHILD_TAG not in stderr
+    assert raw > 0 and ref > 0
 
 
 def test_jobs_speedup_call_binds():

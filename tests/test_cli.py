@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -472,6 +473,46 @@ class TestBrokenPipe:
         assert proc.wait(timeout=120) == 141
         with proc.stderr:
             assert proc.stderr.read() == b""
+
+
+# Runs the CLI as ``python -m curveflow.cli`` does, after registering an atexit
+# hook that reports whether the heap was frozen on the way out.
+_EXIT_CHILD = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("atexit: frozen" if gc.get_freeze_count() else "atexit: not frozen",
+                              file=sys.stderr))
+runpy.run_module("curveflow.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestExitPath:
+    """A command-line run freezes the heap before the interpreter exits, so
+    the last collection skips what the run made; atexit hooks still run, and
+    exit codes and files are those of main(), which freezes nothing."""
+
+    @pytest.mark.parametrize("command, expected", [
+        ("flow", 0), ("missing", 1), ("shrink-verify", 3), ("bonnesen", 4),
+    ])
+    def test_fresh_process_equals_main(self, ellipse_csv, lshape_csv, tmp_path, command,
+                                       expected):
+        circle = tmp_path / "circle.csv"
+        write_curve_csv(shapes.circle(128), circle)
+        argv = {
+            "flow": ["flow", "--input", str(circle), "--t-max", "0.02", "--output"],
+            "missing": ["support", "--input", str(tmp_path / "missing.csv"), "--output"],
+            "shrink-verify": ["shrink-verify", "--input", ellipse_csv, "--output"],
+            "bonnesen": ["bonnesen", "--input", lshape_csv, "--output"],
+        }[command]
+        proc = subprocess.run([sys.executable, "-c", _EXIT_CHILD, *argv, str(tmp_path / "child")],
+                              capture_output=True, text=True, env=_src_env(), timeout=300)
+        assert proc.returncode == expected, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "atexit: frozen"
+        assert main(argv + [str(tmp_path / "main")]) == expected
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        if command == "flow":
+            for name in ("trajectory.csv", "final_curve.csv"):
+                child = (tmp_path / "child" / name).read_bytes()
+                assert child == (tmp_path / "main" / name).read_bytes()
 
 
 class TestConfigPrecedence:

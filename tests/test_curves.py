@@ -31,8 +31,9 @@ from curveflow import (
     write_support_csv,
 )
 from curveflow import curve_from_support, shapes
-from curveflow.curves import _resample
+from curveflow.curves import _box, _resample
 from curveflow.errors import InputError
+from curveflow.flow import _viewbox
 from curveflow.shrinker import PeriodEntry
 
 import oracles
@@ -78,6 +79,16 @@ class TestConstruction:
         c = shapes.circle(64)
         with pytest.raises(ValueError):
             c.points[0, 0] = 99.0
+
+    @pytest.mark.parametrize("n", [64, 2048, 65536])
+    def test_box_by_columns_equals_axis_reduction(self, n):
+        pts = np.random.default_rng(n).normal(3.0, 2.0, (n, 2))
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        assert _box(pts) == (lo[0], lo[1], hi[0], hi[1])
+        assert ClosedCurve(pts).diameter == float(np.hypot(*(hi - lo)))
+        margin = 0.05 * float(np.max(hi - lo))
+        assert _viewbox(pts) == (lo[0] - margin, lo[1] - margin,
+                                 hi[0] - lo[0] + 2 * margin, hi[1] - lo[1] + 2 * margin)
 
 
 class TestResample:

@@ -436,11 +436,6 @@ class TestRejectedInput:
             call(p0)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_survey_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            classify_closed_solutions([1.5], tol=tol)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("call", [
         lambda tol: shoot_period(1.5, tol=tol),
         lambda tol: integrate_support_ode(1.5, 0.0, 1.0, tol=tol),
