@@ -31,22 +31,22 @@ The step policy is dt = min(0.1 Lam/|Lam_t|, 0.5/(max|T| c n/2)): a tenth of
 the remaining life at the current rate of length loss (on a circle, of its
 life), capped so that the tangential term carries the top mode at most half a
 radian. csf_step takes the caller's dt, finite and > 0, in as many equal steps
-as the policy asks. run_flow steps by the policy, the last step cut or
-stretched to end on its horizon; its final state is its last record. Both
-drivers resample their input once with resample_arclength and refuse
+as the policy asks. run_flow and rescaled_flow share one driver loop, which
+lands the last step on the horizon; both resample their input once and refuse
 clockwise curves and curves of fewer than 32 samples: a regular n-gon's area
 falls at n sin(2 pi/n), 0.994 of 2 pi at n = 32, and below 26 samples that
-misses the area law's 1%.
+misses the area law's 1%. run_flow records sqrt(Lam) and the area of the
+closed edges, building a polygon only for a snapshot and the final state,
+whose record is measured from that curve.
 
 The renormalized variant rescales to enclosed area pi about the centroid
 after every step and advances physical time by the squared scale factor, so
 the recorded scale of an exact circle follows sqrt(1 - 2t). It steps by a
 fixed normalized dt of 8e-3, or a tenth of the remaining life where that is
-shorter, the last step cut to end on its horizon: the regular polygon is a
-fixed point of every step size, so the limit does not depend on dt. On
-smooth ovals the life bound does not bind (at area pi it is 0.036 on the 2:1
-ellipse and 0.019 on the 4:1 ellipse), so the step count to stationarity
-does not grow with n. A corner makes <w^2> grow as n: on the square
+shorter: the regular polygon is a fixed point of every step size, so the
+limit does not depend on dt. On smooth ovals the life bound does not bind (at
+area pi it is 0.036 on the 2:1 ellipse and 0.019 on the 4:1 ellipse), so the
+step count to stationarity does not grow with n. A corner makes <w^2> grow as n: on the square
 resampled to 512 samples the bound is 6.1e-4, a step of 8e-3 would take
 Lam below 0, and the bound takes the first two steps before the corners
 round off. The tangential cap is not taken: it shrinks as 1/n, and made the
@@ -68,11 +68,9 @@ from .curves import (
     _CSV,
     _box,
     _centroid,
-    _checked_chords,
     _cyclic_prev,
     _edges,
     _positive,
-    _shoelace,
     _vertex_turns,
     _winding,
     is_convex,
@@ -82,6 +80,7 @@ from .curves import (
 )
 from .errors import (
     CurveCollapsed,
+    DegenerateSegment,
     NotConvex,
     ToleranceNotMet,
     TooFewSamples,
@@ -239,11 +238,16 @@ class _Gauge:
         speed = float(np.abs(self.rhs[2]).max()) * _TWO_PI / math.sqrt(self.lam) * n / 2
         return dt if speed * dt <= _TOP_MODE_PHASE else _TOP_MODE_PHASE / speed
 
+    def closed_edges(self) -> np.ndarray:
+        """The complex equal edges (L/n) exp(i theta) less their mean."""
+        n = self.phi.size
+        e = (math.sqrt(self.lam) / n) * self.unit_edges
+        e -= e.sum() / n
+        return e
+
     def _vertices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The complex vertices z0 + cumsum of the equal edges less their
-        mean, and those edges."""
-        e = (math.sqrt(self.lam) / self.phi.size) * self.unit_edges
-        e -= e.mean()
+        """The complex vertices z0 + cumsum of the closed edges, and those edges."""
+        e = self.closed_edges()
         return self.z0 + np.concatenate(([0j], np.cumsum(e[:-1]))), e
 
     def points(self) -> FloatArray:
@@ -303,20 +307,47 @@ def suggested_dt(curve: ClosedCurve) -> float:
     return _Gauge(curve).policy()
 
 
-def _at_horizon(time: float, t_max: float) -> bool:
-    return math.isfinite(t_max) and t_max - time <= 1e-12 * max(1.0, t_max)
-
-
-def _entry_area(curve: ClosedCurve) -> float:
-    """The enclosed area of a curve that run_flow and rescaled_flow accept:
-    >= 32 samples, counter-clockwise. Raises ValueError otherwise."""
+def _start(curve: ClosedCurve, t_max: float, convex: bool = False) -> tuple[_Gauge, float]:
+    """The gauge and the enclosed area of a curve the drivers accept. Raises
+    ValueError unless t_max >= 0, then NotConvex if ``convex`` and the curve
+    is not, then ValueError on fewer than 32 samples or a clockwise curve."""
+    if not t_max >= 0.0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if convex and not is_convex(curve):
+        raise NotConvex("the renormalized flow driver expects a convex curve")
     if curve.n < _MIN_SAMPLES:
         raise ValueError(f"flow needs >= {_MIN_SAMPLES} samples, got {curve.n};"
                          " resample the curve with resample_arclength first")
     area = signed_area(curve)
     if area <= 0.0:
         raise ValueError("flow requires counter-clockwise orientation (positive area)")
-    return area
+    return _Gauge(curve), area
+
+
+def _drive(name: str, g: _Gauge, t_max: float, budget: int, rule, record) -> tuple[str, FloatArray]:
+    """Step ``g`` from t = 0 until ``record(time, steps, dt)``, called after
+    each step, returns a stop reason, or "t_max" or "step_budget" holds; log
+    one debug record and return the stop reason and the time of each step.
+    ``rule()`` gives dt and the time one unit of dt advances; the last step is
+    cut, or stretched by at most the rounding slack, to land on ``t_max``."""
+    slack = 1e-12 * max(1.0, t_max) if math.isfinite(t_max) else -math.inf
+    times, stop_reason = [0.0], None
+    while stop_reason is None:
+        time, steps = times[-1], len(times) - 1
+        if t_max - time <= slack:
+            stop_reason = "t_max"
+        elif steps == budget:
+            stop_reason = "step_budget"
+        else:
+            dt, rate = rule()
+            if t_max - (time + rate * dt) <= slack:
+                dt = (t_max - time) / rate
+            _step(g, dt)
+            times.append(time + rate * dt)
+            stop_reason = record(times[-1], steps + 1, dt)
+    log.debug("%s stopped (%s) after %d steps at t = %.6g on %d samples",
+              name, stop_reason, len(times) - 1, times[-1], g.phi.size)
+    return stop_reason, np.asarray(times)
 
 
 def csf_step(curve: ClosedCurve, dt: float) -> ClosedCurve:
@@ -341,62 +372,44 @@ def run_flow(
 ) -> FlowTrajectory:
     """Flow until the area floor, the time horizon, or the step budget.
 
-    The input is resampled once to equal chords; the t = 0 record keeps the
-    input's own length and area, and the final state is the last record. Each
-    step takes the policy dt of suggested_dt; the last one is cut, or
-    stretched by at most the horizon's rounding slack, to land on ``t_max``.
-    Collapse is a normal stop reason, not an error. A
-    ``snapshot_stride`` of 0 takes no snapshots. Raises ValueError on fewer
-    than 32 samples or a clockwise curve.
+    The input is resampled once and stepped by the policy of suggested_dt,
+    the last step landing on ``t_max``. A record is (t, L, A): at t = 0 the
+    input's own length and area, after each step sqrt(Lam) and the area of
+    the gauge's closed edges, read with no polygon built; the final record
+    is measured from the final curve, so the final state is the last record.
+    Collapse is a normal stop reason, not an error. A ``snapshot_stride`` of
+    0 takes no snapshots. Raises ValueError on a bad argument, fewer than 32
+    samples or a clockwise curve, and DegenerateSegment on a non-finite step.
     """
-    if not t_max >= 0.0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
     if not 0.0 < area_floor_rel < 1.0:
         raise ValueError(f"area_floor_rel must be in (0, 1), got {area_floor_rel}")
     if snapshot_stride < 0:
         raise ValueError(f"snapshot_stride must be >= 0, got {snapshot_stride}")
-    area = _entry_area(curve)
-    g = _Gauge(curve)
-    area_floor = area_floor_rel * area
-    time = 0.0
-    step_count = 0
+    g, area = _start(curve, t_max)
+    lengths, areas = [length(curve)], [area]
+    snapshots = [(0.0, curve)] if snapshot_stride else []
 
-    times = [time]
-    lengths = [length(curve)]
-    areas = [area]
-    snapshots = [(time, curve)] if snapshot_stride else []
-    stop_reason = "step_budget"
-    for _ in range(_MAX_STEPS):
-        if _at_horizon(time, t_max):
-            stop_reason = "t_max"
-            break
-        dt = g.policy()
-        if _at_horizon(time + dt, t_max):
-            dt = t_max - time
-        _step(g, dt)
-        pts = g.points()
-        time += dt
-        step_count += 1
-        times.append(time)
-        lengths.append(float(_checked_chords(pts).sum()))
-        areas.append(_shoelace(pts))
-        if areas[-1] <= area_floor:
-            stop_reason = "collapsed"
-            break
-        if snapshot_stride and step_count % snapshot_stride == 0:
-            snapshots.append((time, ClosedCurve(pts)))
-    final = ClosedCurve(pts) if step_count else curve
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("run_flow stopped (%s) after %d steps at t = %.6g on %d samples",
-                  stop_reason, step_count, time, curve.n)
-    return FlowTrajectory(
-        times=np.asarray(times),
-        lengths=np.asarray(lengths),
-        areas=np.asarray(areas),
-        final_state=FlowState(final, time, step_count),
-        stop_reason=stop_reason,
-        snapshots=tuple(snapshots),
-    )
+    def record(time: float, steps: int, _dt: float) -> str | None:
+        # the area 0.5 Im sum_j conj(S_j) e_{j+1}, S the partial sums of the
+        # closed edges e: vertex 0's term drops out as the edges sum to zero
+        e = g.closed_edges()
+        lengths.append(math.sqrt(g.lam))
+        areas.append(0.5 * float(np.vdot(np.cumsum(e[:-1]), e[1:]).imag))
+        if not math.isfinite(areas[-1]):
+            raise DegenerateSegment("curve contains non-finite coordinates")
+        if areas[-1] <= area_floor_rel * area:
+            return "collapsed"
+        if snapshot_stride and steps % snapshot_stride == 0:
+            snapshots.append((time, ClosedCurve(g.points())))
+        return None
+
+    stop_reason, times = _drive("run_flow", g, t_max, _MAX_STEPS,
+                                lambda: (g.policy(), 1.0), record)
+    final = ClosedCurve(g.points()) if times.size > 1 else curve
+    lengths[-1], areas[-1] = length(final), signed_area(final)
+    return FlowTrajectory(times=times, lengths=np.asarray(lengths), areas=np.asarray(areas),
+                          final_state=FlowState(final, float(times[-1]), times.size - 1),
+                          stop_reason=stop_reason, snapshots=tuple(snapshots))
 
 
 def area_decay_check(traj: FlowTrajectory) -> float:
@@ -419,56 +432,40 @@ def rescaled_flow(
 ) -> tuple[SimilarityProfile, ShrinkerReport]:
     """Renormalized flow: recenter, rescale to area pi, stop when stationary.
 
-    The input is resampled once to equal chords; the t = 0 record keeps the
-    input's own scale. Each step takes the normalized dt = 8e-3, or a tenth
-    of the remaining life where that is shorter; after it the polygon is
-    recentred and rescaled to area pi. The physical time advances by
-    lambda^2 * dt per normalized step, so the recorded (time, scale) pairs
-    trace the homothety factor of the raw flow.
-    Stationarity is the largest per-sample displacement of the normalized
-    profile per unit normalized time (the recorded rate) falling below 3e-4;
-    the physical horizon ``t_max`` also stops the run normally, and the last
-    step is cut to land on it, so t_max = 0 returns the normalized input.
-    Returns the scale history and the shrinker verification (tol 1e-2) of the
-    limit. Raises ValueError unless t_max >= 0, then NotConvex, then
-    ValueError on fewer than 32 samples or a clockwise curve.
+    The input is resampled once and stepped as the module docstring's
+    renormalized variant; the t = 0 record keeps the input's own scale, and
+    the recorded (time, scale) pairs trace the homothety factor of the raw
+    flow. Stationarity is the largest per-sample displacement of the
+    normalized profile per unit normalized time (the recorded rate) falling
+    below 3e-4; the last step lands on the physical horizon ``t_max``, which
+    also stops the run, so t_max = 0 returns the normalized input. Returns
+    the scale history and the shrinker verification (tol 1e-2) of the limit.
+    Raises ValueError unless t_max >= 0, then NotConvex, then ValueError on
+    fewer than 32 samples or a clockwise curve.
     """
-    if not t_max >= 0.0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    if not is_convex(curve):
-        raise NotConvex("the renormalized flow driver expects a convex curve")
-    area0 = _entry_area(curve)
-    g = _Gauge(curve)
+    g, area0 = _start(curve, t_max, convex=True)
     pts, factor = g.normalize()
     lam = 1.0 / factor
-    tau = 0.0
-    times = [tau]
-    scales = [math.sqrt(area0 / math.pi)]
-    rates = []
-    stop_reason = "stationary"
-    while not (rates and rates[-1] < _STATIONARY_TOL):
-        if _at_horizon(tau, t_max):
-            stop_reason = "t_max"
-            break
-        if len(rates) == _RESCALED_MAX_STEPS:
-            raise ToleranceNotMet(f"renormalized flow did not reach displacement rate < "
-                                  f"{_STATIONARY_TOL:.3g} within {_RESCALED_MAX_STEPS} steps")
-        dt = min(_RESCALED_DT, g.life_step(), (t_max - tau) / (lam * lam))
-        _step(g, dt)
+    scales, rates = [math.sqrt(area0 / math.pi)], []
+
+    def record(_time: float, _steps: int, dt: float) -> str | None:
+        nonlocal pts, lam
         rescaled, factor = g.normalize()
-        tau += lam * lam * dt
         lam /= factor
-        times.append(tau)
         scales.append(lam)
         rates.append(float(np.max(np.hypot(*(rescaled - pts).T))) / dt)
         pts = rescaled
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("rescaled_flow stopped (%s) after %d steps at t = %.6g on %d samples",
-                  stop_reason, len(rates), tau, curve.n)
+        return "stationary" if rates[-1] < _STATIONARY_TOL else None
+
+    stop_reason, times = _drive("rescaled_flow", g, t_max, _RESCALED_MAX_STEPS,
+                                lambda: (min(_RESCALED_DT, g.life_step()), lam * lam), record)
+    if stop_reason == "step_budget":
+        raise ToleranceNotMet(f"renormalized flow did not reach displacement rate < "
+                              f"{_STATIONARY_TOL:.3g} within {_RESCALED_MAX_STEPS} steps")
     if not rates:
         pts = (curve.points - _centroid(curve.points)) * math.sqrt(math.pi / area0)
     profile = ClosedCurve(pts)
-    return (SimilarityProfile(times=np.asarray(times), scales=np.asarray(scales),
+    return (SimilarityProfile(times=times, scales=np.asarray(scales),
                               rates=np.asarray(rates), reference_curve=profile),
             verify_shrinker(profile, 1e-2))
 
