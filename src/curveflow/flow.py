@@ -46,12 +46,12 @@ fixed normalized dt of 8e-3, or a tenth of the remaining life where that is
 shorter: the regular polygon is a fixed point of every step size, so the
 limit does not depend on dt. On smooth ovals the life bound does not bind (at
 area pi it is 0.036 on the 2:1 ellipse and 0.019 on the 4:1 ellipse), so the
-step count to stationarity does not grow with n. A corner makes <w^2> grow as n: on the square
-resampled to 512 samples the bound is 6.1e-4, a step of 8e-3 would take
-Lam below 0, and the bound takes the first two steps before the corners
-round off. The tangential cap is not taken: it shrinks as 1/n, and made the
-2:1 ellipse take 843 steps at n = 1024 against 512 at n = 256, where this
-step takes 486 and 485.
+step count to stationarity does not grow with n. A corner makes <w^2> grow
+as n: on the square resampled to 512 samples the bound is 6.1e-4, a step of
+8e-3 would take Lam below 0, and the bound takes the first two steps before
+the corners round off. The tangential cap is not taken: it shrinks as 1/n,
+and made the 2:1 ellipse take 843 steps at n = 1024 against 512 at n = 256,
+where this step takes 486 and 485.
 """
 
 from __future__ import annotations

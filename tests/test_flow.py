@@ -167,9 +167,9 @@ class TestRunFlow:
     @pytest.mark.parametrize("curve", [shapes.ellipse(192), shapes.doubled_circle(256)],
                              ids=["ellipse192", "doubled256"])
     def test_records_measure_the_snapshots(self, curve):
-        # the records are read from the gauge, not from the polygon. Near the
-        # area floor a record's area can differ from the shoelace by 3e-12 of
-        # itself, so the area is held against the initial area
+        # the records are read from the gauge, not from the polygon. The area
+        # is held against the initial area, a scale that does not shrink with
+        # the curve
         traj = run_flow(curve, snapshot_stride=1)
         area0 = traj.areas[0]
         assert len(traj.snapshots) == traj.final_state.step_count
