@@ -9,6 +9,7 @@ area and positive curvature on convex curves.
 from __future__ import annotations
 
 import importlib
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,27 +49,6 @@ def _box(pts: FloatArray) -> tuple[float, float, float, float]:
     return x.min(), y.min(), x.max(), y.max()
 
 
-def _checked_chords(pts: FloatArray, chords: FloatArray | None = None) -> FloatArray:
-    """Cyclic chord lengths (``chords``, when the caller has them) of an (n, 2)
-    sample array that passes the checks of a ClosedCurve: n >= 3, finite
-    coordinates and no coincident neighbours."""
-    if pts.shape[0] < 3:
-        raise TooFewPoints(f"a closed curve needs >= 3 points, got {pts.shape[0]}")
-    if not np.isfinite(pts).all():
-        raise DegenerateSegment("curve contains non-finite coordinates")
-    if chords is None:
-        e = _edges(pts)
-        chords = np.hypot(e[:, 0], e[:, 1])
-    # A closed polygon is at least twice as long as its bounding-box diagonal,
-    # so chords above 1e-12 of the length pass the extent test without it.
-    if chords.min() <= _DEGENERATE_REL * chords.sum():
-        x0, y0, x1, y1 = _box(pts)
-        extent = float(np.hypot(x1 - x0, y1 - y0))
-        if np.any(chords <= _DEGENERATE_REL * extent):
-            raise DegenerateSegment("consecutive samples coincide")
-    return chords
-
-
 def _deferred(module: str, name: str):
     """``module.name`` as a function that imports ``module`` on each call.
 
@@ -91,7 +71,11 @@ def _positive(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class ClosedCurve:
-    """Ordered 2D sample loop; the closing point is not duplicated."""
+    """Ordered 2D sample loop; the closing point is not duplicated.
+
+    The constructor owns the sample checks (n >= 3, finite coordinates, no
+    coincident neighbours); every function that takes a ClosedCurve trusts them.
+    """
 
     points: FloatArray
 
@@ -99,9 +83,18 @@ class ClosedCurve:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise TooFewPoints(f"expected an (n, 2) array, got shape {pts.shape}")
-        _checked_chords(pts)
-        pts.setflags(write=False)
+        if pts.shape[0] < 3:
+            raise TooFewPoints(f"a closed curve needs >= 3 points, got {pts.shape[0]}")
+        if not np.isfinite(pts).all():
+            raise DegenerateSegment("curve contains non-finite coordinates")
         object.__setattr__(self, "points", pts)
+        chords = self.chord_lengths()
+        # A closed polygon is at least twice as long as its bounding-box diagonal,
+        # so chords above 1e-12 of the length pass the extent test without it.
+        if (chords.min() <= _DEGENERATE_REL * chords.sum()
+                and np.any(chords <= _DEGENERATE_REL * self.diameter)):
+            raise DegenerateSegment("consecutive samples coincide")
+        pts.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -169,10 +162,7 @@ def signed_area(curve: ClosedCurve) -> float:
 
 def centroid(curve: ClosedCurve) -> FloatArray:
     """Area centroid of the enclosed polygon (vertex mean if area ~ 0)."""
-    return _centroid(curve.points)
-
-
-def _centroid(pts: FloatArray) -> FloatArray:
+    pts = curve.points
     nxt = np.empty_like(pts)  # one shifted copy: row i holds sample i + 1
     nxt[:-1] = pts[1:]
     nxt[-1] = pts[0]
@@ -194,30 +184,16 @@ def resample_arclength(curve: ClosedCurve, m: int) -> ClosedCurve:
     cumulative-chord positions is followed by smoothing passes that slide the
     parameters until the chords agree to 1e-10 of their mean. The first
     sample stays pinned at the first input point. Raises ToleranceNotMet when
-    200 passes do not meet that tolerance.
-    """
-    return ClosedCurve(_resample(curve.points, m, _ARCLENGTH_REL_TOL, _ARCLENGTH_PASSES)[0])
-
-
-def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
-    """:func:`resample_arclength` on a raw sample array, which gets the checks
-    of a ClosedCurve first, to ``rel_tol`` in at most ``max_passes`` smoothing
-    passes. Returns the new samples, their chord lengths and the passes
-    taken. Raises ToleranceNotMet when ``max_passes`` passes do not meet
-    ``rel_tol``.
-
-    The samples and edges are handled as complex numbers x + iy, a view of
-    the (n, 2) array (copied first only when it is not contiguous), so each
-    pass places the points with one gather per array; the result is returned
-    as an (m, 2) view. Chords are
-    ``hypot`` of the real and imaginary parts, not complex ``abs``, which
-    rounds differently in the last bit and would move the samples.
+    200 passes do not meet that tolerance. The resample trusts the sample
+    checks of the ClosedCurve constructor. Samples and edges are complex views
+    x + iy of the contiguous samples, for one gather per array and pass.
+    Chords are ``hypot`` of their parts: complex ``abs`` rounds differently.
     """
     if m < 3:
         raise TooFewPoints(f"resampling needs m >= 3, got {m}")
-    zp = np.ascontiguousarray(points).view(complex)[:, 0]
+    zp = curve.points.view(complex)[:, 0]
     ze = _edges(zp)
-    seglen = _checked_chords(points, np.hypot(ze.real, ze.imag))
+    seglen = np.hypot(ze.real, ze.imag)
     cum = np.zeros(len(seglen) + 1)
     np.cumsum(seglen, out=cum[1:])
     seg = cum[1:] - cum[:-1]
@@ -227,7 +203,7 @@ def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
     t_knots = np.empty(m + 1)
     t_knots[m] = total
     u = np.zeros(m + 1)
-    for npass in range(max_passes + 1):
+    for _ in range(_ARCLENGTH_PASSES + 1):
         # the point at arclength s lies on edge idx: searchsorted gives idx >= 0
         # because cum[0] = 0 <= s, and the cap catches np.mod rounding up to total
         s = np.mod(t, total)
@@ -239,12 +215,13 @@ def _resample(points: FloatArray, m: int, rel_tol: float, max_passes: int):
         d = _edges(z)
         chords = np.hypot(d.real, d.imag)
         mean = chords.sum() / m
-        if abs(chords - mean).max() <= rel_tol * mean:
-            return z.view(float).reshape(m, 2), chords, npass
+        if abs(chords - mean).max() <= _ARCLENGTH_REL_TOL * mean:
+            return ClosedCurve(z.view(float).reshape(m, 2))
         np.cumsum(chords, out=u[1:])
         t_knots[:m] = t
         t = np.interp(u[m] * fractions, u, t_knots)
-    raise ToleranceNotMet(f"arclength resample missed rel_tol {rel_tol:g} in {max_passes} passes")
+    raise ToleranceNotMet(f"arclength resample missed rel_tol {_ARCLENGTH_REL_TOL:g} "
+                          f"in {_ARCLENGTH_PASSES} passes")
 
 
 def _cyclic_prev(a: FloatArray) -> FloatArray:
@@ -401,11 +378,16 @@ def winding_number(curve: ClosedCurve, point) -> int:
 
 
 def read_curve_csv(path) -> ClosedCurve:
-    """Read an ``x,y``-per-line curve file (no header, order = orientation)."""
+    """Read an ``x,y``-per-line curve file (no header, order = orientation).
+    Raises TooFewPoints on a file that holds no samples."""
     try:
-        data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
         raise InputError(f"cannot parse curve file {path}: {exc}") from exc
+    if data.size == 0:
+        raise TooFewPoints(f"curve file {path} holds no samples")
     return ClosedCurve(data)
 
 

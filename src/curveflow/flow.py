@@ -67,12 +67,12 @@ from .curves import (
     ClosedCurve,
     _CSV,
     _box,
-    _centroid,
     _cyclic_prev,
     _edges,
     _positive,
     _vertex_turns,
     _winding,
+    centroid,
     is_convex,
     length,
     resample_arclength,
@@ -463,7 +463,7 @@ def rescaled_flow(
         raise ToleranceNotMet(f"renormalized flow did not reach displacement rate < "
                               f"{_STATIONARY_TOL:.3g} within {_RESCALED_MAX_STEPS} steps")
     if not rates:
-        pts = (curve.points - _centroid(curve.points)) * math.sqrt(math.pi / area0)
+        pts = (curve.points - centroid(curve)) * math.sqrt(math.pi / area0)
     profile = ClosedCurve(pts)
     return (SimilarityProfile(times=times, scales=np.asarray(scales),
                               rates=np.asarray(rates), reference_curve=profile),

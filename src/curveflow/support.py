@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import ClosedCurve, _CSV, is_convex, signed_area, winding_number
+from .curves import ClosedCurve, _CSV, _edges, is_convex, signed_area, winding_number
 from .errors import NotAnOval, NotConvex, OriginOutside
 
 FloatArray = NDArray[np.float64]
@@ -126,7 +126,7 @@ def support_from_curve(curve: ClosedCurve, count: int) -> SupportFunction:
     if winding_number(curve, (0.0, 0.0)) == 0:
         raise OriginOutside("origin must lie strictly inside the curve")
     pts = curve.points if signed_area(curve) > 0.0 else curve.points[::-1]
-    e = np.roll(pts, -1, axis=0) - pts
+    e = _edges(pts)
     ang = np.unwrap(np.arctan2(-e[:, 0], e[:, 1]))  # outward normal of edge i
     theta = 2.0 * np.pi * np.arange(count) / count
     if np.any(np.diff(ang) < 0.0) or ang[-1] - ang[0] > 2.0 * np.pi:

@@ -205,6 +205,16 @@ class TestSupport:
     def test_odd_grid_exit_one(self, ellipse_csv):
         assert main(["support", "--input", ellipse_csv, "--grid", "33"]) == 1
 
+    def test_empty_file_exit_one_without_warning(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-m", "curveflow.cli", "support", "--input", str(empty)],
+            capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 1
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"error: curve file {empty} holds no samples"
+
 
 class TestSymmetrize:
     def test_writes_pair_and_sidecar(self, egg_csv, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from curveflow import (
     write_support_csv,
 )
 from curveflow import curve_from_support, shapes
-from curveflow.curves import _box, _resample
+from curveflow.curves import _box
 from curveflow.errors import InputError
 from curveflow.flow import _viewbox
 from curveflow.shrinker import PeriodEntry
@@ -142,7 +143,7 @@ _RESAMPLE_CASES = {
 
 class TestResampleOracle:
     """The complex-view resample equals the (n, 2) oracle bit for bit, also on
-    input it must copy before viewing: reversed, strided or read-only."""
+    input the constructor must copy: reversed, strided or read-only."""
 
     @pytest.mark.parametrize("layout", [
         lambda pts: pts,
@@ -152,22 +153,25 @@ class TestResampleOracle:
     ], ids=["contiguous", "reversed", "strided", "read_only"])
     @pytest.mark.parametrize("case", list(_RESAMPLE_CASES))
     @pytest.mark.parametrize("rel_tol, max_passes", [(1e-10, 200), (1e-8, 20)])
-    def test_equals_oracle(self, case, layout, rel_tol, max_passes):
+    def test_equals_oracle(self, case, layout, rel_tol, max_passes, monkeypatch):
+        monkeypatch.setattr("curveflow.curves._ARCLENGTH_REL_TOL", rel_tol)
+        monkeypatch.setattr("curveflow.curves._ARCLENGTH_PASSES", max_passes)
         source, m = _RESAMPLE_CASES[case]
         points = layout(source)
-        pts, chords, passes = _resample(points, m, rel_tol, max_passes)
+        r = resample_arclength(ClosedCurve(points), m)
         ref_pts, ref_chords, ref_passes = oracles.resample_reference(points, m, rel_tol, max_passes)
-        assert pts.shape == (m, 2)
-        assert np.array_equal(pts, ref_pts)
-        assert np.array_equal(chords, ref_chords)
-        assert passes == ref_passes <= max_passes
+        assert ref_passes <= max_passes
+        assert r.points.shape == (m, 2)
+        assert np.array_equal(r.points, ref_pts)
+        assert np.array_equal(r.chord_lengths(), ref_chords)
         assert np.array_equal(points, layout(source))  # the input is left as it was
 
-    def test_miss_counts_one_pass_over_the_budget(self):
-        points = shapes.nonuniform_circle(1024, seed=1).points
+    def test_miss_counts_one_pass_over_the_budget(self, monkeypatch):
+        monkeypatch.setattr("curveflow.curves._ARCLENGTH_PASSES", 0)
+        curve = shapes.nonuniform_circle(1024, seed=1)
         with pytest.raises(ToleranceNotMet, match="missed rel_tol 1e-10 in 0 passes"):
-            _resample(points, 256, 1e-10, 0)
-        assert oracles.resample_reference(points, 256, 1e-10, 0)[2] == 1
+            resample_arclength(curve, 256)
+        assert oracles.resample_reference(curve.points, 256, 1e-10, 0)[2] == 1
 
 
 class TestLengthArea:
@@ -414,6 +418,15 @@ class TestCsvIO:
         with pytest.raises(InputError) as info:
             read_curve_csv(path)
         assert not isinstance(info.value, TooFewPoints)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank_lines"])
+    def test_file_without_samples(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooFewPoints, match="holds no samples"):
+                read_curve_csv(path)
 
 
 class TestCsvFormat:

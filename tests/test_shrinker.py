@@ -457,8 +457,3 @@ class TestRejectedInput:
         # finite span integrates backward (TestSupportOde)
         with pytest.raises(ValueError, match="theta_span must be finite"):
             integrate_support_ode(1.5, 0.0, span)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_verify_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            verify_shrinker(shapes.circle(64), tol=tol)
