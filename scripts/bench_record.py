@@ -12,9 +12,12 @@ and each file keeps the run's last two JSON lines: the record (machine,
 versions, git sha) and the result. Then ``pytest tests/test_acceptance.py -s``
 runs five times in each checkout, and each criterion keeps the median and the
 minimum of its printed runtimes against the budget printed beside it.
-The two sides alternate run by run, and the side that goes first alternates
-from one pair of runs to the next, so a change in the machine's load reaches
-both files alike. Compare the two files of one invocation only. Both files
+The changed side's file also gets a ``pairs`` block: for each workload and
+each end-to-end metric of ``BENCHMARK.json``, both sides' median and
+quartiles over the seeds, and the change's wins out of the seed-matched
+pairs of runs. The two sides alternate run by run, and the side that goes
+first alternates from one pair of runs to the next, so a change in the
+machine's load reaches both files alike. Compare the two files of one invocation only. Both files
 are written to this repository's root. A run that exits non-zero, or an
 acceptance run that prints no criterion line, stops the script with the
 tail of its output and writes no file.
@@ -78,6 +81,35 @@ def acceptance_rows(runs: list[dict]) -> list[dict]:
     return rows
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def pair_summary(parent_runs: list[dict], runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric, each side's quartiles over the seeds and the
+    change's wins out of the seed-matched pairs; a tie counts for neither side.
+
+    ``better`` maps each end-to-end metric to "lower" or "higher". Both run
+    lists hold the same workloads and seeds in the same order.
+    """
+    summary = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        sides = [[run for run in side if run["workload"] == workload]
+                 for side in (parent_runs, runs)]
+        rows = {}
+        for name, direction in better.items():
+            before, after = ([r["result"]["metrics"][name]["value"] for r in side]
+                             for side in sides)
+            sign = 1.0 if direction == "lower" else -1.0
+            rows[name] = {"better": direction, "parent": quartiles(before),
+                          "change": quartiles(after), "pairs": len(after),
+                          "wins": sum(sign * (b - a) < 0.0 for a, b in zip(before, after))}
+        summary[workload] = rows
+    return summary
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
@@ -101,9 +133,14 @@ def main() -> None:
                 runs[label].append(bench_run(root, workload, seed, args.seconds))
                 print(label, workload, seed, json.dumps(runs[label][-1]["result"]["metrics"]),
                       flush=True)
+    spec = json.loads((args.root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    pairs = pair_summary(runs[args.parent_label], runs[args.label], better)
     for label, _ in sides:
         bench = {"label": label, "seeds": args.seeds, "seconds": args.seconds,
                  "runs": runs[label], "acceptance": acceptance_rows(accepted[label])}
+        if label == args.label:
+            bench.update(parent_label=args.parent_label, pairs=pairs)
         path = Path(__file__).resolve().parents[1] / f"BENCH_{label}.json"
         path.write_text(json.dumps(bench, indent=1) + "\n", encoding="ascii")
         print(f"wrote {path}")

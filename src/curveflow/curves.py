@@ -163,9 +163,7 @@ def signed_area(curve: ClosedCurve) -> float:
 def centroid(curve: ClosedCurve) -> FloatArray:
     """Area centroid of the enclosed polygon (vertex mean if area ~ 0)."""
     pts = curve.points
-    nxt = np.empty_like(pts)  # one shifted copy: row i holds sample i + 1
-    nxt[:-1] = pts[1:]
-    nxt[-1] = pts[0]
+    nxt = _cyclic_next(pts)
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = nxt[:, 0], nxt[:, 1]
     cross = x * yn - xn * y
@@ -225,10 +223,18 @@ def resample_arclength(curve: ClosedCurve, m: int) -> ClosedCurve:
 
 
 def _cyclic_prev(a: FloatArray) -> FloatArray:
-    """a shifted so index i holds a[i-1]; faster than np.roll in hot loops."""
+    """a shifted so index i holds a[i-1]; one copy, cheaper than a roll in hot loops."""
     out = np.empty_like(a)
     out[0] = a[-1]
     out[1:] = a[:-1]
+    return out
+
+
+def _cyclic_next(a: FloatArray) -> FloatArray:
+    """a shifted so index i holds a[i+1]."""
+    out = np.empty_like(a)
+    out[:-1] = a[1:]
+    out[-1] = a[0]
     return out
 
 
@@ -285,8 +291,8 @@ def is_convex(curve: ClosedCurve) -> bool:
     1e-12 of pi, fails the bound that ``is_simple``'s convex exit also uses.
     """
     e = curve.edges()
-    en = np.roll(e, -1, axis=0)
-    cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
+    ep = _cyclic_prev(e)
+    cross = ep[:, 0] * e[:, 1] - ep[:, 1] * e[:, 0]
     tol = 1e-12 * curve.diameter ** 2
     if np.any(cross > tol) and np.any(cross < -tol):
         return False
@@ -346,7 +352,7 @@ def is_simple(curve: ClosedCurve) -> bool:
 
 def _is_simple_sweep(pts: FloatArray) -> bool:
     n = pts.shape[0]
-    nxt = np.roll(pts, -1, axis=0)
+    nxt = _cyclic_next(pts)
     xmin = np.minimum(pts[:, 0], nxt[:, 0])
     xmax = np.maximum(pts[:, 0], nxt[:, 0])
     ymin = np.minimum(pts[:, 1], nxt[:, 1])
@@ -369,8 +375,9 @@ def winding_number(curve: ClosedCurve, point) -> int:
     """Winding number of the closed polygon around ``point``."""
     px, py = float(point[0]), float(point[1])
     pts = curve.points
+    nxt = _cyclic_next(pts)
     x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = nxt[:, 0], nxt[:, 1]
     cross = (xn - x) * (py - y) - (px - x) * (yn - y)
     up = (y <= py) & (yn > py) & (cross > 0)
     down = (y > py) & (yn <= py) & (cross < 0)

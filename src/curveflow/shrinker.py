@@ -12,6 +12,7 @@ turning point: a shot from rest stops at the first, and the period is twice that
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,12 +26,15 @@ from .errors import BlowUp, NotConvex, ToleranceNotMet
 
 FloatArray = NDArray[np.float64]
 
+log = logging.getLogger(__name__)
+
 quad = _deferred("scipy.integrate", "quad")
 solve_ivp = _deferred("scipy.integrate", "solve_ivp")
 
 # Support values below this are treated as collapse: the 1/p term then makes
 # local error control meaningless at double precision.
 P_FLOOR = 1e-7
+_LOG_P_FLOOR = math.log(P_FLOOR)
 # shoot_period refuses |p0 - 1| below this: its atol scales with |p0 - 1|, so
 # closer in it drifts from quadrature (2.4e-8 at 1e-7), then stops returning.
 # On 990 amplitudes from 5e-7 to 1e-2 either side of 1 it stays within 2.1e-9.
@@ -127,6 +131,17 @@ def _ode_rhs(_theta, y):
     return (dp, 1.0 / p - p)
 
 
+def _sundman_rhs(_s, y):
+    """The ODE in u = log p, q = dp/dtheta and theta, against ds = dtheta/p.
+
+    Sundman's time transformation takes the 1/p out of the right-hand side,
+    so the step no longer shrinks with p at the bounce. -expm1(2u) is
+    1 - p^2 with no cancellation next to the circle.
+    """
+    u, q, _theta = y
+    return (q, -math.expm1(2.0 * u), math.exp(u))
+
+
 def ode_energy(p, dp):
     """First integral E = dp^2/2 + p^2/2 - ln p of the support ODE."""
     return 0.5 * np.asarray(dp) ** 2 + 0.5 * np.asarray(p) ** 2 - np.log(np.asarray(p))
@@ -136,26 +151,32 @@ def _floor_event(_theta, y):
     return y[0] - P_FLOOR
 
 
-_floor_event.terminal = True
-_floor_event.direction = -1
+def _log_floor_event(_s, y):
+    return y[0] - _LOG_P_FLOOR
 
 
-def _solve(p0: float, dp0: float, span: float, tol: float, events=(), t_eval=None, atol=None):
-    """DOP853 run of p'' = 1/p - p from (p0, dp0) over [0, span].
+_floor_event.terminal = _log_floor_event.terminal = True
+_floor_event.direction = _log_floor_event.direction = -1
+
+
+def _solve(rhs, floor, p0: float, start, span: float, tol: float, events=(), t_eval=None,
+           atol=None):
+    """DOP853 run of ``rhs`` over [0, span] from the state ``start(p0)``.
 
     Refuses a bad start or tolerance before any solver runs, and raises
-    BlowUp when p reaches the collapse floor, which is event 0; ``events``
-    follow it. ``tol`` is the relative tolerance, and ``atol`` defaults to it.
+    BlowUp when p reaches the collapse floor, which is event 0 (``floor``,
+    in the state's coordinates); ``events`` follow it. ``tol`` is the
+    relative tolerance, and ``atol`` defaults to it.
     """
     _positive("p0", p0)
     _positive("tol", tol)
     if p0 <= P_FLOOR:
         raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
-    sol = solve_ivp(_ode_rhs, (0.0, span), (float(p0), float(dp0)), method="DOP853", rtol=tol,
+    sol = solve_ivp(rhs, (0.0, span), start(float(p0)), method="DOP853", rtol=tol,
                     atol=tol if atol is None else atol, t_eval=t_eval,
-                    events=(_floor_event, *events))
+                    events=(floor, *events))
     if sol.t_events[0].size > 0:
-        raise BlowUp(f"support reached the collapse floor at theta = {sol.t_events[0][0]:.6g}")
+        raise BlowUp(f"support reached the collapse floor {P_FLOOR:.0e} within the span")
     return sol
 
 
@@ -172,7 +193,7 @@ def integrate_support_ode(
     span = float(theta_span)
     if not math.isfinite(span):
         raise ValueError(f"theta_span must be finite, got {theta_span}")
-    sol = _solve(p0, dp0, span, tol,
+    sol = _solve(_ode_rhs, _floor_event, p0, lambda p: (p, float(dp0)), span, tol,
                  t_eval=None if samples is None else np.linspace(0.0, span, samples))
     if not sol.success:
         raise ToleranceNotMet(f"integrator failed: {sol.message}")
@@ -184,12 +205,17 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
     """Period from a rest start at (p0, 0): twice the angle to the first turning point.
 
     The ODE is reversible, so the orbit is symmetric about that point and the
-    angle is exactly half a period. The point (the minimum for p0 > 1, the
-    maximum for p0 < 1) is the first upward zero-crossing of (p0 - 1) * p',
-    which excludes the start, and ends the run; the 16*pi span only bounds the
-    search. atol is ``tol`` times the oscillation's size |p0 - 1|, capped at ``tol``.
-    Past either end of its domain it raises (CLI exit 2) rather than degrade:
-    ToleranceNotMet within 5e-7 of 1, BlowUp above about 5.98 (the orbit dips under P_FLOOR).
+    angle is exactly half a period. The run is in Sundman time s, with
+    ds = dtheta/p, on the state (log p, p', theta) (see ``_sundman_rhs``),
+    so the bounce near p's minimum costs no more steps than the rest of the
+    orbit and p keeps its relative accuracy however small it gets. The
+    turning point (the minimum for p0 > 1, the maximum for p0 < 1) is the
+    first upward zero-crossing of (p0 - 1) * p', which excludes the start,
+    and ends the run; the 16*pi span in s only bounds the search (the turn
+    comes by s = 6.1). atol is ``tol`` times the oscillation's size
+    |p0 - 1|, capped at ``tol``. Past either end of its domain it raises
+    (CLI exit 2) rather than degrade: ToleranceNotMet within 5e-7 of 1,
+    BlowUp above about 5.98 (the orbit dips under P_FLOOR).
     """
     if p0 == 1.0:
         raise ValueError("p0 = 1 is the constant (circle) solution; no oscillation")
@@ -197,16 +223,19 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
         raise ToleranceNotMet(f"|p0 - 1| = {abs(p0 - 1.0):.3g} is below {_MIN_AMPLITUDE:.0e}, "
                               "where the shot cannot resolve the oscillation")
 
-    def turning_point(_theta, y):
+    def turning_point(_s, y):
         return (p0 - 1.0) * y[1]
 
     turning_point.terminal = True
     turning_point.direction = 1
-    turns = _solve(p0, 0.0, 16.0 * np.pi, tol, events=(turning_point,),
-                   atol=tol * min(1.0, abs(p0 - 1.0))).t_events[1]
-    if turns.size == 0:
+    sol = _solve(_sundman_rhs, _log_floor_event, p0, lambda p: (math.log(p), 0.0, 0.0),
+                 16.0 * np.pi, tol, events=(turning_point,), atol=tol * min(1.0, abs(p0 - 1.0)))
+    if sol.t_events[1].size == 0:
         raise ToleranceNotMet("no turning point detected within the shooting span")
-    return 2.0 * float(turns[0])
+    theta = float(sol.y[2, -1])
+    log.debug("shoot_period(%r) turned at theta = %.17g after %d evaluations",
+              p0, theta, sol.nfev)
+    return 2.0 * theta
 
 
 def period_by_quadrature(p0: float) -> float:

@@ -110,11 +110,6 @@ class TestResample:
         r = resample_arclength(c, 256)
         assert np.max(np.abs(r.points - c.points)) < 1e-9
 
-    def test_missed_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr("curveflow.curves._ARCLENGTH_PASSES", 0)
-        with pytest.raises(ToleranceNotMet, match="in 0 passes"):
-            resample_arclength(shapes.nonuniform_circle(1024, seed=1), 256)
-
     def test_too_few_target_samples(self):
         with pytest.raises(TooFewPoints):
             resample_arclength(shapes.circle(64), 2)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import logging
 import math
 import warnings
 from dataclasses import asdict
@@ -178,13 +179,30 @@ class TestShootPeriod:
 
 
 HALF_PERIOD_AMPLITUDES = [0.3, 0.5, 0.98, 1.001, 1.02, 1.5, 2.0, 3.5, 5.0, 5.8]
+# tiny amplitudes, where a shot in p rather than log p loses accuracy, the
+# last amplitude inside the collapse floor, and two next to 1, where 1 - p^2
+# would cancel
+EDGE_AMPLITUDES = [1e-6, 1e-3, 0.05, 5.97, 1.0 - 1e-6,
+                   1.0 + 1.001 * curveflow.shrinker._MIN_AMPLITUDE]
 
 
 class TestShootPeriodHalfPeriod:
     """The period is twice the angle from the rest start to the first turning
     point, which is where the run ends."""
 
-    @pytest.mark.parametrize("p0", HALF_PERIOD_AMPLITUDES)
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every solve_ivp result of the test, in call order."""
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(solve_ivp(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(curveflow.shrinker, "solve_ivp", recording)
+        return runs
+
+    @pytest.mark.parametrize("p0", HALF_PERIOD_AMPLITUDES + EDGE_AMPLITUDES)
     def test_agrees_with_quadrature(self, p0):
         assert abs(shoot_period(p0) - period_by_quadrature(p0)) <= 1e-10
 
@@ -195,17 +213,30 @@ class TestShootPeriodHalfPeriod:
         assert abs(traj.dp[-1]) <= 1e-9
 
     @pytest.mark.parametrize("p0", HALF_PERIOD_AMPLITUDES)
-    def test_run_ends_at_half_period(self, p0, monkeypatch):
-        runs = []
-
-        def recording(*args, **kwargs):
-            runs.append(solve_ivp(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(curveflow.shrinker, "solve_ivp", recording)
+    def test_run_ends_at_half_period(self, p0, runs):
+        # theta is the state's last component; the run ends at the turn
         period = shoot_period(p0)
         assert len(runs) == 1
-        assert runs[0].t[-1] == period / 2
+        assert runs[0].y[2, -1] == period / 2
+
+    @pytest.mark.parametrize("p0, budget", [(5.0, 700), (5.97, 750)])
+    def test_bounce_costs_few_evaluations(self, p0, budget, runs):
+        """In Sundman time the deep bounce is no stiffer than the rest of the
+        orbit: in theta time these shots took 2,105 and 2,933 evaluations."""
+        shoot_period(p0)
+        assert runs[0].nfev <= budget
+
+    def test_one_debug_record_per_shot(self, runs, caplog):
+        caplog.set_level(logging.DEBUG, logger="curveflow.shrinker")
+        period = shoot_period(1.5)
+        assert [r.getMessage() for r in caplog.records if r.name == "curveflow.shrinker"] == [
+            f"shoot_period(1.5) turned at theta = {period / 2:.17g}"
+            f" after {runs[0].nfev} evaluations"]
+
+    def test_silent_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="curveflow.shrinker")
+        classify_closed_solutions([0.5, 1.5])
+        assert not [r for r in caplog.records if r.name == "curveflow.shrinker"]
 
     def test_no_turning_point_refused(self, monkeypatch):
         """A run that ends before any turning point raises ToleranceNotMet."""
