@@ -35,9 +35,10 @@ solve_ivp = _deferred("scipy.integrate", "solve_ivp")
 # local error control meaningless at double precision.
 P_FLOOR = 1e-7
 _LOG_P_FLOOR = math.log(P_FLOOR)
-# shoot_period refuses |p0 - 1| below this: its atol scales with |p0 - 1|, so
-# closer in it drifts from quadrature (2.4e-8 at 1e-7), then stops returning.
-# On 990 amplitudes from 5e-7 to 1e-2 either side of 1 it stays within 2.1e-9.
+# shoot_period refuses |p0 - 1| below this, the near end of its documented
+# domain. On 990 amplitudes from 5e-7 to 1e-2 either side of 1 it stays within
+# 9.9e-13 of quadrature, and it keeps that accuracy closer in (9.6e-13 from
+# 1e-7 to 1e-14 either side), so the bound no longer marks a loss of accuracy.
 _MIN_AMPLITUDE = 5e-7
 
 
@@ -132,12 +133,8 @@ def _ode_rhs(_theta, y):
 
 
 def _sundman_rhs(_s, y):
-    """The ODE in u = log p, q = dp/dtheta and theta, against ds = dtheta/p.
-
-    Sundman's time transformation takes the 1/p out of the right-hand side,
-    so the step no longer shrinks with p at the bounce. -expm1(2u) is
-    1 - p^2 with no cancellation next to the circle.
-    """
+    """The ODE in u = log p, q = dp/dtheta and theta against ds = dtheta/p, which
+    has no 1/p term; -expm1(2u) is 1 - p^2 without cancellation next to p = 1."""
     u, q, _theta = y
     return (q, -math.expm1(2.0 * u), math.exp(u))
 
@@ -205,23 +202,21 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
     """Period from a rest start at (p0, 0): twice the angle to the first turning point.
 
     The ODE is reversible, so the orbit is symmetric about that point and the
-    angle is exactly half a period. The run is in Sundman time s, with
-    ds = dtheta/p, on the state (log p, p', theta) (see ``_sundman_rhs``),
-    so the bounce near p's minimum costs no more steps than the rest of the
-    orbit and p keeps its relative accuracy however small it gets. The
-    turning point (the minimum for p0 > 1, the maximum for p0 < 1) is the
-    first upward zero-crossing of (p0 - 1) * p', which excludes the start,
-    and ends the run; the 16*pi span in s only bounds the search (the turn
-    comes by s = 6.1). atol is ``tol`` times the oscillation's size
-    |p0 - 1|, capped at ``tol``. Past either end of its domain it raises
-    (CLI exit 2) rather than degrade: ToleranceNotMet within 5e-7 of 1,
-    BlowUp above about 5.98 (the orbit dips under P_FLOOR).
+    angle is exactly half a period. The run is in Sundman time ds = dtheta/p
+    on (log p, p', theta), so the bounce at a small minimum of p costs no
+    extra steps and p keeps its relative accuracy. The turning point (the
+    minimum for p0 > 1, the maximum for p0 < 1) is the first upward
+    zero-crossing of (p0 - 1) * p', which excludes the start, and ends the
+    run; the 16*pi span in s only bounds the search (the turn comes by s = 6.1).
+    atol is ``tol`` times the oscillation's size |p0 - 1|, capped at ``tol``.
+    Past either end of its domain it raises (CLI exit 2) rather than degrade:
+    ToleranceNotMet within 5e-7 of 1, BlowUp above about 5.98 (the orbit dips under P_FLOOR).
     """
     if p0 == 1.0:
         raise ValueError("p0 = 1 is the constant (circle) solution; no oscillation")
     if abs(p0 - 1.0) < _MIN_AMPLITUDE:
         raise ToleranceNotMet(f"|p0 - 1| = {abs(p0 - 1.0):.3g} is below {_MIN_AMPLITUDE:.0e}, "
-                              "where the shot cannot resolve the oscillation")
+                              "the near end of the shot's documented domain")
 
     def turning_point(_s, y):
         return (p0 - 1.0) * y[1]

@@ -222,7 +222,7 @@ class TestShootPeriodHalfPeriod:
     @pytest.mark.parametrize("p0, budget", [(5.0, 700), (5.97, 750)])
     def test_bounce_costs_few_evaluations(self, p0, budget, runs):
         """In Sundman time the deep bounce is no stiffer than the rest of the
-        orbit: in theta time these shots took 2,105 and 2,933 evaluations."""
+        orbit: a shot in theta time takes 2,105 and 2,933 evaluations here."""
         shoot_period(p0)
         assert runs[0].nfev <= budget
 
@@ -477,8 +477,8 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("p0", [1 + 1e-9, 1 - 1e-9, 1 + 1e-12])
     def test_shot_too_near_one(self, p0):
-        # the shot drifted from quadrature (1.1e-6 at 1 + 1e-8), and at
-        # 1 + 1e-12 it never returned
+        # the near end of the shot's documented domain, refused before any
+        # solver runs
         with pytest.raises(ToleranceNotMet, match="below 5e-07"):
             shoot_period(p0)
 
