@@ -17,10 +17,10 @@ each end-to-end metric of ``BENCHMARK.json``, both sides' median and
 quartiles over the seeds, and the change's wins out of the seed-matched
 pairs of runs. The two sides alternate run by run, and the side that goes
 first alternates from one pair of runs to the next, so a change in the
-machine's load reaches both files alike. Compare the two files of one invocation only. Both files
-are written to this repository's root. A run that exits non-zero, or an
-acceptance run that prints no criterion line, stops the script with the
-tail of its output and writes no file.
+machine's load reaches both files alike. Compare the two files of one
+invocation only. Both files are written to this repository's root. A run
+that exits non-zero, or an acceptance run that prints no criterion line,
+stops the script with the tail of its output and writes no file.
 """
 
 import argparse
