@@ -4,8 +4,9 @@ A contracting homothetic solution of the curve shortening flow satisfies
 kappa + gamma . n = 0 pointwise; on an oval in polar tangential coordinates
 this becomes kappa = p, i.e. the second-order ODE p'' = 1/p - p for the
 support function. Both views are implemented: residual/gauge checks on
-discrete curves, and shooting of the ODE with event detection to produce the
-period evidence that no closed embedded solution exists besides the circle.
+discrete curves, and the ODE, integrated and shot in one system, Sundman time
+ds = dtheta/p on (log p, p', theta), to produce the period evidence that no
+closed embedded solution exists besides the circle.
 The ODE is reversible (theta -> -theta), so an orbit is symmetric about each
 turning point: a shot from rest stops at the first, and the period is twice that.
 """
@@ -127,11 +128,6 @@ def verify_shrinker(curve: ClosedCurve, tol: float = 1e-3) -> ShrinkerReport:
                           area=area, length=perimeter, verdict=verdict)
 
 
-def _ode_rhs(_theta, y):
-    p, dp = y
-    return (dp, 1.0 / p - p)
-
-
 def _sundman_rhs(_s, y):
     """The ODE in u = log p, q = dp/dtheta and theta against ds = dtheta/p, which
     has no 1/p term; -expm1(2u) is 1 - p^2 without cancellation next to p = 1."""
@@ -144,34 +140,29 @@ def ode_energy(p, dp):
     return 0.5 * np.asarray(dp) ** 2 + 0.5 * np.asarray(p) ** 2 - np.log(np.asarray(p))
 
 
-def _floor_event(_theta, y):
-    return y[0] - P_FLOOR
-
-
 def _log_floor_event(_s, y):
     return y[0] - _LOG_P_FLOOR
 
 
-_floor_event.terminal = _log_floor_event.terminal = True
-_floor_event.direction = _log_floor_event.direction = -1
+_log_floor_event.terminal = True
+_log_floor_event.direction = -1
 
 
-def _solve(rhs, floor, p0: float, start, span: float, tol: float, events=(), t_eval=None,
-           atol=None):
-    """DOP853 run of ``rhs`` over [0, span] from the state ``start(p0)``.
+def _solve(p0: float, dp0: float, span: float, tol: float, event, atol=None, dense_output=False):
+    """DOP853 run of the Sundman system over s in [0, span] from (log p0, dp0, 0).
 
-    Refuses a bad start or tolerance before any solver runs, and raises
-    BlowUp when p reaches the collapse floor, which is event 0 (``floor``,
-    in the state's coordinates); ``events`` follow it. ``tol`` is the
-    relative tolerance, and ``atol`` defaults to it.
+    Refuses a bad start or tolerance before any solver runs. Event 0 is the
+    collapse floor, which raises BlowUp; ``event`` is event 1 and ends the run.
+    ``tol`` is the relative tolerance, and ``atol`` defaults to it.
     """
+    event.terminal = True
     _positive("p0", p0)
     _positive("tol", tol)
     if p0 <= P_FLOOR:
         raise BlowUp(f"p0 = {p0:.3g} is at or below the collapse floor {P_FLOOR:.0e}")
-    sol = solve_ivp(rhs, (0.0, span), start(float(p0)), method="DOP853", rtol=tol,
-                    atol=tol if atol is None else atol, t_eval=t_eval,
-                    events=(floor, *events))
+    sol = solve_ivp(_sundman_rhs, (0.0, span), (math.log(float(p0)), dp0, 0.0),
+                    method="DOP853", rtol=tol, atol=tol if atol is None else atol,
+                    events=(_log_floor_event, event), dense_output=dense_output)
     if sol.t_events[0].size > 0:
         raise BlowUp(f"support reached the collapse floor {P_FLOOR:.0e} within the span")
     return sol
@@ -180,22 +171,39 @@ def _solve(rhs, floor, p0: float, start, span: float, tol: float, events=(), t_e
 def integrate_support_ode(
     p0: float, dp0: float, theta_span: float, tol: float = 1e-10, samples: int | None = None
 ) -> OdeTrajectory:
-    """Integrate p'' = 1/p - p with an adaptive embedded Runge-Kutta pair.
+    """Integrate p'' = 1/p - p from (p0, dp0) on the shot's Sundman system.
 
-    Records the accepted integrator steps, or ``samples`` evenly spaced
-    angles when given. Raises ValueError unless ``theta_span`` is finite (a
-    negative span integrates backward), BlowUp when p reaches the collapse
-    floor within the span and ToleranceNotMet when the step controller gives up.
+    The run ends at theta = theta_span, by s = theta_span / P_FLOOR since
+    dtheta/ds = p > P_FLOOR. Records the accepted steps, or ``samples`` evenly
+    spaced angles, each placed by Newton's method on the monotone theta(s).
+    Raises ValueError unless ``theta_span`` and ``dp0`` are finite (a negative
+    span integrates backward) and ``samples`` > 0, BlowUp when p reaches the
+    collapse floor within the span and ToleranceNotMet when the step controller gives up.
     """
     span = float(theta_span)
     if not math.isfinite(span):
         raise ValueError(f"theta_span must be finite, got {theta_span}")
-    sol = _solve(_ode_rhs, _floor_event, p0, lambda p: (p, float(dp0)), span, tol,
-                 t_eval=None if samples is None else np.linspace(0.0, span, samples))
+    if not math.isfinite(dp0):
+        raise ValueError(f"dp0 must be finite, got {dp0}")
+    if samples is not None:
+        _positive("samples", samples)
+
+    def reached(_s, y):
+        return y[2] - span
+
+    sol = _solve(p0, float(dp0), span / P_FLOOR, tol, reached, dense_output=samples is not None)
     if not sol.success:
         raise ToleranceNotMet(f"integrator failed: {sol.message}")
-    p, dp = sol.y
-    return OdeTrajectory(theta=sol.t, p=p, dp=dp, energy=ode_energy(p, dp))
+    u, dp, theta = sol.y
+    if samples is not None:
+        theta = np.linspace(0.0, span, samples)
+        s = np.interp(np.abs(theta), np.abs(sol.y[2]), sol.t)
+        for _ in range(4):
+            u, dp, at = sol.sol(s)
+            s -= (at - theta) / np.exp(u)
+        u, dp, _ = sol.sol(s)
+    p = np.exp(u)
+    return OdeTrajectory(theta=theta, p=p, dp=dp, energy=ode_energy(p, dp))
 
 
 def shoot_period(p0: float, tol: float = 1e-12) -> float:
@@ -221,10 +229,8 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
     def turning_point(_s, y):
         return (p0 - 1.0) * y[1]
 
-    turning_point.terminal = True
     turning_point.direction = 1
-    sol = _solve(_sundman_rhs, _log_floor_event, p0, lambda p: (math.log(p), 0.0, 0.0),
-                 16.0 * np.pi, tol, events=(turning_point,), atol=tol * min(1.0, abs(p0 - 1.0)))
+    sol = _solve(p0, 0.0, 16.0 * np.pi, tol, turning_point, atol=tol * min(1.0, abs(p0 - 1.0)))
     if sol.t_events[1].size == 0:
         raise ToleranceNotMet("no turning point detected within the shooting span")
     theta = float(sol.y[2, -1])

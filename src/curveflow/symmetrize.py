@@ -18,7 +18,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bonnesen import bonnesen_chain
-from .curves import ClosedCurve, _positive, _shoelace, _vertex_turns, is_convex, length, signed_area
+from .curves import (ClosedCurve, _cyclic_next, _positive, _shoelace, _vertex_turns, is_convex,
+                     length, signed_area)
 from .errors import (
     NotAShrinker,
     NotConvexAfterGluing,
@@ -126,7 +127,7 @@ def node_cut_areas(p: SupportFunction) -> np.ndarray:
     pts = curve_from_support(p).points
     n = p.count
     half = n // 2
-    nxt = np.roll(pts, -1, axis=0)
+    nxt = _cyclic_next(pts)
     cross = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
     csum = np.concatenate([[0.0], np.cumsum(np.tile(cross, 2))])
     arcs = csum[np.arange(n) + half] - csum[np.arange(n)]
@@ -149,7 +150,7 @@ def _cell_gap(p: SupportFunction, vertices: FloatArray, j: int):
     """
     half = p.count // 2
     v = np.roll(vertices, -j, axis=0)  # v[k] is node j + k
-    nxt = np.roll(v, -1, axis=0)
+    nxt = _cyclic_next(v)
     cross = v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]
     fixed = float(cross[1:half].sum() - cross[half + 1:].sum())
     u = v[0] + v[1]

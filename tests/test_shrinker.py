@@ -122,6 +122,12 @@ class TestSupportOde:
         assert np.max(np.abs(fwd.p - bwd.p)) < 1e-9
         assert np.max(np.abs(fwd.dp + bwd.dp)) < 1e-9
 
+    def test_zero_span_samples_the_start(self):
+        traj = integrate_support_ode(1.5, 0.25, 0.0, samples=3)
+        assert np.array_equal(traj.theta, np.zeros(3))
+        assert np.allclose(traj.p, 1.5, rtol=1e-15, atol=0.0)
+        assert np.array_equal(traj.dp, np.full(3, 0.25))
+
     def test_energy_helper_at_equilibrium(self):
         assert ode_energy(1.0, 0.0) == pytest.approx(0.5, rel=1e-15)
 
@@ -219,12 +225,17 @@ class TestShootPeriodHalfPeriod:
         assert len(runs) == 1
         assert runs[0].y[2, -1] == period / 2
 
-    @pytest.mark.parametrize("p0, budget", [(5.0, 700), (5.97, 750)])
-    def test_bounce_costs_few_evaluations(self, p0, budget, runs):
+    @pytest.mark.parametrize("p0, budget, run", [
+        (5.0, 700, shoot_period),
+        (5.97, 750, shoot_period),
+        (5.0, 1600, lambda p0: integrate_support_ode(p0, 0.0, shoot_period(p0), tol=1e-12)),
+    ], ids=["5.0-700", "5.97-750", "integrate-5.0-1600"])
+    def test_bounce_costs_few_evaluations(self, p0, budget, run, runs):
         """In Sundman time the deep bounce is no stiffer than the rest of the
-        orbit: a shot in theta time takes 2,105 and 2,933 evaluations here."""
-        shoot_period(p0)
-        assert runs[0].nfev <= budget
+        orbit: in theta time the shot takes 2,105 and 2,933 evaluations here,
+        and one period of integrate_support_ode at 5.0 takes 3,410."""
+        run(p0)
+        assert runs[-1].nfev <= budget
 
     def test_one_debug_record_per_shot(self, runs, caplog):
         caplog.set_level(logging.DEBUG, logger="curveflow.shrinker")
@@ -444,8 +455,8 @@ def log_derivative_residual(curve):
 
 
 class TestRejectedInput:
-    """Non-finite amplitudes and spans, bad tolerances and shots too near 1
-    are refused before SciPy runs."""
+    """Non-finite amplitudes, spans and start slopes and shots too near 1 are
+    refused before SciPy runs; bad tolerances are rows of test_tol_contract.py."""
 
     @pytest.fixture(autouse=True)
     def no_solver(self, monkeypatch):
@@ -466,15 +477,6 @@ class TestRejectedInput:
         with pytest.raises(ValueError, match="must be finite"):
             call(p0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("call", [
-        lambda tol: shoot_period(1.5, tol=tol),
-        lambda tol: integrate_support_ode(1.5, 0.0, 1.0, tol=tol),
-    ], ids=["shoot", "integrate"])
-    def test_ode_tol(self, call, tol):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            call(tol)
-
     @pytest.mark.parametrize("p0", [1 + 1e-9, 1 - 1e-9, 1 + 1e-12])
     def test_shot_too_near_one(self, p0):
         # the near end of the shot's documented domain, refused before any
@@ -482,9 +484,14 @@ class TestRejectedInput:
         with pytest.raises(ToleranceNotMet, match="below 5e-07"):
             shoot_period(p0)
 
-    @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf])
-    def test_non_finite_span(self, span):
-        # a non-finite span kept the solver running without end; a negative
-        # finite span integrates backward (TestSupportOde)
-        with pytest.raises(ValueError, match="theta_span must be finite"):
-            integrate_support_ode(1.5, 0.0, span)
+    @pytest.mark.parametrize("argument, value", [
+        ("theta_span", math.nan), ("theta_span", math.inf), ("theta_span", -math.inf),
+        ("dp0", math.nan), ("dp0", math.inf),
+    ], ids=["nan", "inf", "-inf", "dp0-nan", "dp0-inf"])
+    def test_non_finite_span(self, argument, value):
+        # a non-finite span kept the solver running without end, and SciPy
+        # refused a non-finite dp0 only once imported; a negative finite span
+        # integrates backward (TestSupportOde)
+        args = {"theta_span": 1.0, "dp0": 0.0, argument: value}
+        with pytest.raises(ValueError, match=f"{argument} must be finite"):
+            integrate_support_ode(1.5, **args)

@@ -50,6 +50,8 @@ ROWS = {
     "csf_step": ("dt", lambda v: csf_step(shapes.circle(128), v)),
     "shoot_period.p0": ("p0", lambda v: shoot_period(v)),
     "integrate_support_ode.p0": ("p0", lambda v: integrate_support_ode(v, 0.0, 1.0)),
+    "integrate_support_ode.samples": (
+        "samples", lambda v: integrate_support_ode(1.5, 0.0, 1.0, samples=v)),
     "classify_closed_solutions.amplitudes": (
         "amplitudes", lambda v: classify_closed_solutions([1.5, v])),
     "bonnesen_roots.area": ("area", lambda v: bonnesen_roots(v, 1.0)),
