@@ -83,6 +83,11 @@ def ode_route(outdir: Path, amplitudes) -> None:
     print(f"  all periods in (pi, sqrt(2)*pi) = ({window[0]:.4f}, {window[1]:.4f}): {inside}")
     print(f"  no period equals 2*pi within 1e-3: {report.no_circle_period}")
     print(f"  wrote {outdir / 'classification.csv'}")
+    near = [1.0 + sign * 10.0**-k for k in range(7, 16) for sign in (-1, 1)]
+    near += [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+    worst = max(abs(shoot_period(p0) - period_by_quadrature(p0)) for p0 in near)
+    print("  next to the circle, 1 +- 10^-k for k = 7..15 and the two floats beside 1:")
+    print(f"  max |shoot-quad| = {worst:.1e}")
     print("  closing amplitudes, period = 2*pi*q/m:")
     print("  q/m    p0            |shot-2pi*q/m|")
     for ratio in _CLOSING_RATIOS:

@@ -302,18 +302,11 @@ def main(argv=None) -> int:
         # prints nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _EXIT_BROKEN_PIPE
-    except (InputError, OSError, ValueError) as exc:
-        log.error("input error: %s", exc)
+    except (InputError, OSError, ValueError, GeometricPreconditionError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GeometricPreconditionError as exc:
-        log.error("precondition failed: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except NumericalError as exc:
-        log.error("numerical failure: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, GeometricPreconditionError):
+            return EXIT_PRECONDITION
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
 
 
 def console_main() -> None:

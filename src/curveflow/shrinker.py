@@ -36,11 +36,6 @@ solve_ivp = _deferred("scipy.integrate", "solve_ivp")
 # local error control meaningless at double precision.
 P_FLOOR = 1e-7
 _LOG_P_FLOOR = math.log(P_FLOOR)
-# shoot_period refuses |p0 - 1| below this, the near end of its documented
-# domain. On 990 amplitudes from 5e-7 to 1e-2 either side of 1 it stays within
-# 9.9e-13 of quadrature, and it keeps that accuracy closer in (9.6e-13 from
-# 1e-7 to 1e-14 either side), so the bound no longer marks a loss of accuracy.
-_MIN_AMPLITUDE = 5e-7
 
 
 @dataclass(frozen=True)
@@ -153,6 +148,7 @@ def _solve(p0: float, dp0: float, span: float, tol: float, event, atol=None, den
 
     Refuses a bad start or tolerance before any solver runs. Event 0 is the
     collapse floor, which raises BlowUp; ``event`` is event 1 and ends the run.
+    A step controller that gives up raises ToleranceNotMet.
     ``tol`` is the relative tolerance, and ``atol`` defaults to it.
     """
     event.terminal = True
@@ -163,6 +159,8 @@ def _solve(p0: float, dp0: float, span: float, tol: float, event, atol=None, den
     sol = solve_ivp(_sundman_rhs, (0.0, span), (math.log(float(p0)), dp0, 0.0),
                     method="DOP853", rtol=tol, atol=tol if atol is None else atol,
                     events=(_log_floor_event, event), dense_output=dense_output)
+    if not sol.success:
+        raise ToleranceNotMet(f"integrator failed: {sol.message}")
     if sol.t_events[0].size > 0:
         raise BlowUp(f"support reached the collapse floor {P_FLOOR:.0e} within the span")
     return sol
@@ -192,8 +190,6 @@ def integrate_support_ode(
         return y[2] - span
 
     sol = _solve(p0, float(dp0), span / P_FLOOR, tol, reached, dense_output=samples is not None)
-    if not sol.success:
-        raise ToleranceNotMet(f"integrator failed: {sol.message}")
     u, dp, theta = sol.y
     if samples is not None:
         theta = np.linspace(0.0, span, samples)
@@ -216,15 +212,12 @@ def shoot_period(p0: float, tol: float = 1e-12) -> float:
     minimum for p0 > 1, the maximum for p0 < 1) is the first upward
     zero-crossing of (p0 - 1) * p', which excludes the start, and ends the
     run; the 16*pi span in s only bounds the search (the turn comes by s = 6.1).
-    atol is ``tol`` times the oscillation's size |p0 - 1|, capped at ``tol``.
-    Past either end of its domain it raises (CLI exit 2) rather than degrade:
-    ToleranceNotMet within 5e-7 of 1, BlowUp above about 5.98 (the orbit dips under P_FLOOR).
+    atol is ``tol`` times the oscillation's size |p0 - 1|, capped at ``tol``,
+    which keeps the shot accurate up to the floats next to 1. Above about 5.98
+    the orbit dips under P_FLOOR and it raises BlowUp (CLI exit 2) rather than degrade.
     """
     if p0 == 1.0:
         raise ValueError("p0 = 1 is the constant (circle) solution; no oscillation")
-    if abs(p0 - 1.0) < _MIN_AMPLITUDE:
-        raise ToleranceNotMet(f"|p0 - 1| = {abs(p0 - 1.0):.3g} is below {_MIN_AMPLITUDE:.0e}, "
-                              "the near end of the shot's documented domain")
 
     def turning_point(_s, y):
         return (p0 - 1.0) * y[1]

@@ -18,8 +18,8 @@ import pytest
 import curveflow
 import curveflow.bonnesen
 import curveflow.flow
-import curveflow.shrinker
-from curveflow import ClosedCurve, curve_from_support, read_curve_csv, write_curve_csv
+from curveflow import (ClosedCurve, curve_from_support, period_by_quadrature, read_curve_csv,
+                       write_curve_csv)
 from curveflow import shapes
 from curveflow.cli import _build_parser, main
 
@@ -134,14 +134,11 @@ class TestOdeShoot:
     def test_blowup_exit_two(self):
         assert main(["ode-shoot", "--amplitudes", "1e-9"]) == 2
 
-    def test_too_near_one_exit_two(self, monkeypatch, capsys):
-        # the shot ran 35 s to a period 3.4e-5 off; it is now refused unrun
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("solve_ivp ran within 5e-7 of p0 = 1")
-
-        monkeypatch.setattr(curveflow.shrinker, "solve_ivp", refuse)
-        assert main(["ode-shoot", "--amplitudes", "1.000000001"]) == 2
-        assert capsys.readouterr().err.startswith("error: |p0 - 1| = 1e-09")
+    def test_near_one_exit_zero(self, capsys):
+        # the shot answers next to the circle, to quadrature's accuracy
+        assert main(["ode-shoot", "--amplitudes", "1.000000001"]) == 0
+        period = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[1])
+        assert abs(period - period_by_quadrature(1.000000001)) <= 1e-10
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -466,6 +463,26 @@ def _src_env() -> dict:
     src = str(Path(curveflow.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestErrorLine:
+    @pytest.mark.parametrize("command, expected", [("missing", 1), ("blowup", 2), ("lshape", 4)])
+    def test_one_error_line(self, lshape_csv, tmp_path, command, expected):
+        """A failing run writes its message once: one ``error:`` line and no
+        log record repeating it."""
+        missing = tmp_path / "missing.csv"
+        argv, message = {
+            "missing": (["support", "--input", str(missing)],
+                        f"error: input file not found: {missing}"),
+            "blowup": (["ode-shoot", "--amplitudes", "1e-9"], "error: p0 = 1e-09 is at or below"),
+            "lshape": (["support", "--input", lshape_csv],
+                       "error: support function requires a convex curve"),
+        }[command]
+        proc = subprocess.run([sys.executable, "-m", "curveflow.cli", *argv],
+                              capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == expected
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(message)
 
 
 class TestBrokenPipe:

@@ -32,7 +32,7 @@ from curveflow import (
     write_support_csv,
 )
 from curveflow import curve_from_support, shapes
-from curveflow.curves import _box
+from curveflow.curves import _box, centroid
 from curveflow.errors import InputError
 from curveflow.flow import _viewbox
 from curveflow.shrinker import PeriodEntry
@@ -191,6 +191,9 @@ class TestLengthArea:
     def test_ellipse_area(self):
         assert signed_area(shapes.ellipse(4096)) == pytest.approx(2 * np.pi, abs=1e-4)
 
+    def test_zero_area_centroid_is_vertex_mean(self):
+        assert centroid(ClosedCurve([(0, 0), (1, 0), (2, 0)])).tolist() == [1.0, 0.0]
+
 
 class TestCurvature:
     def test_circle_radius_two(self):
@@ -218,6 +221,15 @@ class TestCurvature:
         # left normal = tangent rotated by +pi/2
         rotated = np.column_stack([-fr.tangent[:, 1], fr.tangent[:, 0]])
         assert np.max(np.abs(rotated - fr.normal)) < 1e-14
+
+    def test_reversal_takes_the_outgoing_edge(self):
+        # at vertices 0 and 1 the path doubles back, so the adjacent unit
+        # edges cancel; each tangent is then the outgoing edge's direction
+        c = ClosedCurve([(0, 0), (1, 0), (0.5, 0)])
+        e = c.edges()
+        fr = signed_curvature(c)
+        assert fr.tangent.tolist() == (e / np.hypot(e[:, 0], e[:, 1])[:, None]).tolist()
+        assert fr.normal.tolist() == [[0.0, 1.0], [0.0, -1.0], [0.0, -1.0]]
 
 
 class TestTopology:

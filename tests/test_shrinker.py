@@ -6,6 +6,7 @@ import logging
 import math
 import warnings
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -186,10 +187,11 @@ class TestShootPeriod:
 
 HALF_PERIOD_AMPLITUDES = [0.3, 0.5, 0.98, 1.001, 1.02, 1.5, 2.0, 3.5, 5.0, 5.8]
 # tiny amplitudes, where a shot in p rather than log p loses accuracy, the
-# last amplitude inside the collapse floor, and two next to 1, where 1 - p^2
-# would cancel
-EDGE_AMPLITUDES = [1e-6, 1e-3, 0.05, 5.97, 1.0 - 1e-6,
-                   1.0 + 1.001 * curveflow.shrinker._MIN_AMPLITUDE]
+# last amplitude inside the collapse floor, and amplitudes next to 1 down to
+# the floats beside it, where 1 - p^2 would cancel
+EDGE_AMPLITUDES = [1e-6, 1e-3, 0.05, 5.97, 1.0 - 1e-6, 1.0 + 5.005e-7,
+                   1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-12,
+                   math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
 
 
 class TestShootPeriodHalfPeriod:
@@ -259,10 +261,21 @@ class TestShootPeriodHalfPeriod:
         with pytest.raises(ToleranceNotMet, match="no turning point"):
             shoot_period(1.5)
 
+    @pytest.mark.parametrize("call", [
+        shoot_period, lambda p0: integrate_support_ode(p0, 0.0, 1.0),
+    ], ids=["shoot", "integrate"])
+    def test_integrator_failure_refused(self, monkeypatch, call):
+        """A step controller that gives up raises ToleranceNotMet on both
+        paths; the shot does not report it as a missing turning point."""
+        failed = SimpleNamespace(success=False, message="Required step size is too small.",
+                                 t_events=[np.empty(0), np.empty(0)])
+        monkeypatch.setattr(curveflow.shrinker, "solve_ivp", lambda *a, **k: failed)
+        with pytest.raises(ToleranceNotMet, match="integrator failed"):
+            call(1.5)
 
-# the first pair is the nearest to 1 that shoot_period accepts
-NEAR_ONE = [1.0 + sign * d for d in (1.001 * curveflow.shrinker._MIN_AMPLITUDE,
-                                     1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3) for sign in (-1, 1)]
+
+NEAR_ONE = [1.0 + sign * d for d in (5.005e-7, 1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3)
+            for sign in (-1, 1)]
 
 
 class TestQuadratureNearOne:
@@ -455,8 +468,8 @@ def log_derivative_residual(curve):
 
 
 class TestRejectedInput:
-    """Non-finite amplitudes, spans and start slopes and shots too near 1 are
-    refused before SciPy runs; bad tolerances are rows of test_tol_contract.py."""
+    """Non-finite amplitudes, spans and start slopes are refused before SciPy
+    runs; bad tolerances are rows of test_tol_contract.py."""
 
     @pytest.fixture(autouse=True)
     def no_solver(self, monkeypatch):
@@ -476,13 +489,6 @@ class TestRejectedInput:
     def test_non_finite_amplitude(self, call, p0):
         with pytest.raises(ValueError, match="must be finite"):
             call(p0)
-
-    @pytest.mark.parametrize("p0", [1 + 1e-9, 1 - 1e-9, 1 + 1e-12])
-    def test_shot_too_near_one(self, p0):
-        # the near end of the shot's documented domain, refused before any
-        # solver runs
-        with pytest.raises(ToleranceNotMet, match="below 5e-07"):
-            shoot_period(p0)
 
     @pytest.mark.parametrize("argument, value", [
         ("theta_span", math.nan), ("theta_span", math.inf), ("theta_span", -math.inf),
