@@ -92,8 +92,15 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError on a parse failure, so ``main`` prints it as one ``error:`` line."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curveflow",
         description="curve shortening flow toolkit: flows, shrinker checks, "
         "support functions, Bonnesen chains, and symmetrization",
@@ -288,12 +295,8 @@ def main(argv=None) -> int:
     global _started
     _started = time.perf_counter()
     _setup_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         status = _HANDLERS[args.command](args)
         sys.stdout.flush()  # so a closed pipe is seen here, not at interpreter exit
         return status
@@ -302,6 +305,8 @@ def main(argv=None) -> int:
         # prints nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _EXIT_BROKEN_PIPE
+    except SystemExit:  # --help, after printing the usage
+        return EXIT_OK
     except (InputError, OSError, ValueError, GeometricPreconditionError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, GeometricPreconditionError):

@@ -28,6 +28,9 @@ _CSV = {"fmt": "%.17g", "delimiter": ",", "comments": ""}
 # the smoothing passes it may take to meet it.
 _ARCLENGTH_REL_TOL = 1e-10
 _ARCLENGTH_PASSES = 200
+# Candidate edge pairs per array pass of the simplicity sweep: small enough
+# that a curve whose first crossing comes early stops early.
+_SWEEP_BLOCK = 4096
 
 
 def _edges(pts):
@@ -182,9 +185,12 @@ def resample_arclength(curve: ClosedCurve, m: int) -> ClosedCurve:
     cumulative-chord positions is followed by smoothing passes that slide the
     parameters until the chords agree to 1e-10 of their mean. The first
     sample stays pinned at the first input point. Raises ToleranceNotMet when
-    200 passes do not meet that tolerance. The resample trusts the sample
-    checks of the ClosedCurve constructor. Samples and edges are complex views
-    x + iy of the contiguous samples, for one gather per array and pass.
+    200 passes do not meet that tolerance, as on a coarse polygon taken to a
+    handful of samples: the triangle (0, 0), (1, 0), (0, 1) at m = 3 has an
+    equal-chord answer that the passes do not find. The resample trusts the
+    sample checks of the ClosedCurve constructor. Samples and edges are
+    complex views x + iy of the contiguous samples, for one gather per array
+    and pass.
     Chords are ``hypot`` of their parts: complex ``abs`` rounds differently.
     """
     if m < 3:
@@ -300,36 +306,11 @@ def is_convex(curve: ClosedCurve) -> bool:
     return abs(_winding(turns)) == 1 and bool(np.all(np.abs(turns) < np.pi - 1e-12))
 
 
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    """Proper or improper intersection of segments p1p2 and p3p4."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-
-    def on_segment(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    if d1 == 0 and on_segment(p3, p4, p1):
-        return True
-    if d2 == 0 and on_segment(p3, p4, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, p3):
-        return True
-    if d4 == 0 and on_segment(p1, p2, p4):
-        return True
-    return False
+def _orient(p, q, r):
+    """(q - p) x (r - p) on complex points x + iy: > 0 where r lies left of
+    the line pq, 0 where the three points are collinear."""
+    u, v = q - p, r - p
+    return u.real * v.imag - u.imag * v.real
 
 
 def is_simple(curve: ClosedCurve) -> bool:
@@ -351,34 +332,46 @@ def is_simple(curve: ClosedCurve) -> bool:
 
 
 def _is_simple_sweep(pts: FloatArray) -> bool:
+    """True iff no two non-adjacent edges meet. In order of smallest x, edge
+    k can overlap in x only edges k + 1 .. stop_k - 1; those pairs, numbered
+    by a cumulative sum, are tested _SWEEP_BLOCK at a time. Two edges cross
+    when each one's ends lie strictly on opposite sides of the other, and
+    touch when an end is collinear with the other edge and in its box."""
     n = pts.shape[0]
-    nxt = _cyclic_next(pts)
-    xmin = np.minimum(pts[:, 0], nxt[:, 0])
-    xmax = np.maximum(pts[:, 0], nxt[:, 0])
-    ymin = np.minimum(pts[:, 1], nxt[:, 1])
-    ymax = np.maximum(pts[:, 1], nxt[:, 1])
-    order = np.argsort(xmin, kind="stable")
-    xmin_s = xmin[order]
-    for pos, i in enumerate(order):
-        hi = np.searchsorted(xmin_s, xmax[i], side="right")
-        for j in order[pos + 1 : hi]:
-            if j == i or (i + 1) % n == j or (j + 1) % n == i:
-                continue
-            if ymax[i] < ymin[j] or ymax[j] < ymin[i]:
-                continue
-            if _segments_intersect(pts[i], nxt[i], pts[j], nxt[j]):
-                return False
+    succ = _cyclic_next(np.arange(n))
+    nxt = pts[succ]
+    z, zn = pts.view(complex)[:, 0], nxt.view(complex)[:, 0]
+    lo, hi = np.minimum(pts, nxt).view(complex)[:, 0], np.maximum(pts, nxt).view(complex)[:, 0]
+    order = np.argsort(lo.real, kind="stable")
+    count = np.searchsorted(lo.real[order], hi.real[order], side="right") - np.arange(1, n + 1)
+    first = np.cumsum(count) - count
+    total = int(first[-1] + count[-1])
+    for start in range(0, total, _SWEEP_BLOCK):
+        pair = np.arange(start, min(start + _SWEEP_BLOCK, total))
+        k = np.searchsorted(first, pair, side="right") - 1
+        i, j = order[k], order[k + 1 + pair - first[k]]
+        keep = ((succ[i] != j) & (succ[j] != i)
+                & (hi.imag[i] >= lo.imag[j]) & (hi.imag[j] >= lo.imag[i]))
+        i, j = i[keep], j[keep]
+        # the four ends of each pair, each against the pair's other edge
+        seg = np.concatenate([j, j, i, i])
+        end = np.concatenate([z[i], zn[i], z[j], zn[j]])
+        side = _orient(z[seg], zn[seg], end)
+        sign = np.sign(side).reshape(4, -1)
+        box_lo, box_hi = lo[seg], hi[seg]
+        touch = ((side == 0) & (box_lo.real <= end.real) & (end.real <= box_hi.real)
+                 & (box_lo.imag <= end.imag) & (end.imag <= box_hi.imag))
+        if np.any((sign[0] * sign[1] < 0) & (sign[2] * sign[3] < 0)) or np.any(touch):
+            return False
     return True
 
 
 def winding_number(curve: ClosedCurve, point) -> int:
     """Winding number of the closed polygon around ``point``."""
-    px, py = float(point[0]), float(point[1])
-    pts = curve.points
-    nxt = _cyclic_next(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = nxt[:, 0], nxt[:, 1]
-    cross = (xn - x) * (py - y) - (px - x) * (yn - y)
+    z = curve.points.view(complex)[:, 0]
+    zn = _cyclic_next(z)
+    cross = _orient(z, zn, complex(point[0], point[1]))
+    py, y, yn = float(point[1]), z.imag, zn.imag
     up = (y <= py) & (yn > py) & (cross > 0)
     down = (y > py) & (yn <= py) & (cross < 0)
     return int(np.sum(up) - np.sum(down))

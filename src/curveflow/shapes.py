@@ -49,22 +49,16 @@ def rounded_square(n: int = 512, side: float = 2.0, corner_radius: float = 0.4) 
     perimeter = 4.0 * (straight + arc)
     corners = np.array([[s, s], [-s, s], [-s, -s], [s, -s]])
     base_angles = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
-    pts = []
-    for u in perimeter * np.arange(n) / n:
-        quadrant, local = divmod(u, straight + arc)
-        quadrant = int(quadrant)
-        if local < straight:
-            # straight run before the corner of this quadrant
-            ang = base_angles[quadrant]
-            nx, ny = np.cos(ang), np.sin(ang)  # outward normal of the side
-            tx, ty = -ny, nx
-            start = np.array([nx, ny]) * (s + corner_radius) + np.array([tx, ty]) * (-s)
-            pts.append(start + local * np.array([tx, ty]))
-        else:
-            sweep = (local - straight) / corner_radius
-            ang = base_angles[quadrant] + sweep
-            pts.append(corners[quadrant] + corner_radius * np.array([np.cos(ang), np.sin(ang)]))
-    return ClosedCurve(np.array(pts))
+    quadrant, local = np.divmod(perimeter * np.arange(n) / n, straight + arc)
+    q = quadrant.astype(int)
+    # a straight run starts at the previous corner and follows the tangent,
+    # the side's outward normal turned by pi/2
+    normal = np.column_stack([np.cos(base_angles), np.sin(base_angles)])[q]
+    tangent = np.column_stack([-normal[:, 1], normal[:, 0]])
+    side_pts = normal * (s + corner_radius) + tangent * (-s) + local[:, None] * tangent
+    ang = base_angles[q] + (local - straight) / corner_radius
+    arc_pts = corners[q] + corner_radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    return ClosedCurve(np.where((local < straight)[:, None], side_pts, arc_pts))
 
 
 def l_hexagon(scale: float = 1.0) -> ClosedCurve:

@@ -10,6 +10,7 @@ driver loop both ran under, with its sample-count decimation.
 ``resample_reference`` is the arclength resample written out on (n, 2)
 arrays; both steps use it in place of ``resample_arclength``.
 ``random_convex_polygon`` draws the test polygons that several modules share.
+``rounded_square_reference`` places a rounded square's samples one at a time.
 """
 
 import numpy as np
@@ -70,6 +71,31 @@ def brute_support(points: np.ndarray, count: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(count) / count
     table = np.outer(points[:, 0], np.cos(theta)) + np.outer(points[:, 1], np.sin(theta))
     return table.max(axis=0)
+
+
+def rounded_square_reference(n: int, side: float, corner_radius: float) -> np.ndarray:
+    """The samples of ``shapes.rounded_square``, placed one at a time: each
+    arclength position lies on a side or on the corner arc that follows it."""
+    s = 0.5 * side - corner_radius
+    straight = 2.0 * s
+    arc = 0.5 * np.pi * corner_radius
+    perimeter = 4.0 * (straight + arc)
+    corners = np.array([[s, s], [-s, s], [-s, -s], [s, -s]])
+    base_angles = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
+    pts = []
+    for u in perimeter * np.arange(n) / n:
+        quadrant, local = divmod(u, straight + arc)
+        quadrant = int(quadrant)
+        if local < straight:
+            ang = base_angles[quadrant]
+            nx, ny = np.cos(ang), np.sin(ang)  # outward normal of the side
+            tx, ty = -ny, nx
+            start = np.array([nx, ny]) * (s + corner_radius) + np.array([tx, ty]) * (-s)
+            pts.append(start + local * np.array([tx, ty]))
+        else:
+            ang = base_angles[quadrant] + (local - straight) / corner_radius
+            pts.append(corners[quadrant] + corner_radius * np.array([np.cos(ang), np.sin(ang)]))
+    return np.array(pts)
 
 
 def random_convex_polygon(n: int, seed: int) -> np.ndarray:

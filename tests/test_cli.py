@@ -199,6 +199,10 @@ class TestSupport:
     def test_spike_exit_four(self, spike_csv):
         assert main(["support", "--input", spike_csv]) == 4
 
+    def test_no_input_flag_exit_one(self, capsys):
+        assert main(["support"]) == 1
+        assert capsys.readouterr().err == "error: --input is required\n"
+
     def test_odd_grid_exit_one(self, ellipse_csv):
         assert main(["support", "--input", ellipse_csv, "--grid", "33"]) == 1
 
@@ -441,6 +445,7 @@ class TestRejectedValues:
         (["ode-shoot", "--amplitudes", "1.5", "--tol", "nan"], "tol"),
         (["ode-shoot", "--amplitudes", "nan"], "amplitudes"),
         (["ode-shoot", "--amplitudes", "1.5,inf"], "amplitudes"),
+        (["ode-shoot", "--amplitudes", "1.5,abc"], "amplitudes"),
         (["flow", "--area-floor-rel", "2", "--t-max", "1e-3"], "area_floor_rel"),
         (["flow", "--area-floor-rel", "1", "--t-max", "1e-3"], "area_floor_rel"),
         (["flow", "--area-floor-rel", "nan", "--t-max", "1e-3"], "area_floor_rel"),
@@ -483,6 +488,24 @@ class TestErrorLine:
         assert proc.returncode == expected
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith(message)
+
+
+class TestParseErrors:
+    def test_one_error_line_naming_the_flag(self, capsys):
+        for argv, named in [
+            (["shrink-verify", "--grid", "64"], "--grid"),
+            (["flow", "--t-max", "abc"], "--t-max"),
+            (["no-such-command"], "'no-such-command'"),
+            (["ode-shoot", "--format", "svg"], "--format"),
+        ]:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith("error: ") and named in err, err
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: curveflow")
+        assert captured.err == ""
 
 
 class TestBrokenPipe:

@@ -49,6 +49,10 @@ class TestConstruction:
         with pytest.raises(TooFewPoints):
             ClosedCurve([(0, 0), (1, 0)])
 
+    def test_points_off_the_plane_rejected(self):
+        with pytest.raises(TooFewPoints, match=r"expected an \(n, 2\) array, got shape \(4, 3\)"):
+            ClosedCurve(np.zeros((4, 3)))
+
     def test_circle_samples(self):
         c = shapes.circle(1024)
         assert c.n == 1024
@@ -92,6 +96,19 @@ class TestConstruction:
                                  hi[0] - lo[0] + 2 * margin, hi[1] - lo[1] + 2 * margin)
 
 
+class TestRoundedSquare:
+    @pytest.mark.parametrize("side, corner_radius", [(2.0, 0.4), (3.0, 1.2), (1.0, 0.05)])
+    def test_equals_the_sample_by_sample_placement(self, side, corner_radius):
+        for n in (7, 96, 192, 256, 512, 1000):
+            points = shapes.rounded_square(n, side, corner_radius).points
+            assert np.array_equal(points, oracles.rounded_square_reference(n, side, corner_radius))
+
+    @pytest.mark.parametrize("corner_radius", [0.0, 1.0, 1.5])
+    def test_corner_radius_outside_half_the_side_rejected(self, corner_radius):
+        with pytest.raises(ValueError, match=r"corner radius must sit in \(0, side/2\)"):
+            shapes.rounded_square(64, side=2.0, corner_radius=corner_radius)
+
+
 class TestResample:
     def test_nonuniform_circle_to_uniform_chords(self):
         c = shapes.nonuniform_circle(1024, seed=1)
@@ -113,6 +130,15 @@ class TestResample:
     def test_too_few_target_samples(self):
         with pytest.raises(TooFewPoints):
             resample_arclength(shapes.circle(64), 2)
+
+    def test_triangle_at_three_samples_is_a_typed_miss(self):
+        # an equal-chord answer exists, but the smoothing passes do not find it
+        triangle = ClosedCurve([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(ToleranceNotMet, match="missed rel_tol 1e-10 in 200 passes"):
+            resample_arclength(triangle, 3)
+        for m in range(4, 17):
+            chords = resample_arclength(triangle, m).chord_lengths()
+            assert np.max(np.abs(chords - chords.mean())) <= 1e-10 * chords.mean(), m
 
     @pytest.mark.parametrize("m", [4096, 5000, 8192])
     def test_length_preserved_upsampling(self, m):
@@ -283,11 +309,11 @@ class TestTopology:
             return
         assert is_simple(c) == oracles.polygon_is_simple(pts)
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_sweep_matches_bruteforce_on_small_snapped_polygons(self, seed):
-        # star-shaped loops of up to 63 samples, some with two vertices
-        # swapped, snapped to a grid of 1/8 so that edges touch and run
-        # collinear; samples that snap onto their predecessor are dropped
+    @staticmethod
+    def _snapped_polygons(seed):
+        """Star-shaped loops of up to 63 samples, some with two vertices
+        swapped, snapped to a grid of 1/8 so that edges touch and run
+        collinear; samples that snap onto their predecessor are dropped."""
         rng = np.random.default_rng(seed)
         for n in range(4, 64):
             ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
@@ -295,9 +321,37 @@ class TestTopology:
             if n % 3 == 0:
                 pts[[0, n // 2]] = pts[[n // 2, 0]]
             pts = np.round(pts * 8.0) / 8.0
-            pts = pts[np.any(pts != np.roll(pts, 1, axis=0), axis=1)]
-            c = ClosedCurve(pts)
-            assert is_simple(c) == oracles.polygon_is_simple(pts), n
+            yield pts[np.any(pts != np.roll(pts, 1, axis=0), axis=1)]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sweep_matches_bruteforce_on_small_snapped_polygons(self, seed):
+        for pts in self._snapped_polygons(seed):
+            assert is_simple(ClosedCurve(pts)) == oracles.polygon_is_simple(pts), len(pts)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_sweep_blocks_ending_inside_a_pair_list(self, block, monkeypatch):
+        monkeypatch.setattr("curveflow.curves._SWEEP_BLOCK", block)
+        for seed in range(2):
+            for pts in self._snapped_polygons(seed):
+                assert is_simple(ClosedCurve(pts)) == oracles.polygon_is_simple(pts), len(pts)
+
+    @staticmethod
+    def _zigzag(n=1026):
+        """A simple loop of n samples whose edges all overlap in x: x
+        alternates 0 and 1 up the y axis, and the loop closes through x = 2."""
+        y = np.arange(n - 2, dtype=float)
+        return np.vstack([np.column_stack([y % 2, y]), [(2.0, n - 3.0), (2.0, 0.0)]])
+
+    def test_zigzag_with_every_x_extent_overlapping(self):
+        # about 525k candidate pairs, many blocks of them
+        pts = self._zigzag()
+        assert is_simple(ClosedCurve(pts))
+        # (1, 1023) moves down to (1, 1020.5): the edge from (0, 1022) then
+        # crosses edge 1020, from (0, 1020) to (1, 1021), at (0.8, 1020.8),
+        # one of the last pairs in the sweep order
+        pts = pts.copy()
+        pts[1023] = (1.0, 1020.5)
+        assert not is_simple(ClosedCurve(pts))
 
     @staticmethod
     def _integer_square(side=16):

@@ -284,6 +284,11 @@ class TestRescaledFlow:
         assert len(profile.times) <= 3
         assert report.verdict
 
+    def test_step_budget_spent_raises(self, monkeypatch):
+        monkeypatch.setattr(curveflow.flow, "_RESCALED_MAX_STEPS", 2)
+        with pytest.raises(ToleranceNotMet, match="within 2 steps"):
+            rescaled_flow(shapes.ellipse(256))
+
     def test_profile_area_is_pi(self):
         profile, _ = rescaled_flow(shapes.ellipse(192, a=1.3, b=1.0))
         assert signed_area(profile.reference_curve) == pytest.approx(math.pi, abs=1e-12)
@@ -521,6 +526,11 @@ class TestOutputs:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,L,A,ratio"
         assert len(lines) == 1 + math.ceil(51 / 5)
+
+    def test_trajectory_csv_zero_stride_rejected(self, tmp_path):
+        traj = run_flow(shapes.circle(64), t_max=1e-3)
+        with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+            traj.write_csv(tmp_path / "traj.csv", stride=0)
 
     def test_svg_snapshot(self, tmp_path):
         path = tmp_path / "curve.svg"

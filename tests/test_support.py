@@ -294,6 +294,10 @@ class TestValidationAndIO:
         with pytest.raises(ValueError):
             SupportFunction(np.ones(65))
 
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ValueError, match="support samples must be a 1-D array"):
+            SupportFunction(np.ones((16, 2)))
+
     @pytest.mark.parametrize("count", [8, 14, 15, 65])
     def test_one_grid_rule_for_samples_and_extraction(self, count):
         message = f"^grid count must be even and >= 16, got {count}$"
