@@ -445,10 +445,10 @@ class TestRejectedValues:
         (["ode-shoot", "--amplitudes", "1.5", "--tol", "nan"], "tol"),
         (["ode-shoot", "--amplitudes", "nan"], "amplitudes"),
         (["ode-shoot", "--amplitudes", "1.5,inf"], "amplitudes"),
-        (["ode-shoot", "--amplitudes", "1.5,abc"], "amplitudes"),
         (["flow", "--area-floor-rel", "2", "--t-max", "1e-3"], "area_floor_rel"),
         (["flow", "--area-floor-rel", "1", "--t-max", "1e-3"], "area_floor_rel"),
         (["flow", "--area-floor-rel", "nan", "--t-max", "1e-3"], "area_floor_rel"),
+        (["ode-shoot", "--amplitudes", "1.5,abc"], "amplitudes"),
     ])
     def test_exit_one(self, tmp_path, capsys, argv, name):
         curve = tmp_path / "c.csv"

@@ -335,16 +335,12 @@ class TestTopology:
             for pts in self._snapped_polygons(seed):
                 assert is_simple(ClosedCurve(pts)) == oracles.polygon_is_simple(pts), len(pts)
 
-    @staticmethod
-    def _zigzag(n=1026):
-        """A simple loop of n samples whose edges all overlap in x: x
-        alternates 0 and 1 up the y axis, and the loop closes through x = 2."""
-        y = np.arange(n - 2, dtype=float)
-        return np.vstack([np.column_stack([y % 2, y]), [(2.0, n - 3.0), (2.0, 0.0)]])
-
     def test_zigzag_with_every_x_extent_overlapping(self):
-        # about 525k candidate pairs, many blocks of them
-        pts = self._zigzag()
+        # a simple loop of 1,026 samples whose edges all overlap in x, about
+        # 525k candidate pairs: x alternates 0 and 1 up the y axis, and the
+        # loop closes through x = 2
+        y = np.arange(1024.0)
+        pts = np.vstack([np.column_stack([y % 2, y]), [(2.0, 1023.0), (2.0, 0.0)]])
         assert is_simple(ClosedCurve(pts))
         # (1, 1023) moves down to (1, 1020.5): the edge from (0, 1022) then
         # crosses edge 1020, from (0, 1020) to (1, 1021), at (0.8, 1020.8),
