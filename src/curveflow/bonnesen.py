@@ -209,10 +209,12 @@ def minimal_enclosing_circle(points) -> tuple[float, float, float]:
     """Smallest circle containing the points, by the Elzinga-Hearn iteration.
 
     The circle rests on a rim of at most three points. Each round takes the
-    point farthest from the centre and, of the circles through two or three
-    of the rim points and that point, keeps the smallest that holds them all
-    (Elzinga & Hearn, Management Science 19, 1972). The radius grows every
-    round, so the iteration ends. The circle is unique, so nothing is
+    point farthest from the centre and, of the circles through that point and
+    one or two rim points, keeps the smallest that holds them all (Elzinga &
+    Hearn, Management Science 19, 1972). The point lies outside the rim's
+    circle, so it lies on the new one (Welzl, LNCS 555, 1991), and circles
+    through rim points alone need no test. The radius grows every round, so
+    the iteration ends. The circle is unique, so nothing is
     randomized. Raises ValueError on no points or a non-finite one.
     """
     pts = np.asarray(points, dtype=float)
@@ -230,14 +232,15 @@ def minimal_enclosing_circle(points) -> tuple[float, float, float]:
         q = int(np.argmax(d))
         if d[q] <= r * _EPS_FACTOR:
             return circle
-        held = rim + [tuple(pts[q].tolist())]
+        new = tuple(pts[q].tolist())
+        held = rim + [new]
         best = None
         for k, build in ((2, _circle_from_two), (3, _circle_from_three)):
-            for sub in combinations(held, k):
-                c = build(*sub)
+            for sub in combinations(rim, k - 1):
+                c = build(*sub, new)
                 if c is not None and (best is None or c[2] < best[0][2]) and all(
                         math.hypot(a - c[0], b - c[1]) <= c[2] * _EPS_FACTOR for a, b in held):
-                    best = c, list(sub)
+                    best = c, [*sub, new]
         if best is None or best[0][2] <= r:
             return circle  # the radius did not grow: rounding, not a larger circle
         circle, rim = best

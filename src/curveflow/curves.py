@@ -66,6 +66,17 @@ def _deferred(module: str, name: str):
     return call
 
 
+def _frozen(values) -> FloatArray:
+    """``values`` as a read-only C-contiguous float array that no caller can
+    write to: the caller's own writeable array, or a view of one, is copied
+    first, so it stays writeable. A read-only input may be shared."""
+    a = np.ascontiguousarray(np.asarray(values, dtype=float))
+    if a.flags.writeable and (a is values or not a.flags.owndata):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 def _positive(name: str, value) -> None:
     """The package's one rule for a tolerance, step, amplitude or size: 0 < value < inf."""
     if not 0.0 < value < np.inf:
@@ -83,7 +94,7 @@ class ClosedCurve:
     points: FloatArray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        pts = _frozen(self.points)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise TooFewPoints(f"expected an (n, 2) array, got shape {pts.shape}")
         if pts.shape[0] < 3:
@@ -97,7 +108,6 @@ class ClosedCurve:
         if (chords.min() <= _DEGENERATE_REL * chords.sum()
                 and np.any(chords <= _DEGENERATE_REL * self.diameter)):
             raise DegenerateSegment("consecutive samples coincide")
-        pts.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -117,7 +127,7 @@ class ClosedCurve:
         return np.hypot(e[:, 0], e[:, 1])
 
     def reversed(self) -> "ClosedCurve":
-        return ClosedCurve(self.points[::-1].copy())
+        return ClosedCurve(self.points[::-1])
 
     def translated(self, offset) -> "ClosedCurve":
         return ClosedCurve(self.points + np.asarray(offset, dtype=float))

@@ -11,13 +11,15 @@ and differentiated through their FFT, on the grid and between its nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import ClosedCurve, _CSV, _edges, is_convex, signed_area, winding_number
+from .curves import (ClosedCurve, _CSV, _edges, _frozen, is_convex, signed_area,
+                     winding_number)
 from .errors import NotAnOval, NotConvex, OriginOutside
 
 FloatArray = NDArray[np.float64]
@@ -48,13 +50,12 @@ class SupportFunction:
     values: FloatArray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        v = _frozen(self.values)
         if v.ndim != 1:
             raise ValueError("support samples must be a 1-D array")
         _check_grid(v.size)
         if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
             raise ValueError("support samples must be finite and strictly positive")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -77,10 +78,18 @@ class SupportFunction:
         """p + p'' on the grid (the radius of curvature of the oval)."""
         return self.values + self.derivative(2)
 
+    def _series(self, order: int) -> np.ndarray:
+        """Weighted coefficients c_k with p^(order)(theta) = Re sum_k c_k e^{ik theta}."""
+        coef = _differentiate(np.fft.rfft(self.values) / self.count, order)
+        # real series: c_0 + 2*Re sum_{k>=1} c_k e^{ik theta}, Nyquist unhalved
+        weights = np.full(coef.size, 2.0)
+        weights[0] = 1.0
+        weights[-1] = 1.0  # the count is even, so the last coefficient is Nyquist
+        return weights * coef
+
     @cached_property
     def _series_coefficients(self) -> dict:
-        # order -> weighted series coefficients, built once per instance and
-        # order by eval: the chord search calls it once per order per gap
+        # order -> weighted series coefficients, built once per instance and order by eval
         return {}
 
     def eval(self, theta, order: int = 0):
@@ -92,14 +101,30 @@ class SupportFunction:
         theta = np.asarray(theta, dtype=float)
         coef = self._series_coefficients.get(order)
         if coef is None:
-            coef = _differentiate(np.fft.rfft(self.values) / self.count, order)
-            # real series: c_0 + 2*Re sum_{k>=1} c_k e^{ik theta}, Nyquist unhalved
-            weights = np.full(coef.size, 2.0)
-            weights[0] = 1.0
-            weights[-1] = 1.0  # the count is even, so the last coefficient is Nyquist
-            coef = self._series_coefficients[order] = weights * coef
+            coef = self._series_coefficients[order] = self._series(order)
         phases = np.exp(1j * np.multiply.outer(theta, np.arange(coef.size)))
         return np.real(phases @ coef)
+
+    @cached_property
+    def _chord_series(self) -> tuple[np.ndarray, np.ndarray]:
+        # the series of p and p' as (k, 2) columns, the even modes apart from
+        # the odd: built once per instance, as the chord search reads them per gap
+        table = np.column_stack([self._series(0), self._series(1)])
+        return table[::2].copy(), table[1::2].copy()
+
+    def _opposite_points(self, theta: float) -> FloatArray:
+        """The (2, 2) oval points with normals at theta and theta + pi.
+
+        One spectral row serves both: e^{ik(theta + pi)} = (-1)^k e^{ik theta},
+        so p and p' at theta + pi are the even-mode sums minus the odd-mode sums,
+        and the odd modes take the even row times e^{i theta}.
+        """
+        even, odd = self._chord_series
+        c, s = math.cos(theta), math.sin(theta)
+        z = np.exp(2j * theta * np.arange(even.shape[0]))  # e^{ik theta} for even k
+        e = np.real(z @ even)
+        o = np.real(complex(c, s) * (z[:odd.shape[0]] @ odd))  # odd k = 2m + 1
+        return np.array([_oval_map(*(e + o), c, s), _oval_map(*(e - o), -c, -s)])
 
     @cached_property
     def _curve(self) -> ClosedCurve:

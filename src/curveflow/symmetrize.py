@@ -10,6 +10,7 @@ general shrinker classification to the symmetric case.
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -26,9 +27,11 @@ from .errors import (
     NotSymmetric,
     ToleranceNotMet,
 )
-from .support import SupportFunction, _oval_map, curve_from_support
+from .support import SupportFunction, curve_from_support
 
 FloatArray = NDArray[np.float64]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,6 @@ class SymmetrizedPair:
         }
 
 
-def _chord_ends(p: SupportFunction, theta: float) -> FloatArray:
-    """The (2, 2) boundary points P(theta) and P(theta + pi), from one
-    vectorized ``p.eval`` per order."""
-    ends = np.array([theta, theta + math.pi])
-    return np.column_stack(_oval_map(p.eval(ends), p.eval(ends, order=1),
-                                     np.cos(ends), np.sin(ends)))
-
-
 def _arc_polygon(p: SupportFunction, vertices: FloatArray, theta: float,
                  start: FloatArray, end: FloatArray) -> FloatArray:
     """Vertices from theta to theta + pi: the exact endpoints ``start`` =
@@ -109,7 +104,7 @@ def chord_cut(p: SupportFunction, theta: float) -> ChordCut:
     """
     theta = float(np.mod(theta, 2.0 * np.pi))
     vertices = curve_from_support(p).points
-    start, end = endpoints = _chord_ends(p, theta)
+    start, end = endpoints = p._opposite_points(theta)
     return ChordCut(
         theta=theta,
         endpoints=endpoints,
@@ -146,7 +141,8 @@ def _cell_gap(p: SupportFunction, vertices: FloatArray, j: int):
 
         2g = S1 - S2 + a x (V_j + V_{j+1}) - b x (V_{j+half} + V_{j+half+1}) + 2 b x a.
 
-    The sums cost O(count) once; each evaluation then costs two ``p.eval``.
+    The sums cost O(count) once; each evaluation then costs one spectral row
+    for both endpoints (``SupportFunction._opposite_points``).
     """
     half = p.count // 2
     v = np.roll(vertices, -j, axis=0)  # v[k] is node j + k
@@ -157,7 +153,7 @@ def _cell_gap(p: SupportFunction, vertices: FloatArray, j: int):
     w = v[half] + v[half + 1]
 
     def gap(theta: float) -> float:
-        (xa, ya), (xb, yb) = _chord_ends(p, theta)
+        (xa, ya), (xb, yb) = p._opposite_points(theta)
         return 0.5 * float(fixed + xa * u[1] - ya * u[0] - xb * w[1] + yb * w[0]
                            + 2.0 * (xb * ya - yb * xa))
 
@@ -206,7 +202,9 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     nodes of both arcs are fixed (``_cell_gap``). The returned theta is checked
     with the full arc shoelaces: ``tol`` bounds |sigma - A/2| relative to the
     area A, and a miss or a search that does not stop raises ToleranceNotMet.
-    The cut records the number of gap evaluations.
+    The cut records the number of gap evaluations. Each call logs one debug
+    record under ``curveflow.symmetrize``: the bisecting node or the searched
+    cell, the gap evaluations and |sigma - A/2| / A.
     """
     _positive("tol", tol)
     sigma = node_cut_areas(p)
@@ -216,13 +214,20 @@ def find_bisecting_chord(p: SupportFunction, tol: float = 1e-8) -> ChordCut:
     g = sigma - np.roll(sigma, -half)
     hits = np.flatnonzero(np.abs(g[:half]) <= bound)
     if hits.size:
-        return chord_cut(p, hits[0] * p.step)
+        node = int(hits[0])
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("find_bisecting_chord: node %d bisects, 0 evaluations, "
+                      "|sigma - A/2|/A = %.3g", node, abs(g[node]) / (2.0 * area))
+        return chord_cut(p, node * p.step)
     j = int(np.flatnonzero(g[:half] * g[1 : half + 1] < 0.0)[0])
     vertices = curve_from_support(p).points
     theta, evaluations, converged = _illinois(_cell_gap(p, vertices, j),
                                               j * p.step, (j + 1) * p.step)
     cut = chord_cut(p, theta)
     miss = abs(cut.sigma - _shoelace(_other_arc(p, vertices, cut)))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("find_bisecting_chord: cell %d searched in %d evaluations, "
+                  "|sigma - A/2|/A = %.3g", j, evaluations, miss / (2.0 * area))
     if not converged or miss > bound:
         raise ToleranceNotMet(f"equal-area chord search ended at |sigma(t) - sigma(t+pi)| = "
                               f"{miss:.3g} against {bound:.3g}"

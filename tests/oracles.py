@@ -11,6 +11,9 @@ driver loop both ran under, with its sample-count decimation.
 arrays; both steps use it in place of ``resample_arclength``.
 ``random_convex_polygon`` draws the test polygons that several modules share.
 ``rounded_square_reference`` places a rounded square's samples one at a time.
+``chord_ends_by_eval`` takes a chord's two ends from ``SupportFunction.eval``,
+the public series evaluator, against which the chord search's one-row
+evaluator is compared.
 """
 
 import numpy as np
@@ -141,6 +144,15 @@ def brute_enclosing_radius(points: np.ndarray) -> float:
                 if covers(ux, uy, r) and (best is None or r < best):
                     best = r
     return best
+
+
+def chord_ends_by_eval(p, theta: float) -> np.ndarray:
+    """The (2, 2) oval points with normals at theta and theta + pi, from
+    ``p.eval`` of p and p' at both angles: x = p cos - p' sin, y = p sin + p' cos."""
+    ends = np.array([theta, theta + np.pi])
+    h, dh = p.eval(ends), p.eval(ends, order=1)
+    c, s = np.cos(ends), np.sin(ends)
+    return np.column_stack([h * c - dh * s, h * s + dh * c])
 
 
 def parseval_cosine_area(mean: float, coefficients: dict) -> float:

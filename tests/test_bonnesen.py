@@ -3,12 +3,14 @@
 import json
 import math
 from dataclasses import asdict
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 import curveflow.bonnesen
 from curveflow import (
@@ -253,6 +255,36 @@ class TestPivot:
         self._certify(monkeypatch, resample_arclength(curve_from_support(p), 2048).points)
 
 
+def _enclosing_circle_over_all_held(points):
+    """The Elzinga-Hearn loop as it stood when each round tried every pair and
+    triple of the rim and the new point, rim-only circles included: the
+    reference for ``minimal_enclosing_circle``'s circles through the new point."""
+    bonnesen = curveflow.bonnesen
+    pts = np.asarray(points, dtype=float)
+    first = tuple(pts[0].tolist())
+    far = np.argmax(np.hypot(pts[:, 0] - first[0], pts[:, 1] - first[1]))
+    rim = [first, tuple(pts[far].tolist())]
+    circle = bonnesen._circle_from_two(*rim)
+    while True:
+        x, y, r = circle
+        d = np.hypot(pts[:, 0] - x, pts[:, 1] - y)
+        q = int(np.argmax(d))
+        if d[q] <= r * bonnesen._EPS_FACTOR:
+            return circle
+        held = rim + [tuple(pts[q].tolist())]
+        best = None
+        for k, build in ((2, bonnesen._circle_from_two), (3, bonnesen._circle_from_three)):
+            for sub in combinations(held, k):
+                c = build(*sub)
+                if c is not None and (best is None or c[2] < best[0][2]) and all(
+                        math.hypot(a - c[0], b - c[1]) <= c[2] * bonnesen._EPS_FACTOR
+                        for a, b in held):
+                    best = c, list(sub)
+        if best is None or best[0][2] <= r:
+            return circle
+        circle, rim = best
+
+
 class TestCircumradius:
     def test_unit_circle(self):
         r, _ = circumradius(shapes.circle(2048))
@@ -273,6 +305,20 @@ class TestCircumradius:
         pts = rng.uniform(-1.0, 1.0, size=(14, 2))
         x, y, r = minimal_enclosing_circle(pts)
         assert r == pytest.approx(oracles.brute_enclosing_radius(pts), rel=1e-12)
+        assert np.all(np.hypot(pts[:, 0] - x, pts[:, 1] - y) <= r * (1 + 1e-12))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_circles_through_the_new_point_suffice(self, seed):
+        # normal and box-uniform clouds of 30-300 points; the brute-force
+        # oracle runs on the hull's vertices, whose enclosing circle is the cloud's
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(30, 301))
+        draw = rng.normal if seed % 2 else rng.uniform
+        pts = draw(size=(n, 2)) * rng.uniform(0.1, 10.0) + rng.uniform(-5.0, 5.0, 2)
+        x, y, r = circle = minimal_enclosing_circle(pts)
+        assert circle == _enclosing_circle_over_all_held(pts)
+        hull = pts[ConvexHull(pts).vertices]
+        assert r == pytest.approx(oracles.brute_enclosing_radius(hull), rel=1e-12)
         assert np.all(np.hypot(pts[:, 0] - x, pts[:, 1] - y) <= r * (1 + 1e-12))
 
     def test_point_order_does_not_change_result(self):

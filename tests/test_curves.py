@@ -85,6 +85,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             c.points[0, 0] = 99.0
 
+    @pytest.mark.parametrize("view", [
+        lambda a: a, lambda a: a[:], lambda a: a.ravel().reshape(-1, 2),
+    ], ids=["array", "slice", "reshaped"])
+    def test_caller_array_stays_writeable(self, view):
+        a = shapes.circle(64).points.copy()
+        c = ClosedCurve(view(a))
+        kept = c.points.copy()
+        assert a.flags.writeable
+        a[0] = (5.0, 5.0)
+        assert np.array_equal(c.points, kept)
+        assert not c.points.flags.writeable
+
+    def test_read_only_input_is_shared(self):
+        a = shapes.circle(64).points
+        assert ClosedCurve(a).points is a
+
     @pytest.mark.parametrize("n", [64, 2048, 65536])
     def test_box_by_columns_equals_axis_reduction(self, n):
         pts = np.random.default_rng(n).normal(3.0, 2.0, (n, 2))

@@ -298,6 +298,22 @@ class TestValidationAndIO:
         with pytest.raises(ValueError, match="support samples must be a 1-D array"):
             SupportFunction(np.ones((16, 2)))
 
+    @pytest.mark.parametrize("view", [
+        lambda v: v, lambda v: v[:], lambda v: v.reshape(-1, 2).ravel(),
+    ], ids=["array", "slice", "reshaped"])
+    def test_caller_array_stays_writeable(self, view):
+        v = shapes.random_oval_support(64, 0).values.copy()
+        p = SupportFunction(view(v))
+        kept = p.values.copy()
+        assert v.flags.writeable
+        v[0] = 2.0 * v[0]
+        assert np.array_equal(p.values, kept)
+        assert not p.values.flags.writeable
+
+    def test_read_only_input_is_shared(self):
+        v = shapes.random_oval_support(64, 0).values
+        assert SupportFunction(v).values is v
+
     @pytest.mark.parametrize("count", [8, 14, 15, 65])
     def test_one_grid_rule_for_samples_and_extraction(self, count):
         message = f"^grid count must be even and >= 16, got {count}$"

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import logging
 from dataclasses import asdict
 
 import numpy as np
@@ -24,6 +25,8 @@ from curveflow import (
     symmetrize,
 )
 from curveflow import shapes
+
+import oracles
 
 # the package exports the function symmetrize under the module's name
 symmod = importlib.import_module("curveflow.symmetrize")
@@ -76,21 +79,43 @@ class TestChordCut:
         )
         assert np.max(np.abs(cut.endpoints[0] - expected)) < 1e-12
 
-    def test_one_eval_per_order(self, monkeypatch):
-        # both endpoints come from one vectorized p.eval of p and one of p'
+    def test_chord_search_calls_no_eval(self, monkeypatch):
+        # both endpoints come from SupportFunction._opposite_points, not p.eval
         p = shapes.random_oval_support(1024, 3, offset=0.25)
-        curve_from_support(p)
         calls = []
         real = type(p).eval
         monkeypatch.setattr(type(p), "eval",
                             lambda self, *args, **kw: calls.append(kw) or real(self, *args, **kw))
         cut = chord_cut(p, 1.0)
-        assert calls == [{}, {"order": 1}]
+        searched = find_bisecting_chord(p)
+        assert calls == []
+        assert searched.evaluations > 0  # no node bisects, so the Illinois search ran
         assert np.array_equal(cut.midpoint, 0.5 * (cut.endpoints[0] + cut.endpoints[1]))
 
     def test_not_an_oval(self):
         with pytest.raises(NotAnOval):
             chord_cut(oval(256, {3: (0.2, 0.0)}), 0.0)
+
+
+_SEEDED = [shapes.random_oval_support(512, seed, offset=0.25) for seed in range(8)]
+
+
+class TestOppositePoints:
+    """Both chord ends from one spectral row, against p.eval at theta and theta + pi."""
+
+    @pytest.mark.parametrize("p", _SEEDED + [
+        oval(1024, {1: (0.3, 0.0), 2: (0.05, 0.0), 3: (0.02, 0.015)}),
+        oval(256, {1: (0.1, 0.2), 3: (0.03, 0.0)}),
+    ], ids=[f"seed{seed}" for seed in range(8)] + ["three-mode", "coarse"])
+    def test_matches_eval(self, p):
+        scale = float(np.max(np.hypot(*curve_from_support(p).points.T)))
+        h = p.step
+        nodes = [0, 1, p.count // 4, p.count // 2 - 1, p.count // 2, p.count - 1]
+        thetas = [j * h for j in nodes] + [(j + 0.5) * h for j in nodes]
+        for theta in thetas + [1e-300, 2.0 * np.pi - 1e-15]:
+            ends = p._opposite_points(theta)
+            reference = oracles.chord_ends_by_eval(p, theta)
+            assert np.max(np.abs(ends - reference)) <= 16 * np.finfo(float).eps * scale, theta
 
 
 class TestBisectingChord:
@@ -189,6 +214,39 @@ class TestChordSearch:
         assert find_bisecting_chord(oval(256, {})).evaluations == 0  # node 0 bisects
 
 
+class TestDebugLog:
+    """The chord search logs one debug record per call, on both of its paths."""
+
+    @staticmethod
+    def _relative_miss(p, cut):
+        sigma = symmod.node_cut_areas(p)
+        area = sigma[0] + sigma[p.count // 2]
+        vertices = curve_from_support(p).points
+        return abs(cut.sigma - symmod._shoelace(symmod._other_arc(p, vertices, cut))) / (2 * area)
+
+    def test_one_record_per_call(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="curveflow.symmetrize")
+        disk = oval(256, {})
+        p = shapes.random_oval_support(1024, 0, offset=0.25)
+        node_cut, cut = find_bisecting_chord(disk), find_bisecting_chord(p)
+        records = [r.getMessage() for r in caplog.records if r.name == "curveflow.symmetrize"]
+        sigma = symmod.node_cut_areas(disk)
+        node_miss = abs(sigma[0] - sigma[128]) / (2 * (sigma[0] + sigma[128]))
+        assert node_cut.theta == 0.0
+        assert records == [
+            f"find_bisecting_chord: node 0 bisects, 0 evaluations, "
+            f"|sigma - A/2|/A = {node_miss:.3g}",
+            f"find_bisecting_chord: cell {int(cut.theta // p.step)} searched in "
+            f"{cut.evaluations} evaluations, |sigma - A/2|/A = {self._relative_miss(p, cut):.3g}",
+        ]
+
+    def test_silent_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="curveflow.symmetrize")
+        find_bisecting_chord(oval(256, {}))
+        find_bisecting_chord(shapes.random_oval_support(1024, 0, offset=0.25))
+        assert not [r for r in caplog.records if r.name == "curveflow.symmetrize"]
+
+
 class TestSymmetrize:
     def test_pair_builds_the_oval_once(self, monkeypatch):
         # node_cut_areas, the cell gap, chord_cut and symmetrize all walk the
@@ -212,9 +270,11 @@ class TestSymmetrize:
         p = shapes.random_oval_support(1024, 0, offset=0.25)
         cut = find_bisecting_chord(p)
         support_cls = importlib.import_module("curveflow.support").SupportFunction
-        calls, evaluate = [], support_cls.eval
-        monkeypatch.setattr(support_cls, "eval",
-                            lambda self, *a, **k: calls.append(a) or evaluate(self, *a, **k))
+        calls = []
+        for name in ("eval", "_opposite_points"):
+            evaluate = getattr(support_cls, name)
+            monkeypatch.setattr(support_cls, name, lambda self, *a, _f=evaluate, **k:
+                                calls.append(a) or _f(self, *a, **k))
         pair = symmetrize(p, cut)
         assert calls == []
         for c in (pair.curve1, pair.curve2):
