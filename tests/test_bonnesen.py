@@ -256,9 +256,10 @@ class TestPivot:
 
 
 def _enclosing_circle_over_all_held(points):
-    """The Elzinga-Hearn loop as it stood when each round tried every pair and
-    triple of the rim and the new point, rim-only circles included: the
-    reference for ``minimal_enclosing_circle``'s circles through the new point."""
+    """The Elzinga-Hearn loop over every pair and triple of the rim and the new
+    point, rim-only circles included: the reference that
+    ``minimal_enclosing_circle``, trying only circles through the new point,
+    must reproduce tuple for tuple."""
     bonnesen = curveflow.bonnesen
     pts = np.asarray(points, dtype=float)
     first = tuple(pts[0].tolist())
