@@ -8,6 +8,7 @@ all four quantities on the sample polygon and reports the chain.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations, count
@@ -18,6 +19,8 @@ from .curves import ClosedCurve, _box, _deferred, _edges, _positive, is_convex, 
 from .errors import IsoperimetricViolation, NotConvex, SolverFailed
 
 linprog = _deferred("scipy.optimize", "linprog")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,8 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
     r * (1 - 1e-12), the 16 closest of them join and the LP is solved again.
     After 64 such rounds the last solve takes every edge. A start that is no
     basis therefore costs rounds, not accuracy. Raises ``SolverFailed`` when
-    a solve fails.
+    a solve fails. Each call logs one debug record under ``curveflow.bonnesen``:
+    the HiGHS solves and the edges in the last one.
     """
     if not is_convex(curve):
         raise NotConvex("inradius requires a convex curve")
@@ -169,6 +173,8 @@ def inradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:
         slack = b_ub - a_ub[:, :2] @ center
         slack[active] = np.inf  # the solved edges hold to HiGHS's tolerance
         if slack.min() >= r * (1.0 - 1e-12):  # always once every edge is solved
+            log.debug("inradius: %d HiGHS solves, %d of %d edges in the last",
+                      rounds, active.size, n)
             return r * scale, center * scale + shift
         if rounds == _MAX_ROUNDS:
             active = np.arange(n)
@@ -215,7 +221,10 @@ def minimal_enclosing_circle(points) -> tuple[float, float, float]:
     circle, so it lies on the new one (Welzl, LNCS 555, 1991), and circles
     through rim points alone need no test. The radius grows every round, so
     the iteration ends. The circle is unique, so nothing is
-    randomized. Raises ValueError on no points or a non-finite one.
+    randomized. Raises ValueError on no points or a non-finite one. Each call
+    logs one debug record under ``curveflow.bonnesen``: the points, the rounds
+    that grew the circle, and how it stopped, "enclosed" once every point is
+    held or "stalled" when rounding kept a round from growing the radius.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -226,12 +235,13 @@ def minimal_enclosing_circle(points) -> tuple[float, float, float]:
     far = np.argmax(np.hypot(pts[:, 0] - first[0], pts[:, 1] - first[1]))
     rim = [first, tuple(pts[far].tolist())]
     circle = _circle_from_two(*rim)  # (x, y, 0.0) when every point is pts[0]
-    while True:
+    for rounds in count():
         x, y, r = circle
         d = np.hypot(pts[:, 0] - x, pts[:, 1] - y)
         q = int(np.argmax(d))
         if d[q] <= r * _EPS_FACTOR:
-            return circle
+            stop = "enclosed"
+            break
         new = tuple(pts[q].tolist())
         held = rim + [new]
         best = None
@@ -242,8 +252,11 @@ def minimal_enclosing_circle(points) -> tuple[float, float, float]:
                         math.hypot(a - c[0], b - c[1]) <= c[2] * _EPS_FACTOR for a, b in held):
                     best = c, [*sub, new]
         if best is None or best[0][2] <= r:
-            return circle  # the radius did not grow: rounding, not a larger circle
+            stop = "stalled"  # the radius did not grow: rounding, not a larger circle
+            break
         circle, rim = best
+    log.debug("minimal_enclosing_circle: %d points, %d rounds, %s", len(pts), rounds, stop)
+    return circle
 
 
 def circumradius(curve: ClosedCurve) -> tuple[float, np.ndarray]:

@@ -13,7 +13,9 @@ configuration is echoed into every JSON report, beside the package version
 and the seconds the run took (``elapsed_s``). ``CURVEFLOW_LOG``
 (error|info|debug) sets verbosity.
 
-``console_main`` freezes the heap before exit, so the final collection skips it.
+Each handler imports the library modules it runs, so a call loads no others:
+start-up is most of a fast subcommand's time. ``console_main`` freezes the
+heap before exit, so the final collection skips it.
 """
 
 from __future__ import annotations
@@ -31,17 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import bonnesen as bn
 from . import curves as cv
-from . import flow as fl
-from . import shrinker as sk
-from . import support as sp
 from .errors import (
     GeometricPreconditionError,
     InputError,
     NumericalError,
 )
-from .symmetrize import find_bisecting_chord, symmetrize
 
 log = logging.getLogger("curveflow")
 
@@ -176,6 +173,8 @@ def _emit(config: dict, payload: dict, name: str | None = None) -> None:
 
 def _cmd_flow(args) -> int:
     """time-step the curve shortening flow"""
+    from .flow import _viewbox, run_flow, write_curve_svg
+
     config = _effective_config(args)
     if config["stride"] < 1:  # before the flow runs, not after it in write_csv
         raise InputError(f"--stride must be >= 1, got {config['stride']}")
@@ -184,7 +183,7 @@ def _cmd_flow(args) -> int:
     if out.exists() and not out.is_dir():
         raise InputError(f"--output {out} is not a directory")
     t_max = config["t_max"] if config["t_max"] is not None else np.inf
-    traj = fl.run_flow(
+    traj = run_flow(
         curve,
         area_floor_rel=config["area_floor_rel"],
         t_max=t_max,
@@ -194,9 +193,9 @@ def _cmd_flow(args) -> int:
     traj.write_csv(out / "trajectory.csv", stride=config["stride"])
     cv.write_curve_csv(traj.final_state.curve, out / "final_curve.csv")
     if config["svg_every"]:
-        viewbox = fl._viewbox(curve.points)
+        viewbox = _viewbox(curve.points)
         for i, (_t, snap) in enumerate(traj.snapshots):
-            fl.write_curve_svg(snap, out / f"snapshot_{i:06d}.svg", viewbox=viewbox)
+            write_curve_svg(snap, out / f"snapshot_{i:06d}.svg", viewbox=viewbox)
     log.info("flow stopped (%s) at t = %.6g after %d steps",
              traj.stop_reason, traj.final_state.time, traj.final_state.step_count)
     _emit(config, {
@@ -211,15 +210,19 @@ def _cmd_flow(args) -> int:
 
 def _cmd_shrink_verify(args) -> int:
     """verify the self-shrinker relation"""
+    from .shrinker import verify_shrinker
+
     config = _effective_config(args)
     curve = _read_curve(args.input)
-    report = sk.verify_shrinker(curve, tol=config["tol"])
+    report = verify_shrinker(curve, tol=config["tol"])
     _emit(config, asdict(report), "shrinker_report.json")
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
 def _cmd_ode_shoot(args) -> int:
     """period survey of the support ODE"""
+    from .shrinker import classify_closed_solutions
+
     config = _effective_config(args)
     raw = args.amplitudes or ""
     try:
@@ -228,7 +231,7 @@ def _cmd_ode_shoot(args) -> int:
         raise InputError(f"cannot parse --amplitudes {raw!r}: {exc}") from exc
     if not amplitudes:
         raise InputError("--amplitudes must list at least one p0 value")
-    report = sk.classify_closed_solutions(amplitudes, tol=config["tol"])
+    report = classify_closed_solutions(amplitudes, tol=config["tol"])
     if config["format"] == "json":
         _emit(config, asdict(report))
     else:
@@ -241,19 +244,24 @@ def _cmd_ode_shoot(args) -> int:
 
 def _cmd_bonnesen(args) -> int:
     """inradius/circumradius inequality chain"""
+    from .bonnesen import bonnesen_chain
+
     config = _effective_config(args)
     curve = _read_curve(args.input)
-    report = bn.bonnesen_chain(curve, tol=config["tol"])
+    report = bonnesen_chain(curve, tol=config["tol"])
     _emit(config, asdict(report), "bonnesen_report.json")
     return EXIT_OK if report.chain_ok else EXIT_VERDICT_FALSE
 
 
 def _cmd_symmetrize(args) -> int:
     """equal-area chord symmetrization"""
+    from .support import support_from_curve
+    from .symmetrize import find_bisecting_chord, symmetrize
+
     config = _effective_config(args)
     curve = _read_curve(args.input)
     shift = cv.centroid(curve)
-    p = sp.support_from_curve(curve.translated(-shift), config["grid"])
+    p = support_from_curve(curve.translated(-shift), config["grid"])
     cut = find_bisecting_chord(p, tol=config["tol"])
     pair = symmetrize(p, cut)
     out = Path(config["output"])
@@ -269,15 +277,17 @@ def _cmd_symmetrize(args) -> int:
 
 def _cmd_support(args) -> int:
     """extract the support function"""
+    from .support import support_from_curve, write_support_csv
+
     config = _effective_config(args)
     curve = _read_curve(args.input)
-    p = sp.support_from_curve(curve.translated(-cv.centroid(curve)), config["grid"])
+    p = support_from_curve(curve.translated(-cv.centroid(curve)), config["grid"])
     if config["output"]:
         out = Path(config["output"])
         out.mkdir(parents=True, exist_ok=True)
-        sp.write_support_csv(p, out / "support.csv")
+        write_support_csv(p, out / "support.csv")
     else:
-        sp.write_support_csv(p, sys.stdout)
+        write_support_csv(p, sys.stdout)
     return EXIT_OK
 
 

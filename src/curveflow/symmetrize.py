@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .bonnesen import bonnesen_chain
 from .curves import (ClosedCurve, _cyclic_next, _positive, _shoelace, _vertex_turns, is_convex,
                      length, signed_area)
 from .errors import (
@@ -315,6 +314,8 @@ def symmetric_shrinker_check(p: SupportFunction, tol: float = 1e-2) -> Symmetric
         raise NotAShrinker(
             f"curvature 1/(p+p'') deviates from p by {residual:.3g} > tol = {tol:.3g}"
         )
+    from .bonnesen import bonnesen_chain  # here, so importing curveflow skips bonnesen
+
     chain = bonnesen_chain(curve)
     p_min = float(np.min(p.values))
     p_max = float(np.max(p.values))

@@ -9,6 +9,7 @@ checks only import and run perfbench/ code; they write nothing there.
 import importlib
 import inspect
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,6 +53,35 @@ def test_result_hooks_count_the_probe(tmp_path):
     assert rec.counters["flow.steps"] > 0
     assert rec.counters["shrinker.solve_ivp.nfev"] > 0
     assert rec.counters["bonnesen.linprog.nit"] > 0
+
+
+def test_recorder_leaves_the_package_as_it_found_it(tmp_path):
+    """The package resolves cf.<name> in its submodule on every access, so a
+    traced run sees the Recorder's wrappers through cf, and none outlives it."""
+    with spans.Recorder():
+        assert hasattr(cf.run_flow, "__wrapped__")  # the span wrapper
+        spans.layer_probe(cf, cli, tmp_path)
+    assert [name for name, value in vars(cf).items() if hasattr(value, "__wrapped__")] == []
+    for name, module in cf._MODULE_OF.items():
+        obj = getattr(cf, name)
+        assert obj is vars(sys.modules[f"curveflow.{module}"])[name], name
+        assert not hasattr(obj, "__wrapped__"), name
+
+
+def test_symmetrize_is_the_function_in_perfbench_order():
+    """workloads.py imports the submodule curveflow.symmetrize, then calls
+    cf.symmetrize(...) as the function."""
+    code = ("import importlib\n"
+            "module = importlib.import_module('curveflow.symmetrize')\n"
+            "import curveflow as cf\n"
+            "print(cf.symmetrize is module.symmetrize)")
+    src = str(Path(cf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 @pytest.mark.parametrize("missing, expected", [(False, 0), (True, 1)],

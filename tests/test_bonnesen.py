@@ -1,6 +1,7 @@
 """Tests for the inradius/circumradius inequality chain."""
 
 import json
+import logging
 import math
 from dataclasses import asdict
 from itertools import combinations
@@ -486,3 +487,45 @@ class TestChain:
             "chain_ok",
             "equality_gap",
         ]
+
+
+class TestDebugLog:
+    """One debug record per inradius and per enclosing-circle call."""
+
+    _ELLIPSE = shapes.ellipse(1024).rotated(4 * math.pi / 199)  # several HiGHS solves
+
+    def test_one_record_per_call(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="curveflow.bonnesen")
+        solves = []
+        real = curveflow.bonnesen.linprog
+
+        def counting(*args, **kwargs):
+            solves.append(len(kwargs["A_ub"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curveflow.bonnesen, "linprog", counting)
+        inradius(self._ELLIPSE)
+        minimal_enclosing_circle([[0.2, -0.7], [1.5, 2.0]])
+        # the diameter of the first two points, then the circle through (-3, 0) and (1, 0)
+        minimal_enclosing_circle([[0.0, 0.0], [-3.0, 0.0], [1.0, 0.0]])
+        records = [r.getMessage() for r in caplog.records if r.name == "curveflow.bonnesen"]
+        assert len(solves) > 1
+        assert records == [
+            f"inradius: {len(solves)} HiGHS solves, {solves[-1]} of 1024 edges in the last",
+            "minimal_enclosing_circle: 2 points, 0 rounds, enclosed",
+            "minimal_enclosing_circle: 3 points, 1 rounds, enclosed",
+        ]
+
+    def test_stall_is_logged(self, monkeypatch, caplog):
+        # a tolerance below 1 holds no circle, not even the rim's own
+        caplog.set_level(logging.DEBUG, logger="curveflow.bonnesen")
+        monkeypatch.setattr(curveflow.bonnesen, "_EPS_FACTOR", 0.5)
+        assert minimal_enclosing_circle([[0.0, 0.0], [2.0, 0.0]]) == (1.0, 0.0, 1.0)
+        assert [r.getMessage() for r in caplog.records if r.name == "curveflow.bonnesen"] == [
+            "minimal_enclosing_circle: 2 points, 0 rounds, stalled"]
+
+    def test_silent_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="curveflow.bonnesen")
+        bonnesen_chain(self._ELLIPSE)
+        minimal_enclosing_circle([[0.0, 0.0], [-3.0, 0.0], [1.0, 0.0]])
+        assert not [r for r in caplog.records if r.name == "curveflow.bonnesen"]

@@ -663,12 +663,16 @@ class TestFlags:
             assert listed == registered - {"-h", "--help", "--config"}, command
 
 
-# Defines solvers(), the SciPy solver modules loaded so far, for _fresh_python.
+# Defines solvers(), the SciPy solver modules loaded so far, and ours(), the
+# curveflow modules loaded so far, for _fresh_python.
 _PRELUDE = """
 import json, sys
 
 def solvers():
     return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate")))
+
+def ours():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "curveflow")
 """
 
 
@@ -680,8 +684,15 @@ def _fresh_python(code: str, *args: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# What ``import curveflow.cli`` loads: the package binds the symmetrize function
+# eagerly, and symmetrize imports curves, errors and support.
+_CLI_MODULES = ["curveflow", "curveflow.cli", "curveflow.curves", "curveflow.errors",
+                "curveflow.support", "curveflow.symmetrize"]
+
+
 class TestDeferredScipy:
-    """SciPy's solvers are imported on the first call that needs one."""
+    """SciPy's solvers are imported on the first call that needs one, and each
+    subcommand imports only the curveflow modules it runs."""
 
     def test_only_solving_runs_load_scipy(self, tmp_path):
         files = {"circle": shapes.circle(64), "circle1024": shapes.circle(1024),
@@ -690,30 +701,31 @@ class TestDeferredScipy:
         for name, curve in files.items():
             write_curve_csv(curve, tmp_path / f"{name}.csv")
         path = {name: str(tmp_path / f"{name}.csv") for name in files}
+        # argv, exit code, the curveflow modules it adds to the import's, the solver it loads
         runs = [
             (["support", "--input", path["ellipse"], "--grid", "64",
-              "--output", str(tmp_path / "sup")], 0),
+              "--output", str(tmp_path / "sup")], 0, [], None),
             (["flow", "--input", path["circle"], "--t-max", "1e-3",
-              "--output", str(tmp_path / "flow")], 0),
-            (["shrink-verify", "--input", path["circle1024"]], 0),
-            (["bonnesen", "--input", path["lshape"]], 4),
-            (["ode-shoot", "--amplitudes", "nan"], 1),
+              "--output", str(tmp_path / "flow")], 0, ["flow", "shrinker"], None),
+            (["shrink-verify", "--input", path["circle1024"]], 0, ["shrinker"], None),
+            (["bonnesen", "--input", path["lshape"]], 4, ["bonnesen"], None),
+            (["ode-shoot", "--amplitudes", "nan"], 1, ["shrinker"], None),
             (["symmetrize", "--input", path["egg"], "--grid", "512",
-              "--output", str(tmp_path / "sym")], 0),
-            (["bonnesen", "--input", path["ellipse"]], 0),
+              "--output", str(tmp_path / "sym")], 0, [], None),
+            (["bonnesen", "--input", path["ellipse"]], 0, ["bonnesen"], "scipy.optimize"),
         ]
-        steps = _fresh_python("""
-import curveflow, curveflow.cli, curveflow.shapes
+        for argv, code, added, solver in runs:
+            imported, status, loaded, modules = _fresh_python("""
+import curveflow.cli
 
-steps = [["import", 0, solvers()]]
-for argv in json.loads(sys.argv[1]):
-    steps.append([argv[0], curveflow.cli.main(argv), solvers()])
-print(json.dumps(steps))
-""", json.dumps([argv for argv, _code in runs]))
-        assert [code for _name, code, _loaded in steps] == [0] + [code for _argv, code in runs]
-        for name, _code, loaded in steps[:-1]:
-            assert loaded == [], f"{name} loaded {loaded}"
-        assert "scipy.optimize" in steps[-1][2]
+imported = [ours(), solvers()]
+status = curveflow.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([imported, status, solvers(), ours()]))
+""", json.dumps(argv))
+            assert imported == [_CLI_MODULES, []]
+            assert status == code, argv
+            assert solver in loaded if solver else loaded == [], f"{argv[0]} loaded {loaded}"
+            assert modules == sorted(_CLI_MODULES + [f"curveflow.{m}" for m in added]), argv
         # no grid node bisects the egg, so its run searched for the chord
         report = json.loads((tmp_path / "sym" / "symmetrize_report.json").read_text())
         assert report["report"]["evaluations"] > 0
