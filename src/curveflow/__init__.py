@@ -14,7 +14,12 @@ So ``import curveflow`` loads ``symmetrize`` and the modules it imports
 of its names is first read. No name is cached here: while a tracer has
 swapped a submodule's function, ``curveflow.<name>`` returns the swapped
 object, and the original once it is put back. The submodules resolve as
-``curveflow.flow`` and so on, as they did when the package imported them all.
+``curveflow.flow`` and so on, as they did when the package imported them all,
+and ``from curveflow import *`` binds every exported name and submodule
+through ``__all__``. A tracer may be the first to import ``flow``,
+``shrinker`` or ``bonnesen``; those modules read the traced ``curves``
+functions through the module, so no wrapper stays bound in them after the
+tracer undoes its swaps.
 
 ``symmetrize`` is the one name bound eagerly. The function shares its name
 with its submodule, and the first import of ``curveflow.symmetrize`` binds
@@ -52,6 +57,7 @@ _EXPORTS = {
 }
 # exported name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(set(_EXPORTS) | set(_MODULE_OF))
 
 
 def __getattr__(name):

@@ -63,6 +63,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+# resample_arclength is read through its module, as shrinker reads is_simple
+# and signed_curvature: perfbench's Recorder swaps curves' functions and may
+# then be the first to import this module, which would bind its wrapper here
+# for good; through the module, the Recorder's undo reaches every caller.
+from . import curves
 from .curves import (
     ClosedCurve,
     _CSV,
@@ -75,7 +80,6 @@ from .curves import (
     centroid,
     is_convex,
     length,
-    resample_arclength,
     signed_area,
 )
 from .errors import (
@@ -190,7 +194,7 @@ class _Gauge:
     def __init__(self, curve: ClosedCurve):
         """The gauge of ``curve`` resampled once to equal chords: q from the
         vertex turns, theta unwrapped from edge 0's angle."""
-        pts = resample_arclength(curve, curve.n).points
+        pts = curves.resample_arclength(curve, curve.n).points
         e = _edges(pts)
         turns = _vertex_turns(e)
         n = pts.shape[0]

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .curves import (ClosedCurve, _CSV, _deferred, _positive, is_convex, is_simple,
-                     length, signed_area, signed_curvature)
+from . import curves  # is_simple and signed_curvature through the module: see flow.py
+from .curves import ClosedCurve, _CSV, _deferred, _positive, is_convex, length, signed_area
 from .errors import BlowUp, NotConvex, ToleranceNotMet
 
 FloatArray = NDArray[np.float64]
@@ -67,9 +67,9 @@ def _frame(curve: ClosedCurve):
     """The curvature frame of a simple counter-clockwise curve."""
     if signed_area(curve) <= 0.0:
         raise ValueError("curve must be counter-clockwise oriented")
-    if not is_simple(curve):
+    if not curves.is_simple(curve):
         raise ValueError("curve must be simple (embedded)")
-    return signed_curvature(curve)
+    return curves.signed_curvature(curve)
 
 
 def _residual(frame) -> FloatArray:
@@ -89,7 +89,7 @@ def gauge_constant(curve: ClosedCurve) -> tuple[float, float]:
     deviation of all samples from C, so a flat sample (kappa_i <= 0, as on a
     straight side) deviates by 1.
     """
-    return _gauge(curve, signed_curvature(curve))
+    return _gauge(curve, curves.signed_curvature(curve))
 
 
 def _gauge(curve: ClosedCurve, frame) -> tuple[float, float]:

@@ -68,20 +68,57 @@ def test_recorder_leaves_the_package_as_it_found_it(tmp_path):
         assert not hasattr(obj, "__wrapped__"), name
 
 
+def test_star_import_binds_every_export():
+    """``from curveflow import *`` binds each exported name and submodule, as
+    it did when the package imported every submodule eagerly."""
+    namespace: dict = {}
+    exec("from curveflow import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(cf._EXPORTS) | set(cf._MODULE_OF)
+    assert all(value is getattr(cf, name) for name, value in namespace.items())
+    assert inspect.isfunction(namespace["symmetrize"])
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter that imports src/ and perfbench/; its stdout."""
+    src = str(Path(cf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, _PERFBENCH, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_recorder_that_first_imports_flow_leaves_no_wrapper(tmp_path):
+    """The traced runs import the package, the CLI and the shapes before they
+    enter the Recorder, so the Recorder itself first imports flow and
+    shrinker, after it has swapped curves' functions. Once it exits, no
+    curveflow module binds one of its wrappers."""
+    stdout = _fresh_python("""
+import sys
+from pathlib import Path
+
+import curveflow as cf, curveflow.cli as cli, curveflow.shapes
+import spans
+
+before = "curveflow.flow" in sys.modules
+with spans.Recorder():
+    spans.layer_probe(cf, cli, Path(sys.argv[1]))
+print(before, "curveflow.flow" in sys.modules, sorted(
+    f"{key}.{name}" for key, module in sys.modules.items() if key.split(".")[0] == "curveflow"
+    for name, value in vars(module).items() if hasattr(value, "__wrapped__")))
+""", str(tmp_path))
+    assert stdout == "False True []\n"
+
+
 def test_symmetrize_is_the_function_in_perfbench_order():
     """workloads.py imports the submodule curveflow.symmetrize, then calls
     cf.symmetrize(...) as the function."""
-    code = ("import importlib\n"
-            "module = importlib.import_module('curveflow.symmetrize')\n"
-            "import curveflow as cf\n"
-            "print(cf.symmetrize is module.symmetrize)")
-    src = str(Path(cf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"
+    assert _fresh_python("import importlib\n"
+                         "module = importlib.import_module('curveflow.symmetrize')\n"
+                         "import curveflow as cf\n"
+                         "print(cf.symmetrize is module.symmetrize)") == "True\n"
 
 
 @pytest.mark.parametrize("missing, expected", [(False, 0), (True, 1)],

@@ -714,6 +714,12 @@ class TestDeferredScipy:
               "--output", str(tmp_path / "sym")], 0, [], None),
             (["bonnesen", "--input", path["ellipse"]], 0, ["bonnesen"], "scipy.optimize"),
         ]
+        # what perfbench, the scripts and the tests import: no solver, no flow
+        assert _fresh_python("""
+import curveflow, curveflow.cli, curveflow.shapes
+
+print(json.dumps([solvers(), ours()]))
+""") == [[], sorted(_CLI_MODULES + ["curveflow.shapes"])]
         for argv, code, added, solver in runs:
             imported, status, loaded, modules = _fresh_python("""
 import curveflow.cli
